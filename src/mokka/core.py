@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
-from . import proofs, wire
+from . import crypto, proofs, wire
 from .crypto import ClusterKeyring, KeyPair, NodeId
 from .proofs import (
     ProofPolicy,
@@ -165,10 +165,6 @@ class CoreError(ValueError):
     pass
 
 
-def quorum_size(state: NodeState) -> int:
-    return state.keyring.quorum_size
-
-
 def init(
     id: NodeId,
     keypair: KeyPair,
@@ -305,8 +301,6 @@ def _grant_is_valid(state: NodeState, role: Candidate, grant: VoteGrant) -> bool
         message = wire.vote_message(
             scheme, grant.term, role.round_timestamp_ms, state.id
         )
-        from . import crypto  # local import to keep module load order simple
-
         return all(
             psig.signer == grant.voter
             and crypto.schnorr_partial_verify(state.keyring, psig, message)
@@ -321,14 +315,9 @@ def _grant_is_valid(state: NodeState, role: Candidate, grant: VoteGrant) -> bool
     message = proofs.share_sign_message(
         share, grant.term, role.round_timestamp_ms, state.id
     )
-    from . import crypto
-
-    try:
-        return crypto.recover_pubkey(message, sig) == state.keyring.public_key(
-            grant.voter
-        )
-    except crypto.CryptoError:
-        return False
+    return crypto.verify_recoverable(
+        state.keyring.public_key(grant.voter), message, sig
+    )
 
 
 def _on_vote_response(state: NodeState, grant: VoteGrant, now_ms: int) -> List[Output]:

@@ -8,7 +8,8 @@ Three families live here:
   round — see README for the security caveat),
 * Shamir secret sharing over the curve's scalar field,
 * deterministic ECDSA with public-key recovery, used to authenticate
-  secret shares.
+  secret shares; a share signature is verified against the expected
+  voter's key, and recovery stays as the reference it must agree with.
 
 Everything is a pure function of its inputs; nonces are derived
 deterministically so two runs produce bit-identical signatures.
@@ -312,16 +313,22 @@ def sign_recoverable(kp: KeyPair, message: bytes) -> RecoverableSignature:
         return RecoverableSignature(r, s, hint)
 
 
-def recover_pubkey(message: bytes, sig: RecoverableSignature) -> Point:
+def _nonce_point(sig: RecoverableSignature) -> Point:
+    """The signing nonce point R, lifted from (r, recovery hint)."""
     if not 1 <= sig.r < curve.N or not 1 <= sig.s < curve.N:
         raise CryptoError("invalid signature encoding")
     if sig.recovery_hint not in (0, 1, 2, 3):
         raise CryptoError("invalid signature encoding")
     x = sig.r + (curve.N if sig.recovery_hint >= 2 else 0)
     try:
-        big_r = curve.lift_x(x, bool(sig.recovery_hint & 1))
+        return curve.lift_x(x, bool(sig.recovery_hint & 1))
     except ValueError:
         raise CryptoError("invalid signature encoding") from None
+
+
+def recover_pubkey(message: bytes, sig: RecoverableSignature) -> Point:
+    """The public key that signed message, recovered from the signature."""
+    big_r = _nonce_point(sig)
     z = _message_digest(message)
     r_inv = pow(sig.r, -1, curve.N)
     # Q = r^-1 * (s*R - z*G) = (s/r)*R + (-z/r)*G
@@ -332,3 +339,22 @@ def recover_pubkey(message: bytes, sig: RecoverableSignature) -> Point:
     if q is None:
         raise CryptoError("invalid signature encoding")
     return q
+
+
+def verify_recoverable(public: Point, message: bytes, sig: RecoverableSignature) -> bool:
+    """Whether recover_pubkey(message, sig) == public, without recovering.
+
+    ECDSA verification (SEC 1 v2, 4.1.4) against the lifted nonce point:
+    R == (z/s)*G + (r/s)*X, so the hint is checked as recovery checks it.
+    public must be a node key, since it gets a cached fixed-base table.
+    """
+    try:
+        big_r = _nonce_point(sig)
+    except CryptoError:
+        return False
+    s_inv = pow(sig.s, -1, curve.N)
+    z = _message_digest(message)
+    return curve.sum_equals(
+        big_r,
+        [(z * s_inv, curve.BASE), (sig.r * s_inv, curve.key_table(public))],
+    )

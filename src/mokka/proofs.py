@@ -8,7 +8,9 @@ voters return recoverable signatures over their secret shares.
 """
 
 import enum
+import functools
 import random
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -69,6 +71,15 @@ class VoteProof:
     candidate: NodeId
     body: Union[SchnorrBody, SssBody]
 
+    @functools.cached_property
+    def encoded(self) -> bytes:
+        """The wire encoding, built on first use and kept on this object.
+
+        Not a field: equality and ``dataclasses.replace`` ignore it, and a
+        replaced copy encodes afresh.
+        """
+        return _encode(self)
+
 
 @dataclass(frozen=True)
 class ProofPolicy:
@@ -91,6 +102,11 @@ class ValidationResult(enum.Enum):
 
 SCHNORR_PROOF_LEN = 1 + 8 + 8 + 2 + 8 + 33 + 32  # 92
 _SSS_ENTRY_LEN = 32 + 32 + 32 + 32 + 1
+
+# Crypto verdicts a ProofValidator keeps, least recently used evicted first.
+# A fake-leader run stores about 60 per validator; forged proofs beyond the
+# cap cost a re-verification each, not memory.
+VALIDATOR_CACHE_SIZE = 256
 
 
 def encode_share(share: SssShare) -> bytes:
@@ -188,7 +204,7 @@ def build_proof(
     fails, the chosen partials are checked one at a time to name the voter
     at fault. Partials for other combos are not checked here; the caller
     verifies each grant once, on arrival. For Sss, each chosen share
-    signature must recover its voter's key.
+    signature must verify against its voter's key.
     """
     candidate = own_grant.voter
     q = keyring.quorum_size
@@ -244,11 +260,7 @@ def build_proof(
                 raise ProofError(f"bad grant from {voter}")
             share, sig = grant.share_sig
             message = share_sign_message(share, term, timestamp_ms, candidate)
-            try:
-                recovered = crypto.recover_pubkey(message, sig)
-            except crypto.CryptoError:
-                raise ProofError(f"bad grant from {voter}") from None
-            if recovered != keyring.public_key(voter):
+            if not crypto.verify_recoverable(keyring.public_key(voter), message, sig):
                 raise ProofError(f"bad grant from {voter}")
             entries.append((share, sig))
         return VoteProof(
@@ -278,28 +290,21 @@ def _validate_crypto(proof: VoteProof, keyring: ClusterKeyring) -> ValidationRes
     q = keyring.quorum_size
     if len(body.entries) < q:
         return ValidationResult.BAD_SECRET
-    voters = []
+    voters = set()
     for share, sig in body.entries:
+        # A share's index names its voter, who alone may vouch for it.
+        try:
+            voter = keyring.node_for_ordinal(share.index)
+        except crypto.CryptoError:
+            return ValidationResult.UNKNOWN_VOTER
+        if voter in voters:
+            return ValidationResult.BAD_SIGNATURE
         message = share_sign_message(
             share, proof.term, proof.timestamp_ms, proof.candidate
         )
-        try:
-            recovered = crypto.recover_pubkey(message, sig)
-        except crypto.CryptoError:
+        if not crypto.verify_recoverable(keyring.public_key(voter), message, sig):
             return ValidationResult.BAD_SIGNATURE
-        voter = None
-        for node_id, pub in keyring.node_keys:
-            if pub == recovered:
-                voter = node_id
-                break
-        if voter is None:
-            return ValidationResult.UNKNOWN_VOTER
-        # A voter may only vouch for its own share.
-        if share.index != keyring.ordinal(voter):
-            return ValidationResult.BAD_SIGNATURE
-        if voter in voters:
-            return ValidationResult.BAD_SIGNATURE
-        voters.append(voter)
+        voters.add(voter)
     if proof.candidate not in voters:
         return ValidationResult.BAD_SIGNATURE
     expected = sss_secret(proof.timestamp_ms, body.salt, proof.term)
@@ -330,13 +335,16 @@ class ProofValidator:
 
     Time checks run on every call; only the signature/secret work is
     cached, so the first heartbeat pays the cost and later ones do not.
-    Any byte change in the proof forces revalidation.
+    Any byte change in the proof forces revalidation. At most
+    VALIDATOR_CACHE_SIZE verdicts are kept; a hit makes its entry the most
+    recent, so a flood of forged proofs evicts the oldest forgeries, not
+    the proof of a leader that keeps sending heartbeats.
     """
 
     def __init__(self, keyring: ClusterKeyring, policy: ProofPolicy):
         self.keyring = keyring
         self.policy = policy
-        self._cache: Dict[bytes, ValidationResult] = {}
+        self._cache: OrderedDict[bytes, ValidationResult] = OrderedDict()
 
     def validate(self, proof: VoteProof, now_ms: int) -> ValidationResult:
         if proof.timestamp_ms > now_ms + self.policy.max_clock_skew_ms:
@@ -345,9 +353,13 @@ class ProofValidator:
             return ValidationResult.EXPIRED
         key = hashlib.sha256(encode_proof(proof)).digest()
         result = self._cache.get(key)
-        if result is None:
-            result = _validate_crypto(proof, self.keyring)
-            self._cache[key] = result
+        if result is not None:
+            self._cache.move_to_end(key)
+            return result
+        result = _validate_crypto(proof, self.keyring)
+        self._cache[key] = result
+        if len(self._cache) > VALIDATOR_CACHE_SIZE:
+            self._cache.popitem(last=False)
         return result
 
 
@@ -356,6 +368,11 @@ def proof_hash(proof: VoteProof) -> str:
 
 
 def encode_proof(proof: VoteProof) -> bytes:
+    """The proof's wire bytes, encoded once per proof object."""
+    return proof.encoded
+
+
+def _encode(proof: VoteProof) -> bytes:
     head = (
         bytes([proof.scheme])
         + proof.term.to_bytes(8, "big")

@@ -258,10 +258,48 @@ class TestValidateProof:
                 entries=(proof.body.entries[0], (share, bad_sig)) + proof.body.entries[2:],
             ),
         )
-        result = proofs.validate_proof(bad, keyring, POLICY, NOW)
-        assert result in (
-            ValidationResult.BAD_SIGNATURE, ValidationResult.UNKNOWN_VOTER
-        )
+        assert proofs.validate_proof(
+            bad, keyring, POLICY, NOW
+        ) is ValidationResult.BAD_SIGNATURE
+
+    @staticmethod
+    def _with_entry(proof, position, entry):
+        entries = list(proof.body.entries)
+        entries[position] = entry
+        return replace(proof, body=replace(proof.body, entries=tuple(entries)))
+
+    @pytest.mark.parametrize("index", [0, 6])
+    def test_sss_share_index_outside_cluster_is_unknown_voter(self, cluster5, index):
+        keypairs, keyring = cluster5
+        _, proof = build(keypairs, keyring, 1, [0, 3, 4], wire.SCHEME_SSS)
+        share, sig = proof.body.entries[1]
+        bad = self._with_entry(proof, 1, (replace(share, index=index), sig))
+        assert proofs.validate_proof(
+            bad, keyring, POLICY, NOW
+        ) is ValidationResult.UNKNOWN_VOTER
+
+    def test_sss_share_signed_by_another_node_is_bad_signature(self, cluster5):
+        # A valid signature, but by a node other than the one the index names.
+        keypairs, keyring = cluster5
+        _, proof = build(keypairs, keyring, 1, [0, 3, 4], wire.SCHEME_SSS)
+        share, _ = proof.body.entries[1]
+        owner = keyring.node_for_ordinal(share.index)
+        signer = next(n for n in keyring.node_ids() if n not in (owner, 1))
+        message = proofs.share_sign_message(share, proof.term, proof.timestamp_ms, 1)
+        sig = crypto.sign_recoverable(keypairs[signer], message)
+        assert crypto.recover_pubkey(message, sig) == keyring.public_key(signer)
+        bad = self._with_entry(proof, 1, (share, sig))
+        assert proofs.validate_proof(
+            bad, keyring, POLICY, NOW
+        ) is ValidationResult.BAD_SIGNATURE
+
+    def test_sss_duplicate_share_index_is_bad_signature(self, cluster5):
+        keypairs, keyring = cluster5
+        _, proof = build(keypairs, keyring, 1, [0, 3, 4], wire.SCHEME_SSS)
+        bad = self._with_entry(proof, 2, proof.body.entries[1])
+        assert proofs.validate_proof(
+            bad, keyring, POLICY, NOW
+        ) is ValidationResult.BAD_SIGNATURE
 
     def test_scheme_parity_on_time_classification(self, cluster5):
         keypairs, keyring = cluster5
@@ -318,17 +356,14 @@ class TestValidatorCache:
         ) is ValidationResult.EXPIRED
 
 
-def test_forged_flood_keeps_key_tables_bounded(cluster5):
-    # The fake_leader pattern: random nonce points and scalars, over every
-    # combo of one keyring. Only its node keys may get fixed-base tables.
-    _, keyring = cluster5
-    validator = proofs.ProofValidator(keyring, POLICY)
+def forged_proofs(keyring, count, seed):
+    """The fake_leader pattern: random nonce points and scalars, over every
+    combo of one keyring."""
     combos = sorted(keyring.combos)
-    rng = random.Random(23)
-    curve.key_table.cache_clear()
-    for _ in range(1000):
+    rng = random.Random(seed)
+    for _ in range(count):
         combo = rng.choice(combos)
-        forged = proofs.VoteProof(
+        yield proofs.VoteProof(
             wire.SCHEME_SCHNORR, 7, NOW, combo.members()[0],
             proofs.SchnorrBody(
                 combo,
@@ -336,8 +371,41 @@ def test_forged_flood_keeps_key_tables_bounded(cluster5):
                 rng.randrange(curve.N),
             ),
         )
+
+
+def test_forged_flood_keeps_key_tables_bounded(cluster5):
+    # Only the keyring's node keys may get fixed-base tables.
+    _, keyring = cluster5
+    validator = proofs.ProofValidator(keyring, POLICY)
+    curve.key_table.cache_clear()
+    for forged in forged_proofs(keyring, 1000, seed=23):
         assert validator.validate(forged, NOW) is ValidationResult.BAD_SIGNATURE
     assert 0 < curve.key_table.cache_info().currsize <= len(keyring.node_keys)
+
+
+def test_forged_flood_keeps_validator_cache_bounded(cluster5, monkeypatch):
+    # The honest leader's heartbeats keep arriving among the forgeries, so
+    # its proof stays cached, and is checked once, while the forgeries
+    # evict each other.
+    keypairs, keyring = cluster5
+    _, honest = build(keypairs, keyring, 1, [0, 3], wire.SCHEME_SCHNORR)
+    validator = proofs.ProofValidator(keyring, POLICY)
+    honest_checks = []
+    check = proofs._validate_crypto
+
+    def counting_check(proof, kr):
+        if proof == honest:
+            honest_checks.append(1)
+        return check(proof, kr)
+
+    monkeypatch.setattr(proofs, "_validate_crypto", counting_check)
+    for i, forged in enumerate(forged_proofs(keyring, 1000, seed=29)):
+        if i % 100 == 0:
+            assert validator.validate(honest, NOW) is ValidationResult.OK
+        assert validator.validate(forged, NOW) is ValidationResult.BAD_SIGNATURE
+    assert validator.validate(honest, NOW) is ValidationResult.OK
+    assert honest_checks == [1]
+    assert len(validator._cache) == proofs.VALIDATOR_CACHE_SIZE
 
 
 class TestCodec:
@@ -346,6 +414,15 @@ class TestCodec:
         for scheme in (wire.SCHEME_SCHNORR, wire.SCHEME_SSS):
             _, proof = build(keypairs, keyring, 1, [0, 3], scheme)
             assert proofs.decode_proof(proofs.encode_proof(proof)) == proof
+
+    def test_replaced_copy_encodes_afresh(self, cluster3):
+        keypairs, keyring = cluster3
+        _, proof = build(keypairs, keyring, 1, [0], wire.SCHEME_SCHNORR)
+        blob = proofs.encode_proof(proof)
+        bumped = replace(proof, term=proof.term + 1)
+        assert bumped != proof
+        assert proofs.encode_proof(bumped) != blob
+        assert proofs.decode_proof(proofs.encode_proof(bumped)) == bumped
 
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_fixed_92_byte_layout(self, n):
