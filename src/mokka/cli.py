@@ -116,6 +116,9 @@ def _cmd_keys(args) -> int:
     if args.nodes < 3:
         print("error: need at least 3 nodes", file=sys.stderr)
         return 2
+    if args.nodes > crypto.MAX_NODES:
+        print(f"error: at most {crypto.MAX_NODES} nodes", file=sys.stderr)
+        return 2
     _write_keyset(args.nodes, args.seed, args.out)
     print(f"wrote keyset for {args.nodes} nodes to {args.out}")
     return 0

@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
-from . import crypto, proofs, wire
+from . import proofs, wire
 from .crypto import ClusterKeyring, KeyPair, NodeId
 from .proofs import (
     ProofPolicy,
@@ -36,8 +36,9 @@ class Candidate:
     started_ms: int
     round_timestamp_ms: int
     payloads: Dict[NodeId, VotePayload]
-    own_grant: VoteGrant
-    pending_grants: Dict[NodeId, VoteGrant]
+    # Grants in arrival order. The candidate's own slot comes first and
+    # stays None: it signs for the combo it assembles when the quorum forms.
+    pending_grants: Dict[NodeId, Optional[VoteGrant]]
     name = "candidate"
 
 
@@ -221,7 +222,7 @@ def _arm_election(state: NodeState, cause: str) -> ArmElectionTimer:
 
 
 def _peers(state: NodeState) -> List[NodeId]:
-    return [n for n in sorted(state.keyring.node_ids()) if n != state.id]
+    return [n for n in state.keyring.sorted_ids if n != state.id]
 
 
 def _heartbeat_burst(state: NodeState, proof: VoteProof) -> Send:
@@ -239,14 +240,12 @@ def _start_election(state: NodeState, now_ms: int) -> List[Output]:
     payloads = proofs.make_vote_payloads(
         state.id, term, now_ms, state.keyring, state.config.scheme, state.rng
     )
-    own_grant = proofs.grant_vote(state.keypair, payloads[state.id], state.keyring)
     state.voted_for = (term, state.id)
     state.role = Candidate(
         started_ms=now_ms,
         round_timestamp_ms=now_ms,
         payloads=payloads,
-        own_grant=own_grant,
-        pending_grants={state.id: own_grant},
+        pending_grants={state.id: None},
     )
     requests = tuple(
         Packet(state.id, peer, VoteRequest(payloads[peer])) for peer in _peers(state)
@@ -291,32 +290,18 @@ def _on_vote_request(
     return outputs
 
 
-def _grant_is_valid(state: NodeState, role: Candidate, grant: VoteGrant) -> bool:
-    if grant.voter not in state.keyring.node_ids() or grant.voter == state.id:
+def _grant_is_well_formed(state: NodeState, role: Candidate, grant: VoteGrant) -> bool:
+    """The checks that cost no signature work. Signatures are checked once,
+    by ``proofs.build_proof``, for the grants that enter the proof."""
+    if grant.voter not in state.keyring.sorted_ids or grant.voter == state.id:
         return False
-    scheme = state.config.scheme
-    if scheme == wire.SCHEME_SCHNORR:
-        if not grant.partials:
-            return False
-        message = wire.vote_message(
-            scheme, grant.term, role.round_timestamp_ms, state.id
+    if state.config.scheme == wire.SCHEME_SCHNORR:
+        return bool(grant.partials) and all(
+            psig.signer == grant.voter for psig in grant.partials
         )
-        return all(
-            psig.signer == grant.voter
-            and crypto.schnorr_partial_verify(state.keyring, psig, message)
-            for psig in grant.partials
-        )
-    if grant.share_sig is None:
-        return False
-    share, sig = grant.share_sig
-    sent = role.payloads[grant.voter].share
-    if share != sent:
-        return False
-    message = proofs.share_sign_message(
-        share, grant.term, role.round_timestamp_ms, state.id
-    )
-    return crypto.verify_recoverable(
-        state.keyring.public_key(grant.voter), message, sig
+    return (
+        grant.share_sig is not None
+        and grant.share_sig[0] == role.payloads[grant.voter].share
     )
 
 
@@ -326,11 +311,17 @@ def _on_vote_response(state: NodeState, grant: VoteGrant, now_ms: int) -> List[O
         return [Diagnostic("late-response", f"term={grant.term} voter={grant.voter}")]
     if grant.voter in role.pending_grants:
         return [Diagnostic("duplicate-grant", f"term={grant.term} voter={grant.voter}")]
-    if not _grant_is_valid(state, role, grant):
+    if not _grant_is_well_formed(state, role, grant):
         return [Diagnostic("bad-grant", f"term={grant.term} voter={grant.voter}")]
     role.pending_grants[grant.voter] = grant
     if len(role.pending_grants) < state.keyring.quorum_size:
         return []
+    # More than a quorum is pending only after a failure that named no one;
+    # build_proof takes the earliest voters, so sign for the same combo.
+    own_grant = proofs.candidate_grant(
+        state.keypair, role.payloads[state.id], state.keyring,
+        list(role.pending_grants)[: state.keyring.quorum_size],
+    )
     follower_grants = [
         g for voter, g in role.pending_grants.items() if voter != state.id
     ]
@@ -338,7 +329,7 @@ def _on_vote_response(state: NodeState, grant: VoteGrant, now_ms: int) -> List[O
     try:
         proof = proofs.build_proof(
             state.keypair,
-            role.own_grant,
+            own_grant,
             follower_grants,
             state.keyring,
             state.current_term,
@@ -346,6 +337,15 @@ def _on_vote_response(state: NodeState, grant: VoteGrant, now_ms: int) -> List[O
             state.config.scheme,
             salt=salt,
         )
+    except proofs.BadGrants as exc:
+        # Drop the voters at fault and wait for further grants.
+        dropped = [v for v in exc.voters if v != state.id]
+        for voter in dropped:
+            del role.pending_grants[voter]
+        return [
+            Diagnostic("bad-grant", f"term={state.current_term} voter={voter}")
+            for voter in dropped
+        ]
     except proofs.ProofError as exc:
         return [Diagnostic("bad-grant", str(exc))]
     state.role = Leader(proof)

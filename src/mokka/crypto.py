@@ -17,14 +17,17 @@ deterministically so two runs produce bit-identical signatures.
 
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import curve, wire
 from .curve import Point
 
 NodeId = int
+
+# Node ids are bits of a 64-bit combo mask, so a cluster holds at most 64.
+MAX_NODES = 64
 
 
 class CryptoError(ValueError):
@@ -44,7 +47,7 @@ class ComboId:
     mask: int
 
     def members(self) -> Tuple[NodeId, ...]:
-        return tuple(i for i in range(64) if self.mask >> i & 1)
+        return tuple(i for i in range(MAX_NODES) if self.mask >> i & 1)
 
     def __contains__(self, node: NodeId) -> bool:
         return bool(self.mask >> node & 1)
@@ -76,29 +79,45 @@ class ClusterKeyring:
     node_keys: Tuple[Tuple[NodeId, Point], ...]
     quorum_size: int
     combos: Dict[ComboId, Point]
+    # Lookups derived from node_keys in __post_init__; equality ignores them.
+    sorted_ids: Tuple[NodeId, ...] = field(init=False, repr=False, compare=False)
+    _key_of: Dict[NodeId, Point] = field(init=False, repr=False, compare=False)
+    _id_of: Dict[Point, NodeId] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        derived = {
+            "sorted_ids": tuple(sorted(node_id for node_id, _ in self.node_keys)),
+            "_key_of": dict(self.node_keys),
+            # The first node holding a key names it, as a scan would.
+            "_id_of": {pub: node_id for node_id, pub in reversed(self.node_keys)},
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def public_key(self, node: NodeId) -> Point:
-        for node_id, pub in self.node_keys:
-            if node_id == node:
-                return pub
-        raise CryptoError(f"unknown node {node}")
+        try:
+            return self._key_of[node]
+        except KeyError:
+            raise CryptoError(f"unknown node {node}") from None
+
+    def node_for_key(self, public: Point) -> Optional[NodeId]:
+        """The node whose public key this is, or None for an outsider."""
+        return self._id_of.get(public)
 
     def node_ids(self) -> Tuple[NodeId, ...]:
         return tuple(node_id for node_id, _ in self.node_keys)
 
     def ordinal(self, node: NodeId) -> int:
         """1-based share index for a node (position in sorted id order)."""
-        ids = sorted(self.node_ids())
         try:
-            return ids.index(node) + 1
+            return self.sorted_ids.index(node) + 1
         except ValueError:
             raise CryptoError(f"unknown node {node}") from None
 
     def node_for_ordinal(self, ordinal: int) -> NodeId:
-        ids = sorted(self.node_ids())
-        if not 1 <= ordinal <= len(ids):
+        if not 1 <= ordinal <= len(self.sorted_ids):
             raise CryptoError(f"bad ordinal {ordinal}")
-        return ids[ordinal - 1]
+        return self.sorted_ids[ordinal - 1]
 
     def aggregate_key(self, combo: ComboId) -> Point:
         try:
@@ -143,8 +162,8 @@ def build_keyring(keys: Sequence[Tuple[NodeId, Point]]) -> ClusterKeyring:
     ids = [node_id for node_id, _ in keys]
     if len(set(ids)) != n:
         raise CryptoError("duplicate node")
-    if any(not 0 <= i < 64 for i in ids):
-        raise CryptoError("node ids must be in [0, 64)")
+    if any(not 0 <= i < MAX_NODES for i in ids):
+        raise CryptoError(f"node ids must be in [0, {MAX_NODES})")
     quorum = n // 2 + 1
     by_id = dict(keys)
     combos: Dict[ComboId, Point] = {}
@@ -169,11 +188,7 @@ def schnorr_challenge(keyring: ClusterKeyring, combo: ComboId, message: bytes) -
 def schnorr_partial_sign(
     kp: KeyPair, keyring: ClusterKeyring, combo: ComboId, message: bytes
 ) -> PartialSignature:
-    signer = None
-    for node_id, pub in keyring.node_keys:
-        if pub == kp.public:
-            signer = node_id
-            break
+    signer = keyring.node_for_key(kp.public)
     if signer is None or signer not in combo:
         raise CryptoError("not a member")
     nonce = hash_to_scalar(

@@ -32,6 +32,14 @@ class ProofError(ValueError):
     pass
 
 
+class BadGrants(ProofError):
+    """The chosen voters whose partial or share signature fails."""
+
+    def __init__(self, voters: Sequence[NodeId]):
+        self.voters = tuple(voters)
+        super().__init__("bad grant from " + ", ".join(map(str, self.voters)))
+
+
 @dataclass(frozen=True)
 class VotePayload:
     scheme: int
@@ -79,6 +87,12 @@ class VoteProof:
         replaced copy encodes afresh.
         """
         return _encode(self)
+
+    @functools.cached_property
+    def digest(self) -> bytes:
+        """sha256 of the wire encoding: the validator's cache key, and the
+        source of ``proof_hash``. Not a field, like ``encoded``."""
+        return hashlib.sha256(self.encoded).digest()
 
 
 @dataclass(frozen=True)
@@ -158,20 +172,45 @@ def make_vote_payloads(
 def grant_vote(voter_kp: KeyPair, payload: VotePayload, keyring: ClusterKeyring) -> VoteGrant:
     """Sign a vote: partials for every combo holding voter and candidate
     (Schnorr), or a recoverable signature over the received share (Sss)."""
-    voter = None
-    for node_id, pub in keyring.node_keys:
-        if pub == voter_kp.public:
-            voter = node_id
-            break
+    voter = keyring.node_for_key(voter_kp.public)
     if voter is None:
         raise ProofError("voter not in keyring")
+    return _sign_vote(voter, voter_kp, payload, keyring, None)
+
+
+def candidate_grant(
+    candidate_kp: KeyPair,
+    payload: VotePayload,
+    keyring: ClusterKeyring,
+    members: Sequence[NodeId],
+) -> VoteGrant:
+    """The candidate's own vote, signed once its quorum has formed: one
+    partial, for the combo of members (Schnorr), or its share signature
+    (Sss). Nonces depend only on (secret, combo, message), so the partial
+    equals the one ``grant_vote`` would have made for that combo."""
+    return _sign_vote(
+        payload.candidate, candidate_kp, payload, keyring, [_combo_of(members)]
+    )
+
+
+def _sign_vote(
+    voter: NodeId,
+    voter_kp: KeyPair,
+    payload: VotePayload,
+    keyring: ClusterKeyring,
+    combos: Optional[Sequence[ComboId]],
+) -> VoteGrant:
+    """A grant from voter; Schnorr partials for combos, or for every combo
+    holding voter and candidate when combos is None."""
     if payload.scheme == wire.SCHEME_SCHNORR:
+        if combos is None:
+            combos = keyring.combos_containing({voter, payload.candidate})
         message = wire.vote_message(
             payload.scheme, payload.term, payload.timestamp_ms, payload.candidate
         )
         partials = tuple(
             crypto.schnorr_partial_sign(voter_kp, keyring, combo, message)
-            for combo in keyring.combos_containing({voter, payload.candidate})
+            for combo in combos
         )
         return VoteGrant(voter, payload.term, partials=partials)
     if payload.scheme == wire.SCHEME_SSS:
@@ -183,6 +222,13 @@ def grant_vote(voter_kp: KeyPair, payload: VotePayload, keyring: ClusterKeyring)
         sig = crypto.sign_recoverable(voter_kp, message)
         return VoteGrant(voter, payload.term, share_sig=(payload.share, sig))
     raise ProofError(f"unknown scheme {payload.scheme}")
+
+
+def _combo_of(members: Sequence[NodeId]) -> ComboId:
+    mask = 0
+    for voter in members:
+        mask |= 1 << voter
+    return ComboId(mask)
 
 
 def build_proof(
@@ -199,12 +245,12 @@ def build_proof(
     in arrival order.
 
     The combo is the candidate and the earliest voters, up to a quorum.
-    For Schnorr, this checks only what enters the proof: the aggregate
-    signature over the chosen combo, with one ``schnorr_verify``. When it
-    fails, the chosen partials are checked one at a time to name the voter
-    at fault. Partials for other combos are not checked here; the caller
-    verifies each grant once, on arrival. For Sss, each chosen share
-    signature must verify against its voter's key.
+    This is where a grant's signature is checked, and only what enters the
+    proof is checked: for Schnorr, the aggregate over the chosen combo with
+    one ``schnorr_verify``; for Sss, each chosen share signature against
+    its voter's key. When that fails, ``BadGrants`` names every chosen voter
+    whose partial (checked one at a time, on this path only) or share
+    signature fails. Partials for other combos are never checked.
     """
     candidate = own_grant.voter
     q = keyring.quorum_size
@@ -214,18 +260,15 @@ def build_proof(
             voters.append(grant.voter)
     if len(voters) < q:
         raise ProofError("no quorum")
+    members = voters[:q]
+    by_voter = {candidate: own_grant}
+    for grant in grants:
+        by_voter.setdefault(grant.voter, grant)
 
     if scheme == wire.SCHEME_SCHNORR:
         message = wire.vote_message(scheme, term, timestamp_ms, candidate)
-        by_voter = {candidate: own_grant}
-        for grant in grants:
-            by_voter.setdefault(grant.voter, grant)
-        members = voters[:q]
-        mask = 0
-        for voter in members:
-            mask |= 1 << voter
-        combo = ComboId(mask)
-        chosen = []
+        combo = _combo_of(members)
+        chosen = {}
         for voter in members:
             psig = next(
                 (
@@ -234,35 +277,41 @@ def build_proof(
                 ),
                 None,
             )
-            if psig is None:
-                raise ProofError(f"bad grant from {voter}")
-            chosen.append(psig)
-        big_r, s = crypto.schnorr_aggregate(chosen)
-        if not crypto.schnorr_verify(keyring, combo, message, big_r, s):
-            for voter, psig in zip(members, chosen):
-                if not crypto.schnorr_partial_verify(keyring, psig, message):
-                    raise ProofError(f"bad grant from {voter}")
-            raise ProofError("aggregate signature does not verify")
-        return VoteProof(
-            scheme, term, timestamp_ms, candidate, SchnorrBody(combo, big_r, s)
-        )
+            if psig is not None:
+                chosen[voter] = psig
+        if len(chosen) == q:
+            big_r, s = crypto.schnorr_aggregate(list(chosen.values()))
+            if crypto.schnorr_verify(keyring, combo, message, big_r, s):
+                return VoteProof(
+                    scheme, term, timestamp_ms, candidate,
+                    SchnorrBody(combo, big_r, s),
+                )
+        bad = [
+            voter for voter in members
+            if voter not in chosen
+            or not crypto.schnorr_partial_verify(keyring, chosen[voter], message)
+        ]
+        if bad:
+            raise BadGrants(bad)
+        raise ProofError("aggregate signature does not verify")
 
     if scheme == wire.SCHEME_SSS:
         if salt is None:
             raise ProofError("salt required for share-based proofs")
-        by_voter = {candidate: own_grant}
-        for grant in grants:
-            by_voter.setdefault(grant.voter, grant)
         entries = []
-        for voter in voters[:q]:
-            grant = by_voter[voter]
-            if grant.share_sig is None:
-                raise ProofError(f"bad grant from {voter}")
-            share, sig = grant.share_sig
-            message = share_sign_message(share, term, timestamp_ms, candidate)
-            if not crypto.verify_recoverable(keyring.public_key(voter), message, sig):
-                raise ProofError(f"bad grant from {voter}")
-            entries.append((share, sig))
+        bad = []
+        for voter in members:
+            share_sig = by_voter[voter].share_sig
+            if share_sig is None or not crypto.verify_recoverable(
+                keyring.public_key(voter),
+                share_sign_message(share_sig[0], term, timestamp_ms, candidate),
+                share_sig[1],
+            ):
+                bad.append(voter)
+            else:
+                entries.append(share_sig)
+        if bad:
+            raise BadGrants(bad)
         return VoteProof(
             scheme, term, timestamp_ms, candidate, SssBody(salt, tuple(entries))
         )
@@ -351,7 +400,7 @@ class ProofValidator:
             return ValidationResult.FUTURE_TIMESTAMP
         if now_ms > proof.timestamp_ms + self.policy.ttl_ms:
             return ValidationResult.EXPIRED
-        key = hashlib.sha256(encode_proof(proof)).digest()
+        key = proof.digest
         result = self._cache.get(key)
         if result is not None:
             self._cache.move_to_end(key)
@@ -364,7 +413,7 @@ class ProofValidator:
 
 
 def proof_hash(proof: VoteProof) -> str:
-    return hashlib.sha256(encode_proof(proof)).hexdigest()[:16]
+    return proof.digest.hex()[:16]
 
 
 def encode_proof(proof: VoteProof) -> bytes:

@@ -12,6 +12,7 @@ import yaml
 
 from . import wire
 from .core import NodeConfig
+from .crypto import MAX_NODES
 from .proofs import ProofPolicy
 
 
@@ -168,6 +169,8 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError("drop_probability must be in [0, 1)")
     if n < 3:
         raise ScenarioError("cluster too small")
+    if n > MAX_NODES:
+        raise ScenarioError(f"cluster too large: at most {MAX_NODES} nodes")
 
     return Scenario(
         name=str(data.get("name", "unnamed")),

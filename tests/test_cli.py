@@ -43,6 +43,17 @@ class TestKeys:
         assert code == 2
         assert "at least 3" in stderr
 
+    def test_too_many_nodes_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "k.yaml"
+        keygens = []
+        monkeypatch.setattr(cli.crypto, "keygen", lambda seed: keygens.append(seed))
+        code, _, stderr = run_cli(
+            capsys, "keys", "--nodes", "65", "--seed", "x", "--out", str(out)
+        )
+        assert code == 2
+        assert "at most 64" in stderr
+        assert keygens == [] and not out.exists()
+
     def test_tampered_keyset_rejected(self, tmp_path, capsys):
         out = tmp_path / "keys.yaml"
         run_cli(capsys, "keys", "--nodes", "3", "--seed", "demo", "--out", str(out))
@@ -95,6 +106,16 @@ class TestRun:
         code, _, stderr = run_cli(capsys, "run", str(bad))
         assert code == 2
         assert "unknown key" in stderr
+
+    def test_oversized_cluster_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        big = tmp_path / "big.yaml"
+        big.write_text("nodes: 65\nseed: 1\nduration_ms: 100\n")
+        keygens = []
+        monkeypatch.setattr(cli.crypto, "keygen", lambda seed: keygens.append(seed))
+        code, _, stderr = run_cli(capsys, "run", str(big))
+        assert code == 2
+        assert "too large" in stderr
+        assert keygens == []
 
     def test_injected_violation_exits_one(self, capsys):
         code, stdout, _ = run_cli(

@@ -254,6 +254,156 @@ class TestVoteResponse:
         assert only(outs, Diagnostic).code == "bad-grant"
         assert isinstance(states[0].role, Candidate)
 
+    @staticmethod
+    def _campaign(cluster, scheme=wire.SCHEME_SCHNORR):
+        """Node 0 campaigns; returns the states and each voter's grant, in
+        request order, not yet delivered."""
+        n = len(cluster[1].node_ids())
+        states = {i: make_node(i, cluster, scheme=scheme)[0] for i in range(n)}
+        _, outs = core.step(states[0], ElectionTimeout(), 1000)
+        grants = []
+        for req in only(outs, Send).packets:
+            _, vouts = deliver(states[req.dst], req, 1000)
+            grants.append(only(vouts, Send).packets[0].body.grant)
+        return states, grants
+
+    @staticmethod
+    def _respond(state, grant):
+        return deliver(state, Packet(grant.voter, state.id, VoteResponse(grant)), 1000)[1]
+
+    @staticmethod
+    def _bump_s(grant, hit=lambda p: True):
+        return replace(
+            grant,
+            partials=tuple(
+                replace(p, s_value=(p.s_value + 1) % proofs.curve.N) if hit(p) else p
+                for p in grant.partials
+            ),
+        )
+
+    def test_forged_grant_dropped_when_quorum_forms(self, cluster5):
+        # Signatures are checked once the quorum forms, not on arrival.
+        states, grants = self._campaign(cluster5)
+        candidate = states[0]
+        assert self._respond(candidate, self._bump_s(grants[0])) == []
+        outs = self._respond(candidate, grants[1])
+        diag = only(outs, Diagnostic)
+        assert (diag.code, diag.detail) == ("bad-grant", "term=1 voter=1")
+        assert isinstance(candidate.role, Candidate)
+        assert list(candidate.role.pending_grants) == [0, 2]
+        outs = self._respond(candidate, grants[2])
+        assert only(outs, RoleChanged).role == "leader"
+        proof = candidate.role.proof
+        assert set(proof.body.combo.members()) == {0, 2, 3}
+        assert proofs.validate_proof(
+            proof, candidate.keyring, candidate.config.proof_policy, 1000
+        ) is proofs.ValidationResult.OK
+
+    def test_two_bad_grants_in_one_quorum_both_dropped(self, cluster5):
+        states, grants = self._campaign(cluster5)
+        candidate = states[0]
+        chosen = proofs.crypto.ComboId(0b111)  # candidate 0, voters 1 and 2
+        tampered = self._bump_s(grants[0], lambda p: p.combo == chosen)
+        # Well formed, but without a partial for the combo it lands in.
+        missing = replace(
+            grants[1],
+            partials=tuple(p for p in grants[1].partials if p.combo != chosen),
+        )
+        assert self._respond(candidate, tampered) == []
+        outs = self._respond(candidate, missing)
+        assert [(o.code, o.detail) for o in outs] == [
+            ("bad-grant", "term=1 voter=1"),
+            ("bad-grant", "term=1 voter=2"),
+        ]
+        assert list(candidate.role.pending_grants) == [0]
+        assert self._respond(candidate, grants[2]) == []
+        outs = self._respond(candidate, grants[3])
+        assert only(outs, RoleChanged).role == "leader"
+        assert set(candidate.role.proof.body.combo.members()) == {0, 3, 4}
+
+    def test_unattributable_failure_keeps_step_total(self, cluster5):
+        # Voter 2's partial verifies alone but zeroes the aggregate's s, so
+        # no voter can be named. Making it takes the candidate's nonce; the
+        # test plays that attacker with the test keys.
+        keypairs, keyring = cluster5
+        states, grants = self._campaign(cluster5)
+        candidate = states[0]
+        combo = proofs.crypto.ComboId(0b111)
+        message = wire.vote_message(wire.SCHEME_SCHNORR, 1, 1000, 0)
+        own = proofs.crypto.schnorr_partial_sign(keypairs[0], keyring, combo, message)
+        mine = next(p for p in grants[0].partials if p.combo == combo)
+        s = -(own.s_value + mine.s_value) % proofs.curve.N
+        e = proofs.crypto.schnorr_challenge(keyring, combo, message)
+        curve = proofs.curve
+        zeroing = proofs.crypto.PartialSignature(
+            2, combo,
+            curve.point_add(
+                curve.scalar_mult_base(s),
+                curve.point_neg(curve.scalar_mult(e, keypairs[2].public)),
+            ),
+            s,
+        )
+        assert proofs.crypto.schnorr_partial_verify(keyring, zeroing, message)
+        forged = replace(
+            grants[1],
+            partials=tuple(
+                zeroing if p.combo == combo else p for p in grants[1].partials
+            ),
+        )
+        assert self._respond(candidate, grants[0]) == []
+        for grant in (forged, grants[2]):
+            outs = self._respond(candidate, grant)
+            assert only(outs, Diagnostic).detail == "aggregate signature does not verify"
+            assert isinstance(candidate.role, Candidate)
+
+    @staticmethod
+    def _count_schnorr_calls(monkeypatch, signer_key):
+        calls = {"sign": 0, "verify": 0}
+        sign = proofs.crypto.schnorr_partial_sign
+        verify = proofs.crypto.schnorr_partial_verify
+
+        def counting_sign(kp, *args):
+            calls["sign"] += kp.public == signer_key
+            return sign(kp, *args)
+
+        def counting_verify(*args):
+            calls["verify"] += 1
+            return verify(*args)
+
+        monkeypatch.setattr(proofs.crypto, "schnorr_partial_sign", counting_sign)
+        monkeypatch.setattr(proofs.crypto, "schnorr_partial_verify", counting_verify)
+        return calls
+
+    def test_election_without_quorum_signs_and_verifies_nothing(
+        self, cluster5, monkeypatch
+    ):
+        keypairs, _ = cluster5
+        calls = self._count_schnorr_calls(monkeypatch, keypairs[0].public)
+        states, grants = self._campaign(cluster5)
+        assert self._respond(states[0], grants[0]) == []
+        core.step(states[0], ElectionTimeout(), 1300)  # the round lapses
+        assert isinstance(states[0].role, Candidate)
+        assert calls == {"sign": 0, "verify": 0}
+
+    def test_won_election_signs_one_own_partial(self, cluster5, monkeypatch):
+        keypairs, keyring = cluster5
+        calls = self._count_schnorr_calls(monkeypatch, keypairs[0].public)
+        states, grants = self._campaign(cluster5)
+        candidate = states[0]
+        self._respond(candidate, grants[0])
+        self._respond(candidate, grants[1])
+        assert isinstance(candidate.role, Leader)
+        assert calls == {"sign": 1, "verify": 0}
+        # The proof an eagerly signed own grant (every combo) would give.
+        payload = proofs.make_vote_payloads(
+            0, 1, 1000, keyring, wire.SCHEME_SCHNORR, random.Random(0)
+        )[0]
+        eager = proofs.build_proof(
+            keypairs[0], proofs.grant_vote(keypairs[0], payload, keyring),
+            grants[:2], keyring, 1, 1000, wire.SCHEME_SCHNORR,
+        )
+        assert proofs.encode_proof(candidate.role.proof) == proofs.encode_proof(eager)
+
     def test_response_outside_campaign_is_late(self, cluster3):
         states = {i: make_node(i, cluster3)[0] for i in range(3)}
         _, outs = core.step(states[0], ElectionTimeout(), 1000)
@@ -401,3 +551,21 @@ class TestSssScheme:
         forged = replace(grant, share_sig=(altered, resigned))
         _, fouts = deliver(states[0], Packet(1, 0, VoteResponse(forged)), 1000)
         assert only(fouts, Diagnostic).code == "bad-grant"
+
+    def test_sss_bad_signature_named_when_quorum_forms(self, cluster5):
+        states, grants = TestVoteResponse._campaign(cluster5, wire.SCHEME_SSS)
+        candidate = states[0]
+        share, sig = grants[0].share_sig
+        forged = replace(grants[0], share_sig=(share, replace(sig, s=sig.s + 1)))
+        respond = TestVoteResponse._respond
+        assert respond(candidate, forged) == []
+        outs = respond(candidate, grants[1])
+        diag = only(outs, Diagnostic)
+        assert (diag.code, diag.detail) == ("bad-grant", "term=1 voter=1")
+        assert list(candidate.role.pending_grants) == [0, 2]
+        outs = respond(candidate, grants[2])
+        assert only(outs, RoleChanged).role == "leader"
+        assert proofs.validate_proof(
+            candidate.role.proof, candidate.keyring,
+            candidate.config.proof_policy, 1000,
+        ) is proofs.ValidationResult.OK

@@ -87,6 +87,29 @@ class TestBuildKeyring:
         member_lists = [c.members() for c in keyring.combos]
         assert member_lists == sorted(member_lists)
 
+    def test_lookups_follow_node_keys(self):
+        # Ids out of sorted order: ordinals follow sorted id order, not
+        # the order of node_keys.
+        kps = {i: crypto.keygen(f"lookup-{i}".encode()) for i in (7, 2, 40)}
+        keys = [(i, kp.public) for i, kp in kps.items()]
+        keyring = crypto.build_keyring(keys)
+        assert keyring.sorted_ids == (2, 7, 40)
+        assert keyring.node_ids() == (7, 2, 40)
+        for i, kp in kps.items():
+            assert keyring.public_key(i) == kp.public
+            assert keyring.node_for_key(kp.public) == i
+        assert [keyring.ordinal(i) for i in (2, 7, 40)] == [1, 2, 3]
+        assert [keyring.node_for_ordinal(o) for o in (1, 2, 3)] == [2, 7, 40]
+        assert keyring.node_for_key(crypto.keygen(b"outsider").public) is None
+        for bad in (lambda: keyring.public_key(3), lambda: keyring.ordinal(3),
+                    lambda: keyring.node_for_ordinal(4)):
+            with pytest.raises(crypto.CryptoError):
+                bad()
+        # Equality and repr see node_keys, quorum_size and combos only.
+        again = crypto.build_keyring(keys)
+        assert again == keyring and repr(again) == repr(keyring)
+        assert crypto.build_keyring(keys[::-1]) != keyring
+
     def test_duplicate_node_rejected(self):
         kp = crypto.keygen(b"x")
         with pytest.raises(crypto.CryptoError, match="duplicate node"):

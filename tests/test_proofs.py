@@ -1,5 +1,6 @@
 """Proof-of-voting construction, validation, and codecs."""
 
+import hashlib
 import random
 from dataclasses import replace
 from itertools import combinations
@@ -98,6 +99,18 @@ class TestGrants:
         with pytest.raises(proofs.ProofError, match="not in keyring"):
             proofs.grant_vote(outsider, payloads[0], keyring)
 
+    def test_candidate_grant_signs_only_the_assembled_combo(self, cluster5):
+        keypairs, keyring = cluster5
+        payloads = proofs.make_vote_payloads(
+            1, 1, NOW, keyring, wire.SCHEME_SCHNORR, random.Random(0)
+        )
+        own = proofs.candidate_grant(keypairs[1], payloads[1], keyring, [1, 4, 0])
+        assert own.voter == 1
+        (partial,) = own.partials
+        assert partial.combo == crypto.ComboId(0b10011)
+        eager = proofs.grant_vote(keypairs[1], payloads[1], keyring)
+        assert partial in eager.partials
+
 
 class TestBuildProof:
     def test_three_node_proof_round_trip(self, cluster3):
@@ -181,8 +194,8 @@ class TestBuildProof:
             )
 
     def test_partials_outside_chosen_combo_not_rechecked(self, cluster5):
-        # build_proof checks only the aggregate that enters the proof; the
-        # caller has verified every partial of each grant on arrival.
+        # build_proof checks only the aggregate that enters the proof;
+        # partials for other combos never enter one, so nothing checks them.
         keypairs, keyring, own, (grant0, grant2) = self._grants_1_0_2(cluster5)
         chosen = crypto.ComboId(0b111)
         bad = self._tamper(grant0, lambda p: p.combo != chosen)
@@ -191,6 +204,34 @@ class TestBuildProof:
         )
         assert proof.body.combo == chosen
         assert proofs.validate_proof(proof, keyring, POLICY, NOW) is ValidationResult.OK
+
+
+    def test_every_bad_chosen_grant_named(self, cluster5):
+        keypairs, keyring, own, (grant0, grant2) = self._grants_1_0_2(cluster5)
+        bad0 = self._tamper(grant0, lambda p: True)
+        bad2 = self._tamper(grant2, lambda p: True)
+        with pytest.raises(proofs.BadGrants, match="bad grant from 0, 2") as err:
+            proofs.build_proof(
+                keypairs[1], own, [bad0, bad2], keyring, 1, NOW, wire.SCHEME_SCHNORR
+            )
+        assert err.value.voters == (0, 2)
+
+    def test_sss_bad_share_signature_named(self, cluster5):
+        keypairs, keyring = cluster5
+        payloads = proofs.make_vote_payloads(
+            1, 1, NOW, keyring, wire.SCHEME_SSS, random.Random(11)
+        )
+        own = proofs.candidate_grant(keypairs[1], payloads[1], keyring, [1, 0, 3])
+        grants = [proofs.grant_vote(keypairs[v], payloads[v], keyring) for v in (0, 3)]
+        share, sig = grants[1].share_sig
+        assert share == payloads[3].share
+        grants[1] = replace(grants[1], share_sig=(share, replace(sig, r=sig.r + 1)))
+        with pytest.raises(proofs.BadGrants) as err:
+            proofs.build_proof(
+                keypairs[1], own, grants, keyring, 1, NOW, wire.SCHEME_SSS,
+                salt=payloads[1].salt,
+            )
+        assert err.value.voters == (3,)
 
 
 class TestValidateProof:
@@ -423,6 +464,18 @@ class TestCodec:
         assert bumped != proof
         assert proofs.encode_proof(bumped) != blob
         assert proofs.decode_proof(proofs.encode_proof(bumped)) == bumped
+
+    def test_proof_hash_is_sha256_prefix_of_encoding(self, cluster5):
+        keypairs, keyring = cluster5
+        for scheme in (wire.SCHEME_SCHNORR, wire.SCHEME_SSS):
+            _, proof = build(keypairs, keyring, 1, [0, 3], scheme)
+            blob = proofs.encode_proof(proof)
+            assert proofs.proof_hash(proof) == hashlib.sha256(blob).hexdigest()[:16]
+            bumped = replace(proof, term=proof.term + 1)
+            assert proofs.proof_hash(bumped) == hashlib.sha256(
+                proofs.encode_proof(bumped)
+            ).hexdigest()[:16]
+            assert proofs.proof_hash(bumped) != proofs.proof_hash(proof)
 
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_fixed_92_byte_layout(self, n):

@@ -78,6 +78,12 @@ def test_cluster_too_small():
         parse_scenario(MINIMAL.replace("nodes: 3", "nodes: 2"))
 
 
+def test_cluster_too_large():
+    assert parse_scenario(MINIMAL.replace("nodes: 3", "nodes: 64")).n == 64
+    with pytest.raises(ScenarioError, match="too large"):
+        parse_scenario(MINIMAL.replace("nodes: 3", "nodes: 65"))
+
+
 def test_bad_timer_config_surfaces_as_scenario_error():
     with pytest.raises(ScenarioError, match="heartbeat interval"):
         parse_scenario(MINIMAL + "heartbeat_interval_ms: 400\n")
