@@ -291,8 +291,9 @@ def _on_vote_request(
 
 
 def _grant_is_well_formed(state: NodeState, role: Candidate, grant: VoteGrant) -> bool:
-    """The checks that cost no signature work. Signatures are checked once,
-    by ``proofs.build_proof``, for the grants that enter the proof."""
+    """The checks that cost no signature work. Signatures are checked by
+    ``proofs.build_proof`` for the grants that enter the proof, and by
+    ``_held_grant_is_forged`` when a voter's grant arrives twice."""
     if grant.voter not in state.keyring.sorted_ids or grant.voter == state.id:
         return False
     if state.config.scheme == wire.SCHEME_SCHNORR:
@@ -305,52 +306,67 @@ def _grant_is_well_formed(state: NodeState, role: Candidate, grant: VoteGrant) -
     )
 
 
+def _held_grant_is_forged(state: NodeState, role: Candidate, grant: VoteGrant) -> bool:
+    """Whether grant should take the slot of its voter's pending grant.
+
+    Pending grants are unchecked, so a forgery that arrives first would
+    otherwise shut out the voter's real grant. The held grant is checked
+    only when a different, well-formed grant from the same voter arrives.
+    """
+    held = role.pending_grants[grant.voter]
+    return (
+        held is not None
+        and held != grant
+        and _grant_is_well_formed(state, role, grant)
+        and not proofs.grant_verifies(held, role.payloads[grant.voter], state.keyring)
+    )
+
+
 def _on_vote_response(state: NodeState, grant: VoteGrant, now_ms: int) -> List[Output]:
     role = state.role
     if not isinstance(role, Candidate) or grant.term != state.current_term:
         return [Diagnostic("late-response", f"term={grant.term} voter={grant.voter}")]
+    detail = f"term={grant.term} voter={grant.voter}"
+    outputs: List[Output] = []
     if grant.voter in role.pending_grants:
-        return [Diagnostic("duplicate-grant", f"term={grant.term} voter={grant.voter}")]
-    if not _grant_is_well_formed(state, role, grant):
-        return [Diagnostic("bad-grant", f"term={grant.term} voter={grant.voter}")]
+        if not _held_grant_is_forged(state, role, grant):
+            return [Diagnostic("duplicate-grant", detail)]
+        del role.pending_grants[grant.voter]
+        outputs.append(Diagnostic("bad-grant", detail))
+    elif not _grant_is_well_formed(state, role, grant):
+        return [Diagnostic("bad-grant", detail)]
     role.pending_grants[grant.voter] = grant
     if len(role.pending_grants) < state.keyring.quorum_size:
-        return []
-    # More than a quorum is pending only after a failure that named no one;
-    # build_proof takes the earliest voters, so sign for the same combo.
-    own_grant = proofs.candidate_grant(
-        state.keypair, role.payloads[state.id], state.keyring,
-        list(role.pending_grants)[: state.keyring.quorum_size],
-    )
+        return outputs
     follower_grants = [
         g for voter, g in role.pending_grants.items() if voter != state.id
     ]
-    salt = role.payloads[state.id].salt
+    own = role.payloads[state.id]
     try:
         proof = proofs.build_proof(
             state.keypair,
-            own_grant,
+            own,
             follower_grants,
             state.keyring,
             state.current_term,
             role.round_timestamp_ms,
             state.config.scheme,
-            salt=salt,
+            salt=own.salt,
         )
     except proofs.BadGrants as exc:
         # Drop the voters at fault and wait for further grants.
         dropped = [v for v in exc.voters if v != state.id]
         for voter in dropped:
             del role.pending_grants[voter]
-        return [
+        return outputs + [
             Diagnostic("bad-grant", f"term={state.current_term} voter={voter}")
             for voter in dropped
         ]
     except proofs.ProofError as exc:
-        return [Diagnostic("bad-grant", str(exc))]
+        return outputs + [Diagnostic("bad-grant", str(exc))]
     state.role = Leader(proof)
     state.known_leader = (state.id, proofs.proof_hash(proof))
-    return [
+    return outputs + [
         RoleChanged("leader", state.current_term, proof),
         _heartbeat_burst(state, proof),
         ArmHeartbeatTimer(state.config.heartbeat_interval_ms),

@@ -83,13 +83,16 @@ class ClusterKeyring:
     sorted_ids: Tuple[NodeId, ...] = field(init=False, repr=False, compare=False)
     _key_of: Dict[NodeId, Point] = field(init=False, repr=False, compare=False)
     _id_of: Dict[Point, NodeId] = field(init=False, repr=False, compare=False)
+    _ordinal_of: Dict[NodeId, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        sorted_ids = tuple(sorted(node_id for node_id, _ in self.node_keys))
         derived = {
-            "sorted_ids": tuple(sorted(node_id for node_id, _ in self.node_keys)),
+            "sorted_ids": sorted_ids,
             "_key_of": dict(self.node_keys),
             # The first node holding a key names it, as a scan would.
             "_id_of": {pub: node_id for node_id, pub in reversed(self.node_keys)},
+            "_ordinal_of": {node_id: i for i, node_id in enumerate(sorted_ids, 1)},
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -110,8 +113,8 @@ class ClusterKeyring:
     def ordinal(self, node: NodeId) -> int:
         """1-based share index for a node (position in sorted id order)."""
         try:
-            return self.sorted_ids.index(node) + 1
-        except ValueError:
+            return self._ordinal_of[node]
+        except KeyError:
             raise CryptoError(f"unknown node {node}") from None
 
     def node_for_ordinal(self, ordinal: int) -> NodeId:

@@ -175,53 +175,64 @@ def grant_vote(voter_kp: KeyPair, payload: VotePayload, keyring: ClusterKeyring)
     voter = keyring.node_for_key(voter_kp.public)
     if voter is None:
         raise ProofError("voter not in keyring")
-    return _sign_vote(voter, voter_kp, payload, keyring, None)
-
-
-def candidate_grant(
-    candidate_kp: KeyPair,
-    payload: VotePayload,
-    keyring: ClusterKeyring,
-    members: Sequence[NodeId],
-) -> VoteGrant:
-    """The candidate's own vote, signed once its quorum has formed: one
-    partial, for the combo of members (Schnorr), or its share signature
-    (Sss). Nonces depend only on (secret, combo, message), so the partial
-    equals the one ``grant_vote`` would have made for that combo."""
-    return _sign_vote(
-        payload.candidate, candidate_kp, payload, keyring, [_combo_of(members)]
-    )
-
-
-def _sign_vote(
-    voter: NodeId,
-    voter_kp: KeyPair,
-    payload: VotePayload,
-    keyring: ClusterKeyring,
-    combos: Optional[Sequence[ComboId]],
-) -> VoteGrant:
-    """A grant from voter; Schnorr partials for combos, or for every combo
-    holding voter and candidate when combos is None."""
     if payload.scheme == wire.SCHEME_SCHNORR:
-        if combos is None:
-            combos = keyring.combos_containing({voter, payload.candidate})
         message = wire.vote_message(
             payload.scheme, payload.term, payload.timestamp_ms, payload.candidate
         )
         partials = tuple(
             crypto.schnorr_partial_sign(voter_kp, keyring, combo, message)
-            for combo in combos
+            for combo in keyring.combos_containing({voter, payload.candidate})
         )
         return VoteGrant(voter, payload.term, partials=partials)
     if payload.scheme == wire.SCHEME_SSS:
-        if payload.share is None:
-            raise ProofError("payload carries no share")
-        message = share_sign_message(
-            payload.share, payload.term, payload.timestamp_ms, payload.candidate
-        )
-        sig = crypto.sign_recoverable(voter_kp, message)
-        return VoteGrant(voter, payload.term, share_sig=(payload.share, sig))
+        return VoteGrant(voter, payload.term, share_sig=_sign_share(voter_kp, payload))
     raise ProofError(f"unknown scheme {payload.scheme}")
+
+
+def _sign_share(
+    kp: KeyPair, payload: VotePayload
+) -> Tuple[SssShare, RecoverableSignature]:
+    if payload.share is None:
+        raise ProofError("payload carries no share")
+    message = share_sign_message(
+        payload.share, payload.term, payload.timestamp_ms, payload.candidate
+    )
+    return payload.share, crypto.sign_recoverable(kp, message)
+
+
+def _share_sig_verifies(
+    keyring: ClusterKeyring,
+    voter: NodeId,
+    share_sig: Optional[Tuple[SssShare, RecoverableSignature]],
+    term: int,
+    timestamp_ms: int,
+    candidate: NodeId,
+) -> bool:
+    if share_sig is None:
+        return False
+    share, sig = share_sig
+    message = share_sign_message(share, term, timestamp_ms, candidate)
+    return crypto.verify_recoverable(keyring.public_key(voter), message, sig)
+
+
+def grant_verifies(
+    grant: VoteGrant, payload: VotePayload, keyring: ClusterKeyring
+) -> bool:
+    """Whether every signature in grant is its voter's, over the vote that
+    payload asked for: each partial (Schnorr), or the share signature (Sss)."""
+    if payload.scheme == wire.SCHEME_SCHNORR:
+        message = wire.vote_message(
+            payload.scheme, payload.term, payload.timestamp_ms, payload.candidate
+        )
+        return bool(grant.partials) and all(
+            psig.signer == grant.voter
+            and crypto.schnorr_partial_verify(keyring, psig, message)
+            for psig in grant.partials
+        )
+    return _share_sig_verifies(
+        keyring, grant.voter, grant.share_sig,
+        payload.term, payload.timestamp_ms, payload.candidate,
+    )
 
 
 def _combo_of(members: Sequence[NodeId]) -> ComboId:
@@ -233,7 +244,7 @@ def _combo_of(members: Sequence[NodeId]) -> ComboId:
 
 def build_proof(
     candidate_kp: KeyPair,
-    own_grant: VoteGrant,
+    own: Union[VotePayload, VoteGrant],
     grants: Sequence[VoteGrant],
     keyring: ClusterKeyring,
     term: int,
@@ -241,18 +252,21 @@ def build_proof(
     scheme: int,
     salt: Optional[bytes] = None,
 ) -> VoteProof:
-    """Assemble a proof from the candidate's own grant plus follower grants,
+    """Assemble a proof from the candidate's own vote plus follower grants,
     in arrival order.
 
     The combo is the candidate and the earliest voters, up to a quorum.
-    This is where a grant's signature is checked, and only what enters the
-    proof is checked: for Schnorr, the aggregate over the chosen combo with
-    one ``schnorr_verify``; for Sss, each chosen share signature against
-    its voter's key. When that fails, ``BadGrants`` names every chosen voter
-    whose partial (checked one at a time, on this path only) or share
-    signature fails. Partials for other combos are never checked.
+    ``own`` is the candidate's payload, and the candidate then signs here,
+    for that combo alone (Sss: its own share), or a grant it signed before
+    with ``grant_vote``. This is where a grant's signature is checked, and
+    only what enters the proof is checked: for Schnorr, the aggregate over
+    the chosen combo with one ``schnorr_verify``; for Sss, each chosen share
+    signature against its voter's key. When that fails, ``BadGrants`` names
+    every chosen voter whose partial (checked one at a time, on this path
+    only) or share signature fails. Partials for other combos are never
+    checked.
     """
-    candidate = own_grant.voter
+    candidate = own.candidate if isinstance(own, VotePayload) else own.voter
     q = keyring.quorum_size
     voters = [candidate]
     for grant in grants:
@@ -261,13 +275,17 @@ def build_proof(
     if len(voters) < q:
         raise ProofError("no quorum")
     members = voters[:q]
-    by_voter = {candidate: own_grant}
+    by_voter = {}
     for grant in grants:
         by_voter.setdefault(grant.voter, grant)
 
     if scheme == wire.SCHEME_SCHNORR:
         message = wire.vote_message(scheme, term, timestamp_ms, candidate)
         combo = _combo_of(members)
+        if isinstance(own, VotePayload):
+            psig = crypto.schnorr_partial_sign(candidate_kp, keyring, combo, message)
+            own = VoteGrant(candidate, term, partials=(psig,))
+        by_voter[candidate] = own
         chosen = {}
         for voter in members:
             psig = next(
@@ -298,22 +316,21 @@ def build_proof(
     if scheme == wire.SCHEME_SSS:
         if salt is None:
             raise ProofError("salt required for share-based proofs")
-        entries = []
-        bad = []
-        for voter in members:
-            share_sig = by_voter[voter].share_sig
-            if share_sig is None or not crypto.verify_recoverable(
-                keyring.public_key(voter),
-                share_sign_message(share_sig[0], term, timestamp_ms, candidate),
-                share_sig[1],
-            ):
-                bad.append(voter)
-            else:
-                entries.append(share_sig)
+        if isinstance(own, VotePayload):
+            own = VoteGrant(candidate, term, share_sig=_sign_share(candidate_kp, own))
+        by_voter[candidate] = own
+        bad = [
+            voter for voter in members
+            if not _share_sig_verifies(
+                keyring, voter, by_voter[voter].share_sig,
+                term, timestamp_ms, candidate,
+            )
+        ]
         if bad:
             raise BadGrants(bad)
+        entries = tuple(by_voter[voter].share_sig for voter in members)
         return VoteProof(
-            scheme, term, timestamp_ms, candidate, SssBody(salt, tuple(entries))
+            scheme, term, timestamp_ms, candidate, SssBody(salt, entries)
         )
 
     raise ProofError(f"unknown scheme {scheme}")

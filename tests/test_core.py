@@ -299,6 +299,51 @@ class TestVoteResponse:
             proof, candidate.keyring, candidate.config.proof_policy, 1000
         ) is proofs.ValidationResult.OK
 
+    @staticmethod
+    def _forge(grant):
+        if grant.share_sig is None:
+            return TestVoteResponse._bump_s(grant)
+        share, sig = grant.share_sig
+        return replace(grant, share_sig=(share, replace(sig, s=sig.s + 1)))
+
+    @pytest.mark.parametrize("scheme", [wire.SCHEME_SCHNORR, wire.SCHEME_SSS])
+    def test_forgery_does_not_shut_out_the_real_grant(self, cluster5, scheme):
+        # n = 5 with node 4 silent: an impersonator's grant for voter 1
+        # arrives first. Voter 1's real grant must still take its slot, or
+        # nodes 2 and 3 alone cannot make a quorum.
+        states, grants = self._campaign(cluster5, scheme)
+        candidate = states[0]
+        forged = self._forge(grants[0])
+        assert self._respond(candidate, forged) == []
+        assert self._respond(candidate, self._forge(forged)) == [
+            Diagnostic("bad-grant", "term=1 voter=1")
+        ]
+        outs = self._respond(candidate, grants[0])
+        assert outs == [Diagnostic("bad-grant", "term=1 voter=1")]
+        assert candidate.role.pending_grants[1] is grants[0]
+        # Once the real grant holds the slot, a later forgery is a duplicate.
+        outs = self._respond(candidate, forged)
+        assert outs == [Diagnostic("duplicate-grant", "term=1 voter=1")]
+        outs = self._respond(candidate, grants[1])
+        assert only(outs, RoleChanged).role == "leader"
+        proof = candidate.role.proof
+        assert proofs.validate_proof(
+            proof, candidate.keyring, candidate.config.proof_policy, 1000
+        ) is proofs.ValidationResult.OK
+        if scheme == wire.SCHEME_SCHNORR:
+            assert set(proof.body.combo.members()) == {0, 1, 2}
+        else:
+            assert grants[0].share_sig in proof.body.entries
+
+    def test_repeated_real_grant_is_a_duplicate(self, cluster5, monkeypatch):
+        # A resent copy of the pending grant costs no signature check.
+        states, grants = self._campaign(cluster5)
+        candidate = states[0]
+        assert self._respond(candidate, grants[0]) == []
+        monkeypatch.setattr(proofs, "grant_verifies", None)
+        outs = self._respond(candidate, replace(grants[0]))
+        assert outs == [Diagnostic("duplicate-grant", "term=1 voter=1")]
+
     def test_two_bad_grants_in_one_quorum_both_dropped(self, cluster5):
         states, grants = self._campaign(cluster5)
         candidate = states[0]

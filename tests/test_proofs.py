@@ -99,17 +99,33 @@ class TestGrants:
         with pytest.raises(proofs.ProofError, match="not in keyring"):
             proofs.grant_vote(outsider, payloads[0], keyring)
 
-    def test_candidate_grant_signs_only_the_assembled_combo(self, cluster5):
+    def test_grant_verifies_checks_every_signature(self, cluster5):
         keypairs, keyring = cluster5
-        payloads = proofs.make_vote_payloads(
-            1, 1, NOW, keyring, wire.SCHEME_SCHNORR, random.Random(0)
-        )
-        own = proofs.candidate_grant(keypairs[1], payloads[1], keyring, [1, 4, 0])
-        assert own.voter == 1
-        (partial,) = own.partials
-        assert partial.combo == crypto.ComboId(0b10011)
-        eager = proofs.grant_vote(keypairs[1], payloads[1], keyring)
-        assert partial in eager.partials
+        for scheme in (wire.SCHEME_SCHNORR, wire.SCHEME_SSS):
+            payloads = proofs.make_vote_payloads(
+                1, 1, NOW, keyring, scheme, random.Random(0)
+            )
+            grant = proofs.grant_vote(keypairs[0], payloads[0], keyring)
+            assert proofs.grant_verifies(grant, payloads[0], keyring)
+            if scheme == wire.SCHEME_SCHNORR:
+                # One bad partial of three, for a combo the proof may not use.
+                last = grant.partials[-1]
+                forged = replace(
+                    grant,
+                    partials=grant.partials[:-1]
+                    + (replace(last, s_value=(last.s_value + 1) % curve.N),),
+                )
+                empty = replace(grant, partials=())
+                assert not proofs.grant_verifies(empty, payloads[0], keyring)
+            else:
+                share, sig = grant.share_sig
+                forged = replace(grant, share_sig=(share, replace(sig, s=sig.s + 1)))
+            assert not proofs.grant_verifies(forged, payloads[0], keyring)
+            # Voter 2's genuine grant does not pass as voter 0's.
+            other = proofs.grant_vote(keypairs[2], payloads[2], keyring)
+            assert not proofs.grant_verifies(
+                replace(other, voter=0), payloads[0], keyring
+            )
 
 
 class TestBuildProof:
@@ -205,7 +221,6 @@ class TestBuildProof:
         assert proof.body.combo == chosen
         assert proofs.validate_proof(proof, keyring, POLICY, NOW) is ValidationResult.OK
 
-
     def test_every_bad_chosen_grant_named(self, cluster5):
         keypairs, keyring, own, (grant0, grant2) = self._grants_1_0_2(cluster5)
         bad0 = self._tamper(grant0, lambda p: True)
@@ -221,17 +236,55 @@ class TestBuildProof:
         payloads = proofs.make_vote_payloads(
             1, 1, NOW, keyring, wire.SCHEME_SSS, random.Random(11)
         )
-        own = proofs.candidate_grant(keypairs[1], payloads[1], keyring, [1, 0, 3])
         grants = [proofs.grant_vote(keypairs[v], payloads[v], keyring) for v in (0, 3)]
         share, sig = grants[1].share_sig
         assert share == payloads[3].share
         grants[1] = replace(grants[1], share_sig=(share, replace(sig, r=sig.r + 1)))
         with pytest.raises(proofs.BadGrants) as err:
             proofs.build_proof(
-                keypairs[1], own, grants, keyring, 1, NOW, wire.SCHEME_SSS,
+                keypairs[1], payloads[1], grants, keyring, 1, NOW, wire.SCHEME_SSS,
                 salt=payloads[1].salt,
             )
         assert err.value.voters == (3,)
+
+    @pytest.mark.parametrize("scheme", [wire.SCHEME_SCHNORR, wire.SCHEME_SSS])
+    def test_candidate_payload_signs_only_the_chosen_combo(
+        self, cluster5, scheme, monkeypatch
+    ):
+        # Given its payload, the candidate signs one partial, for the combo
+        # of itself and the first voters (Sss: its share), and the proof is
+        # the one an eagerly signed grant_vote grant gives.
+        keypairs, keyring = cluster5
+        payloads = proofs.make_vote_payloads(
+            1, 1, NOW, keyring, scheme, random.Random(11)
+        )
+        grants = [
+            proofs.grant_vote(keypairs[v], payloads[v], keyring) for v in (4, 0, 2)
+        ]
+        signed = []
+        sign = crypto.schnorr_partial_sign
+
+        def counting_sign(kp, ring, combo, message):
+            signed.append(combo)
+            return sign(kp, ring, combo, message)
+
+        monkeypatch.setattr(crypto, "schnorr_partial_sign", counting_sign)
+        lazy = proofs.build_proof(
+            keypairs[1], payloads[1], grants, keyring, 1, NOW, scheme,
+            salt=payloads[1].salt,
+        )
+        if scheme == wire.SCHEME_SCHNORR:
+            assert signed == [crypto.ComboId(0b10011)]
+            assert lazy.body.combo == crypto.ComboId(0b10011)
+        else:
+            assert signed == []
+            assert [s.index for s, _ in lazy.body.entries] == [2, 5, 1]
+        own = proofs.grant_vote(keypairs[1], payloads[1], keyring)
+        eager = proofs.build_proof(
+            keypairs[1], own, grants, keyring, 1, NOW, scheme, salt=payloads[1].salt
+        )
+        assert proofs.encode_proof(lazy) == proofs.encode_proof(eager)
+        assert proofs.validate_proof(lazy, keyring, POLICY, NOW) is ValidationResult.OK
 
 
 class TestValidateProof:
