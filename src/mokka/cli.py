@@ -4,7 +4,8 @@ Subcommands:
   keys    generate a deterministic cluster keyset (secrets, publics,
           quorum-combination aggregate keys)
   run     execute one scenario file, print a report, optionally dump the trace
-  check   execute a scenario under many seeds and aggregate the results
+  check   execute scenarios under many seeds and aggregate the results,
+          one block per scenario file
   verify  validate a hex-encoded proof blob against a keyset at a given
           virtual time
 
@@ -14,6 +15,7 @@ Exit codes: 0 success / proof ok, 1 invariant or validation failure,
 
 import argparse
 import sys
+from dataclasses import replace
 from typing import List, Optional
 
 import yaml
@@ -156,16 +158,30 @@ def _cmd_check(args) -> int:
     if args.seeds < 1:
         print("error: --seeds must be >= 1", file=sys.stderr)
         return 2
+    if args.drop is not None and not 0.0 <= args.drop <= 1.0:
+        print("error: --drop must be in [0, 1]", file=sys.stderr)
+        return 2
     try:
-        scenario = load_scenario(args.scenario)
+        scenarios = [load_scenario(path) for path in args.scenarios]
     except (OSError, ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.drop is not None:
+        scenarios = [replace(sc, drop_probability=args.drop) for sc in scenarios]
+    violations = sum(
+        _check_scenario(scenario, args.seeds, args.machine) for scenario in scenarios
+    )
+    return 1 if violations else 0
+
+
+def _check_scenario(scenario, seeds: int, machine: bool) -> int:
+    """Run one scenario under seeds run seeds, print its block, and return
+    the number of violations."""
     total_violations = 0
     total_elections = 0
     leader_changes = 0
     failed_seeds = []
-    for offset in range(args.seeds):
+    for offset in range(seeds):
         seed = scenario.seed + offset
         _, report = simnet.run(scenario.with_seed(seed))
         total_violations += len(report.violations)
@@ -175,19 +191,19 @@ def _cmd_check(args) -> int:
         )
         if report.violations:
             failed_seeds.append(seed)
-    if args.machine:
+    if machine:
         print(f"scenario\t{scenario.name}")
-        print(f"seeds\t{args.seeds}")
+        print(f"seeds\t{seeds}")
         print(f"violations\t{total_violations}")
         print(f"elections\t{total_elections}")
         print(f"leader_changes\t{leader_changes}")
         print("failed_seeds\t" + ",".join(str(s) for s in failed_seeds))
     else:
-        print(f"scenario {scenario.name}: {args.seeds} seeds")
+        print(f"scenario {scenario.name}: {seeds} seeds")
         print(f"  total elections: {total_elections}")
         print(f"  total leader changes: {leader_changes}")
         print(f"  violations: {total_violations} (seeds: {failed_seeds or 'none'})")
-    return 1 if total_violations else 0
+    return total_violations
 
 
 def _cmd_verify(args) -> int:
@@ -234,9 +250,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.set_defaults(func=_cmd_run)
 
-    p_check = sub.add_parser("check", help="run a scenario under many seeds")
-    p_check.add_argument("scenario")
+    p_check = sub.add_parser("check", help="run scenarios under many seeds")
+    p_check.add_argument("scenarios", nargs="+", metavar="scenario")
     p_check.add_argument("--seeds", type=int, required=True)
+    p_check.add_argument(
+        "--drop", type=float, default=None,
+        help="override every scenario's drop probability",
+    )
     p_check.add_argument("--machine", action="store_true")
     p_check.set_defaults(func=_cmd_check)
 

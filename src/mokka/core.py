@@ -39,6 +39,10 @@ class Candidate:
     # Grants in arrival order. The candidate's own slot comes first and
     # stays None: it signs for the combo it assembles when the quorum forms.
     pending_grants: Dict[NodeId, Optional[VoteGrant]]
+    # Why building the proof failed with no voter to blame. The same
+    # grants lead the queue until one is replaced, so the build is not
+    # retried before then.
+    build_failure: Optional[str] = None
     name = "candidate"
 
 
@@ -332,12 +336,15 @@ def _on_vote_response(state: NodeState, grant: VoteGrant, now_ms: int) -> List[O
         if not _held_grant_is_forged(state, role, grant):
             return [Diagnostic("duplicate-grant", detail)]
         del role.pending_grants[grant.voter]
+        role.build_failure = None
         outputs.append(Diagnostic("bad-grant", detail))
     elif not _grant_is_well_formed(state, role, grant):
         return [Diagnostic("bad-grant", detail)]
     role.pending_grants[grant.voter] = grant
     if len(role.pending_grants) < state.keyring.quorum_size:
         return outputs
+    if role.build_failure is not None:
+        return outputs + [Diagnostic("bad-grant", role.build_failure)]
     follower_grants = [
         g for voter, g in role.pending_grants.items() if voter != state.id
     ]
@@ -363,7 +370,8 @@ def _on_vote_response(state: NodeState, grant: VoteGrant, now_ms: int) -> List[O
             for voter in dropped
         ]
     except proofs.ProofError as exc:
-        return outputs + [Diagnostic("bad-grant", str(exc))]
+        role.build_failure = str(exc)
+        return outputs + [Diagnostic("bad-grant", role.build_failure)]
     state.role = Leader(proof)
     state.known_leader = (state.id, proofs.proof_hash(proof))
     return outputs + [

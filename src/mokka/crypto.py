@@ -5,11 +5,14 @@ Three families live here:
 * quorum-combination Schnorr multisignatures (single-round: the
   challenge binds the aggregate key and the message but not the nonce
   point, which is what lets followers sign without a nonce-exchange
-  round — see README for the security caveat),
+  round — see README for the security caveat); the keyring's aggregate
+  keys are summed with one field inversion for the whole keyring,
 * Shamir secret sharing over the curve's scalar field,
 * deterministic ECDSA with public-key recovery, used to authenticate
   secret shares; a share signature is verified against the expected
-  voter's key, and recovery stays as the reference it must agree with.
+  voter's key by comparing the point it computes with the nonce point's
+  x coordinate and parity, without lifting the nonce point, and recovery
+  stays as the reference it must agree with.
 
 Everything is a pure function of its inputs; nonces are derived
 deterministically so two runs produce bit-identical signatures.
@@ -158,7 +161,12 @@ def keygen(seed: bytes) -> KeyPair:
 
 
 def build_keyring(keys: Sequence[Tuple[NodeId, Point]]) -> ClusterKeyring:
-    """Precompute one aggregate public key per quorum-size node subset."""
+    """Precompute one aggregate public key per quorum-size node subset.
+
+    The aggregates are summed in Jacobian coordinates and made affine
+    together, with one field inversion. A subset whose keys cancel has no
+    aggregate key, so such a keyset is rejected.
+    """
     n = len(keys)
     if n < 3:
         raise CryptoError("cluster too small")
@@ -169,14 +177,15 @@ def build_keyring(keys: Sequence[Tuple[NodeId, Point]]) -> ClusterKeyring:
         raise CryptoError(f"node ids must be in [0, {MAX_NODES})")
     quorum = n // 2 + 1
     by_id = dict(keys)
+    subsets = list(combinations(sorted(ids), quorum))
+    aggregates = curve.affine_sums(
+        [by_id[node_id] for node_id in subset] for subset in subsets
+    )
     combos: Dict[ComboId, Point] = {}
-    for subset in combinations(sorted(ids), quorum):
-        mask = 0
-        agg = None
-        for node_id in subset:
-            mask |= 1 << node_id
-            agg = curve.point_add(agg, by_id[node_id])
-        combos[ComboId(mask)] = agg
+    for subset, agg in zip(subsets, aggregates):
+        if agg is None:
+            raise CryptoError(f"keys of nodes {list(subset)} sum to infinity")
+        combos[ComboId(sum(1 << node_id for node_id in subset))] = agg
     return ClusterKeyring(tuple(keys), quorum, combos)
 
 
@@ -331,15 +340,23 @@ def sign_recoverable(kp: KeyPair, message: bytes) -> RecoverableSignature:
         return RecoverableSignature(r, s, hint)
 
 
-def _nonce_point(sig: RecoverableSignature) -> Point:
-    """The signing nonce point R, lifted from (r, recovery hint)."""
+def _nonce_x(sig: RecoverableSignature) -> int:
+    """The x coordinate of the signing nonce point R, from (r, recovery
+    hint), after the range and hint checks recovery makes."""
     if not 1 <= sig.r < curve.N or not 1 <= sig.s < curve.N:
         raise CryptoError("invalid signature encoding")
     if sig.recovery_hint not in (0, 1, 2, 3):
         raise CryptoError("invalid signature encoding")
     x = sig.r + (curve.N if sig.recovery_hint >= 2 else 0)
+    if x >= curve.P:
+        raise CryptoError("invalid signature encoding")
+    return x
+
+
+def _nonce_point(sig: RecoverableSignature) -> Point:
+    """The signing nonce point R, lifted from (r, recovery hint)."""
     try:
-        return curve.lift_x(x, bool(sig.recovery_hint & 1))
+        return curve.lift_x(_nonce_x(sig), bool(sig.recovery_hint & 1))
     except ValueError:
         raise CryptoError("invalid signature encoding") from None
 
@@ -362,17 +379,19 @@ def recover_pubkey(message: bytes, sig: RecoverableSignature) -> Point:
 def verify_recoverable(public: Point, message: bytes, sig: RecoverableSignature) -> bool:
     """Whether recover_pubkey(message, sig) == public, without recovering.
 
-    ECDSA verification (SEC 1 v2, 4.1.4) against the lifted nonce point:
-    R == (z/s)*G + (r/s)*X, so the hint is checked as recovery checks it.
-    public must be a node key, since it gets a cached fixed-base table.
+    ECDSA verification (SEC 1 v2, 4.1.4) with the recovery hint bound in:
+    Q = (z/s)*G + (r/s)*X must be the nonce point that (r, hint) names,
+    i.e. x(Q) = r (+ N when hint >= 2) and y(Q) has the hint's parity.
+    The nonce point is never lifted; Q costs one field inversion. public
+    must be a node key, since it gets a cached fixed-base table.
     """
     try:
-        big_r = _nonce_point(sig)
+        x = _nonce_x(sig)
     except CryptoError:
         return False
     s_inv = pow(sig.s, -1, curve.N)
     z = _message_digest(message)
-    return curve.sum_equals(
-        big_r,
-        [(z * s_inv, curve.BASE), (sig.r * s_inv, curve.key_table(public))],
+    q = curve.fixed_sum(
+        [(z * s_inv, curve.BASE), (sig.r * s_inv, curve.key_table(public))]
     )
+    return q is not None and q[0] == x and q[1] & 1 == sig.recovery_hint & 1

@@ -10,7 +10,7 @@ simulation and desk-scale testing, not hostile production deployments.
 """
 
 import functools
-from typing import Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 try:  # gmpy2 speeds 256-bit modular arithmetic up; plain ints work too
     from gmpy2 import invert as _invert, mpz as _mpz
@@ -23,12 +23,12 @@ except ImportError:  # pragma: no cover
 Point = Tuple[int, int]
 
 # Signed-digit window widths of the fixed-base tables. The generator's
-# table (26 rows of 512 entries) is built at import; a key's (43 rows of
-# 32) on its first use. KEY_TABLE_CACHE bounds how many key tables live:
-# 64 is the most nodes a keyring holds, so the tables of one keyring never
-# evict each other.
+# table (26 rows of 512 entries) is built at import; a key's (33 rows of
+# 128, about 0.8 MB) on its first use. KEY_TABLE_CACHE bounds how many key
+# tables live, and so their memory to about 50 MB: 64 is the most nodes a
+# keyring holds, so the tables of one keyring never evict each other.
 BASE_WINDOW = 10
-KEY_WINDOW = 6
+KEY_WINDOW = 8
 KEY_TABLE_CACHE = 64
 
 # secp256k1 domain parameters (SEC2).
@@ -115,6 +115,32 @@ def _jac_to_affine(pt) -> Optional[Point]:
     return (int(X * zinv2 % P), int(Y * zinv2 * zinv % P))
 
 
+def _jac_to_affine_all(pts) -> List[Optional[Point]]:
+    """_jac_to_affine of each point, sharing one field inversion."""
+    zinvs = iter(_batch_invert([Z for _, _, Z in pts if Z]))
+    out = []
+    for X, Y, Z in pts:
+        if not Z:
+            out.append(None)
+            continue
+        zinv = next(zinvs)
+        zinv2 = zinv * zinv % _P
+        out.append((int(X * zinv2 % _P), int(Y * zinv2 * zinv % _P)))
+    return out
+
+
+def affine_sums(groups: Iterable[Iterable[Point]]) -> List[Optional[Point]]:
+    """The sum of each group of affine points, all made affine with one
+    shared field inversion; None where a sum is the point at infinity."""
+    sums = []
+    for group in groups:
+        acc = _JINF
+        for point in group:
+            acc = _jac_add_mixed(acc, point)
+        sums.append(acc)
+    return _jac_to_affine_all(sums)
+
+
 def _batch_invert(values):
     """Inverses of nonzero field elements, sharing one field inversion."""
     prefix = []
@@ -194,15 +220,12 @@ class FixedBase:
             for _ in range(window):
                 acc = _jac_double(acc)
             bases.append(acc)
-        affine = []
-        for (x, y, _), zinv in zip(bases, _batch_invert([z for _, _, z in bases])):
-            zinv2 = zinv * zinv % _P
-            affine.append((x * zinv2 % _P, y * zinv2 * zinv % _P))
+        affine = [(_mpz(x), _mpz(y)) for x, y in _jac_to_affine_all(bases)]
         self.rows = [[None] + row for row in _multiples(affine, 1 << (window - 1))]
 
     def mult(self, k: int) -> Optional[Point]:
         """k * point."""
-        return _jac_to_affine(_jac_sum(((k, self),)))
+        return fixed_sum(((k, self),))
 
 
 def _jac_sum(terms):
@@ -254,8 +277,14 @@ def key_table(point: Point) -> FixedBase:
     return FixedBase(point, KEY_WINDOW)
 
 
+def fixed_sum(terms) -> Optional[Point]:
+    """The affine sum of k * base over (k, FixedBase) terms."""
+    return _jac_to_affine(_jac_sum(terms))
+
+
 def sum_equals(point: Optional[Point], terms) -> bool:
-    """Whether point is the sum of k * base over (k, FixedBase) terms."""
+    """Whether point is the sum of k * base over (k, FixedBase) terms,
+    compared without an inversion."""
     return _jac_equals(_jac_sum(terms), point)
 
 

@@ -5,7 +5,7 @@ import filecmp
 import pytest
 import yaml
 
-from mokka import cli, proofs, wire
+from mokka import cli, crypto, curve, proofs, wire
 from mokka.cli import load_keyset, main
 
 from conftest import GOLDEN_DIR, scenario_path
@@ -153,6 +153,50 @@ class TestCheck:
         assert code == 2
         assert "--seeds" in stderr
 
+    def test_several_scenarios_print_one_block_each(self, capsys):
+        names = ("happy-path-n3", "fake-leader")
+        blocks = []
+        for name in names:
+            code, stdout, _ = run_cli(
+                capsys, "check", scenario_path(name), "--seeds", "2", "--machine"
+            )
+            assert code == 0
+            blocks.append(stdout)
+        code, stdout, _ = run_cli(
+            capsys, "check", *map(scenario_path, names), "--seeds", "2", "--machine"
+        )
+        assert code == 0
+        assert stdout == "".join(blocks)
+
+    def test_bad_scenario_among_several_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("nodes: 3\nseed: 1\nduration_ms: 100\nbogus_key: 1\n")
+        code, stdout, stderr = run_cli(
+            capsys, "check", scenario_path("happy-path-n3"), str(bad), "--seeds", "1"
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "unknown key" in stderr
+
+    def test_drop_overrides_every_scenario(self, capsys):
+        code, stdout, _ = run_cli(
+            capsys, "check", scenario_path("happy-path-n3"),
+            scenario_path("happy-path-n5"), "--seeds", "1", "--drop", "1",
+            "--machine",
+        )
+        assert code == 0
+        assert stdout.count("leader_changes\t0\n") == 2
+
+    @pytest.mark.parametrize("drop", ["-0.1", "1.5", "nan"])
+    def test_drop_out_of_range_is_usage_error(self, capsys, drop):
+        code, stdout, stderr = run_cli(
+            capsys, "check", scenario_path("happy-path-n3"), "--seeds", "1",
+            "--drop", drop,
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "--drop" in stderr
+
 
 class TestVerify:
     @pytest.fixture()
@@ -232,6 +276,27 @@ class TestVerify:
         )
         assert code == 2
         assert "malformed" in stderr
+
+    def test_keyset_whose_keys_cancel_is_usage_error(self, tmp_path, capsys):
+        # Keys X, -X and Y: combo {0, 1} has no aggregate key.
+        x = crypto.keygen(b"cancel-x").public
+        y = crypto.keygen(b"cancel-y").public
+        keys = tmp_path / "keys.yaml"
+        keys.write_text(yaml.safe_dump({"keys": [
+            {"node": i, "public": wire.encode_point(point).hex()}
+            for i, point in enumerate((x, curve.point_neg(x), y))
+        ]}))
+        proof = proofs.VoteProof(
+            wire.SCHEME_SCHNORR, 1, 0, 0,
+            proofs.SchnorrBody(crypto.ComboId(0b011), curve.G, 1),
+        )
+        code, stdout, stderr = run_cli(
+            capsys, "verify", "--proof", proofs.encode_proof(proof).hex(),
+            "--keys", str(keys), "--now", "0",
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "bad keyset" in stderr and "infinity" in stderr
 
     def test_proof_from_trace_verifies(self, tmp_path, capsys):
         """The proof hex a leader logs in its role_change line is checkable."""

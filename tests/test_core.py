@@ -401,6 +401,29 @@ class TestVoteResponse:
             assert only(outs, Diagnostic).detail == "aggregate signature does not verify"
             assert isinstance(candidate.role, Candidate)
 
+    def test_unattributable_failure_is_not_rebuilt(self, cluster5, monkeypatch):
+        # A failure that names no voter recurs while the same grants lead
+        # the queue: later grants are stored without a rebuild, until a
+        # forged pending grant gives way to its voter's real one.
+        builds = []
+
+        def failing_build(*args, **kwargs):
+            builds.append(args)
+            raise proofs.ProofError("aggregate signature does not verify")
+
+        monkeypatch.setattr(proofs, "build_proof", failing_build)
+        states, grants = self._campaign(cluster5)
+        candidate = states[0]
+        failure = Diagnostic("bad-grant", "aggregate signature does not verify")
+        assert self._respond(candidate, self._forge(grants[0])) == []
+        for grant in grants[1:]:
+            assert self._respond(candidate, grant) == [failure]
+        assert len(builds) == 1
+        assert list(candidate.role.pending_grants) == [0, 1, 2, 3, 4]
+        outs = self._respond(candidate, grants[0])
+        assert outs == [Diagnostic("bad-grant", "term=1 voter=1"), failure]
+        assert len(builds) == 2
+
     @staticmethod
     def _count_schnorr_calls(monkeypatch, signer_key):
         calls = {"sign": 0, "verify": 0}

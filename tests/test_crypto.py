@@ -1,6 +1,7 @@
 """Keygen, the domain-separated hash, and keyring construction."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -109,6 +110,29 @@ class TestBuildKeyring:
         again = crypto.build_keyring(keys)
         assert again == keyring and repr(again) == repr(keyring)
         assert crypto.build_keyring(keys[::-1]) != keyring
+
+    @pytest.mark.parametrize(
+        "ids", [tuple(range(n)) for n in range(3, 10)] + [(7, 2, 40)]
+    )
+    def test_aggregates_equal_the_point_add_fold(self, ids):
+        keys = [(i, crypto.keygen(f"fold-{i}".encode()).public) for i in ids]
+        by_id = dict(keys)
+        quorum = len(ids) // 2 + 1
+        expected = {}
+        for subset in combinations(sorted(ids), quorum):
+            mask, total = 0, None
+            for node in subset:
+                mask |= 1 << node
+                total = curve.point_add(total, by_id[node])
+            expected[crypto.ComboId(mask)] = total
+        keyring = crypto.build_keyring(keys)
+        assert list(keyring.combos.items()) == list(expected.items())
+
+    def test_cancelling_keys_rejected(self):
+        x = crypto.keygen(b"cancel-x").public
+        y = crypto.keygen(b"cancel-y").public
+        with pytest.raises(crypto.CryptoError, match="infinity"):
+            crypto.build_keyring([(0, x), (1, curve.point_neg(x)), (2, y)])
 
     def test_duplicate_node_rejected(self):
         kp = crypto.keygen(b"x")

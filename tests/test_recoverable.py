@@ -101,3 +101,48 @@ def test_verify_agrees_with_recovery(message, signer, offset, tamper, x):
         )
     if tamper == "honest":
         assert crypto.verify_recoverable(KEYS[signer].public, message, sig)
+
+
+def test_nonce_x_past_the_field_rejected(kp):
+    # hint >= 2 names x = r + N, which must stay below P.
+    sig = crypto.sign_recoverable(kp, b"m")
+    for r in (curve.P - curve.N, curve.N - 1):
+        for hint in (2, 3):
+            past = replace(sig, r=r, recovery_hint=hint)
+            assert not crypto.verify_recoverable(kp.public, b"m", past)
+            with pytest.raises(crypto.CryptoError):
+                crypto.recover_pubkey(b"m", past)
+
+
+@pytest.mark.parametrize("tamper", ["hint^1", "N-s"])
+def test_negated_nonce_point_rejected(kp, tamper):
+    # Q = (z/s)*G + (r/s)*X is the negation of the nonce point (r, hint)
+    # names: same x, other parity.
+    sig = TAMPER[tamper](crypto.sign_recoverable(kp, b"m"), None)
+    s_inv = pow(sig.s, -1, curve.N)
+    q = curve.point_add(
+        curve.scalar_mult_base(crypto._message_digest(b"m") * s_inv),
+        curve.scalar_mult(sig.r * s_inv, kp.public),
+    )
+    assert q == curve.point_neg(crypto._nonce_point(sig))
+    assert not crypto.verify_recoverable(kp.public, b"m", sig)
+    assert not _recovers(kp.public, b"m", sig)
+
+
+def test_nonce_x_above_the_group_order():
+    # Signing almost never meets a nonce point with N <= x < P (hint >= 2),
+    # so build one and take the key it recovers to.
+    x = curve.N + 1
+    while True:
+        try:
+            big_r = curve.lift_x(x, False)
+            break
+        except ValueError:
+            x += 1
+    sig = crypto.RecoverableSignature(x - curve.N, 12345, 2)
+    public = crypto.recover_pubkey(b"m", sig)
+    assert crypto.verify_recoverable(public, b"m", sig)
+    for hint in (0, 1, 3):
+        other = replace(sig, recovery_hint=hint)
+        assert not crypto.verify_recoverable(public, b"m", other)
+        assert not _recovers(public, b"m", other)
