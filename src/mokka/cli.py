@@ -175,8 +175,8 @@ def _cmd_check(args) -> int:
 
 
 def _check_scenario(scenario, seeds: int, machine: bool) -> int:
-    """Run one scenario under seeds run seeds, print its block, and return
-    the number of violations."""
+    """Run one scenario under `seeds` consecutive seeds, print its block,
+    and return the number of violations."""
     total_violations = 0
     total_elections = 0
     leader_changes = 0

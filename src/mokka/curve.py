@@ -23,12 +23,16 @@ except ImportError:  # pragma: no cover
 Point = Tuple[int, int]
 
 # Signed-digit window widths of the fixed-base tables. The generator's
-# table (26 rows of 512 entries) is built at import; a key's (33 rows of
-# 128, about 0.8 MB) on its first use. KEY_TABLE_CACHE bounds how many key
-# tables live, and so their memory to about 50 MB: 64 is the most nodes a
-# keyring holds, so the tables of one keyring never evict each other.
+# table (26 rows of 512 entries) is built at import; a key's (43 rows of
+# 32, about 0.26 MB) on its first use. An 8-bit key window saves about
+# 0.06 ms per key term but costs about 9 ms more per table, so it pays
+# only after some 150 uses of a table, more than a one-shot run of any
+# bundled scenario makes.
+# KEY_TABLE_CACHE bounds how many key tables live, and so their memory to
+# about 17 MB: 64 is the most nodes a keyring holds, so the tables of one
+# keyring never evict each other.
 BASE_WINDOW = 10
-KEY_WINDOW = 8
+KEY_WINDOW = 6
 KEY_TABLE_CACHE = 64
 
 # secp256k1 domain parameters (SEC2).
