@@ -53,17 +53,41 @@ def _write_keyset(n: int, seed: str, out_path: str) -> None:
         fh.write(text)
 
 
+def _entries(entries, section: str) -> list:
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ValueError(f"{section} must be a list of mappings")
+    return entries
+
+
+def _field(entry: dict, name: str, kind: type):
+    value = entry[name]
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be of type {kind.__name__}: {value!r}")
+    return value
+
+
 def load_keyset(path: str) -> crypto.ClusterKeyring:
+    """The keyring of a keyset file; ValueError or KeyError when the file
+    is not a mapping holding a ``keys`` list, or any entry is malformed."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh.read())
+        text = fh.read()
+    try:
+        doc = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ValueError(f"not YAML: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError("keyset must be a mapping")
     keys = [
-        (entry["node"], wire.decode_point(bytes.fromhex(entry["public"])))
-        for entry in doc["keys"]
+        (
+            _field(entry, "node", int),
+            wire.decode_point(bytes.fromhex(_field(entry, "public", str))),
+        )
+        for entry in _entries(doc["keys"], "keys")
     ]
     keyring = crypto.build_keyring(keys)
-    for entry in doc.get("combos", []):
-        combo = crypto.ComboId(entry["mask"])
-        stored = wire.decode_point(bytes.fromhex(entry["aggregate"]))
+    for entry in _entries(doc.get("combos", []), "combos"):
+        combo = crypto.ComboId(_field(entry, "mask", int))
+        stored = wire.decode_point(bytes.fromhex(_field(entry, "aggregate", str)))
         if keyring.aggregate_key(combo) != stored:
             raise ValueError(f"keyset aggregate mismatch for combo {combo.mask:#x}")
     return keyring
@@ -208,6 +232,11 @@ def _check_scenario(scenario, seeds: int, machine: bool) -> int:
 
 def _cmd_verify(args) -> int:
     try:
+        policy = proofs.ProofPolicy(ttl_ms=args.ttl, max_clock_skew_ms=args.skew)
+    except ValueError:
+        print("error: --ttl must be > 0 and --skew >= 0", file=sys.stderr)
+        return 2
+    try:
         blob = bytes.fromhex(args.proof)
     except ValueError:
         print("error: proof is not valid hex", file=sys.stderr)
@@ -222,7 +251,6 @@ def _cmd_verify(args) -> int:
     except wire.MalformedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    policy = proofs.ProofPolicy(ttl_ms=args.ttl, max_clock_skew_ms=args.skew)
     result = proofs.validate_proof(proof, keyring, policy, args.now)
     print(result.value)
     return 0 if result is proofs.ValidationResult.OK else 1

@@ -34,7 +34,6 @@ class Follower:
 @dataclass
 class Candidate:
     started_ms: int
-    round_timestamp_ms: int
     payloads: Dict[NodeId, VotePayload]
     # Grants in arrival order. The candidate's own slot comes first and
     # stays None: it signs for the combo it assembles when the quorum forms.
@@ -70,6 +69,8 @@ class NodeConfig:
             raise ValueError("heartbeat interval must be below election timeout")
         if not self.heartbeat_interval_ms < self.proof_policy.ttl_ms:
             raise ValueError("heartbeat interval must be below proof ttl")
+        if self.scheme not in proofs.SCHEMES:
+            raise ValueError(f"unknown scheme {self.scheme}")
 
 
 # --- Packets and events ------------------------------------------------------
@@ -247,7 +248,6 @@ def _start_election(state: NodeState, now_ms: int) -> List[Output]:
     state.voted_for = (term, state.id)
     state.role = Candidate(
         started_ms=now_ms,
-        round_timestamp_ms=now_ms,
         payloads=payloads,
         pending_grants={state.id: None},
     )
@@ -300,14 +300,7 @@ def _grant_is_well_formed(state: NodeState, role: Candidate, grant: VoteGrant) -
     ``_held_grant_is_forged`` when a voter's grant arrives twice."""
     if grant.voter not in state.keyring.sorted_ids or grant.voter == state.id:
         return False
-    if state.config.scheme == wire.SCHEME_SCHNORR:
-        return bool(grant.partials) and all(
-            psig.signer == grant.voter for psig in grant.partials
-        )
-    return (
-        grant.share_sig is not None
-        and grant.share_sig[0] == role.payloads[grant.voter].share
-    )
+    return proofs.grant_is_well_formed(grant, role.payloads[grant.voter])
 
 
 def _held_grant_is_forged(state: NodeState, role: Candidate, grant: VoteGrant) -> bool:
@@ -348,17 +341,9 @@ def _on_vote_response(state: NodeState, grant: VoteGrant, now_ms: int) -> List[O
     follower_grants = [
         g for voter, g in role.pending_grants.items() if voter != state.id
     ]
-    own = role.payloads[state.id]
     try:
         proof = proofs.build_proof(
-            state.keypair,
-            own,
-            follower_grants,
-            state.keyring,
-            state.current_term,
-            role.round_timestamp_ms,
-            state.config.scheme,
-            salt=own.salt,
+            state.keypair, role.payloads[state.id], follower_grants, state.keyring
         )
     except proofs.BadGrants as exc:
         # Drop the voters at fault and wait for further grants.

@@ -49,6 +49,13 @@ class ComboId:
 
     mask: int
 
+    @classmethod
+    def of(cls, nodes: Iterable[NodeId]) -> "ComboId":
+        mask = 0
+        for node in nodes:
+            mask |= 1 << node
+        return cls(mask)
+
     def members(self) -> Tuple[NodeId, ...]:
         return tuple(i for i in range(MAX_NODES) if self.mask >> i & 1)
 
@@ -132,9 +139,7 @@ class ClusterKeyring:
             raise CryptoError(f"unknown combo {combo.mask:#x}") from None
 
     def combos_containing(self, nodes: Iterable[NodeId]) -> List[ComboId]:
-        want = 0
-        for node in nodes:
-            want |= 1 << node
+        want = ComboId.of(nodes).mask
         return [c for c in self.combos if c.mask & want == want]
 
 
@@ -185,7 +190,7 @@ def build_keyring(keys: Sequence[Tuple[NodeId, Point]]) -> ClusterKeyring:
     for subset, agg in zip(subsets, aggregates):
         if agg is None:
             raise CryptoError(f"keys of nodes {list(subset)} sum to infinity")
-        combos[ComboId(sum(1 << node_id for node_id in subset))] = agg
+        combos[ComboId.of(subset)] = agg
     return ClusterKeyring(tuple(keys), quorum, combos)
 
 
@@ -248,12 +253,8 @@ def schnorr_aggregate(partials: Sequence[PartialSignature]) -> Tuple[Point, int]
         raise CryptoError("mixed combos")
     if set(signers) != set(combo.members()):
         raise CryptoError("incomplete combo")
-    big_r = None
-    s = 0
-    for p in partials:
-        big_r = curve.point_add(big_r, p.nonce_point)
-        s = (s + p.s_value) % curve.N
-    return big_r, s
+    [big_r] = curve.affine_sums([[p.nonce_point for p in partials]])
+    return big_r, sum(p.s_value for p in partials) % curve.N
 
 
 def schnorr_verify(

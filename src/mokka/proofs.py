@@ -4,7 +4,9 @@ A proof shows that a majority voted for a specific candidate in a
 specific term within a specific time window. Two interchangeable
 constructions exist: a fixed-size quorum-Schnorr signature (92 bytes
 regardless of cluster size) and a variable-size Shamir scheme in which
-voters return recoverable signatures over their secret shares.
+voters return recoverable signatures over their secret shares. Each is
+one object in ``SCHEMES``; the public functions here look the scheme up
+by its wire code and call it.
 """
 
 import enum
@@ -12,7 +14,7 @@ import functools
 import random
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import hashlib
 
@@ -86,7 +88,7 @@ class VoteProof:
         Not a field: equality and ``dataclasses.replace`` ignore it, and a
         replaced copy encodes afresh.
         """
-        return _encode(self)
+        return _message(self) + _scheme_of(self.scheme).encode_body(self.body)
 
     @functools.cached_property
     def digest(self) -> bytes:
@@ -114,7 +116,8 @@ class ValidationResult(enum.Enum):
     FUTURE_TIMESTAMP = "future_timestamp"
 
 
-SCHNORR_PROOF_LEN = 1 + 8 + 8 + 2 + 8 + 33 + 32  # 92
+# A Schnorr proof is the 19-byte vote message plus this body: 92 bytes.
+_SCHNORR_BODY_LEN = 8 + 33 + 32
 _SSS_ENTRY_LEN = 32 + 32 + 32 + 32 + 1
 
 # Crypto verdicts a ProofValidator keeps, least recently used evicted first.
@@ -140,6 +143,250 @@ def sss_secret(timestamp_ms: int, salt: bytes, term: int) -> int:
     )
 
 
+def _message(vote: Union[VotePayload, VoteProof]) -> bytes:
+    """The vote message a payload asks to sign, or a proof's signatures
+    commit to; it is also the proof's wire header."""
+    return wire.vote_message(vote.scheme, vote.term, vote.timestamp_ms, vote.candidate)
+
+
+def _share_signed(
+    keyring: ClusterKeyring,
+    voter: NodeId,
+    share_sig: Optional[Tuple[SssShare, RecoverableSignature]],
+    vote: Union[VotePayload, VoteProof],
+) -> bool:
+    """Whether share_sig is voter's signature over its share of vote."""
+    if share_sig is None:
+        return False
+    share, sig = share_sig
+    message = share_sign_message(share, vote.term, vote.timestamp_ms, vote.candidate)
+    return crypto.verify_recoverable(keyring.public_key(voter), message, sig)
+
+
+# --- The schemes ---------------------------------------------------------------
+#
+# Each scheme object answers:
+#   payloads(candidate, term, now_ms, keyring, rng)  one VotePayload per node
+#   grant(voter_kp, voter, payload, keyring)          the voter's VoteGrant
+#   well_formed(grant, payload)                       the checks without crypto
+#   verifies(grant, payload, keyring)                 every signature in grant
+#   assemble(candidate_kp, own, members, by_voter, keyring)
+#                                                     the proof body, or raise
+#   check(proof, keyring)                             the crypto verdict
+#   encode_body(body), decode_body(data)              the body's wire codec
+#
+# crypto is called through the module, so tools that wrap or patch its
+# functions see every call.
+
+
+class _Schnorr:
+    """Quorum-combination Schnorr: every voter gets the same payload and
+    signs one partial per combo holding itself and the candidate; the
+    proof is the aggregate signature of one combo."""
+
+    def payloads(self, candidate, term, now_ms, keyring, rng):
+        payload = VotePayload(wire.SCHEME_SCHNORR, term, now_ms, candidate)
+        return {node: payload for node in keyring.node_ids()}
+
+    def grant(self, voter_kp, voter, payload, keyring):
+        message = _message(payload)
+        partials = tuple(
+            crypto.schnorr_partial_sign(voter_kp, keyring, combo, message)
+            for combo in keyring.combos_containing({voter, payload.candidate})
+        )
+        return VoteGrant(voter, payload.term, partials=partials)
+
+    def well_formed(self, grant, payload):
+        return bool(grant.partials) and all(
+            psig.signer == grant.voter for psig in grant.partials
+        )
+
+    def verifies(self, grant, payload, keyring):
+        message = _message(payload)
+        return bool(grant.partials) and all(
+            psig.signer == grant.voter
+            and crypto.schnorr_partial_verify(keyring, psig, message)
+            for psig in grant.partials
+        )
+
+    def assemble(self, candidate_kp, own, members, by_voter, keyring):
+        message = _message(own)
+        combo = ComboId.of(members)
+        own_partial = crypto.schnorr_partial_sign(candidate_kp, keyring, combo, message)
+        chosen = {}
+        for voter in members:
+            offered = (
+                (own_partial,) if voter == own.candidate else by_voter[voter].partials
+            )
+            psig = next(
+                (p for p in offered if p.combo == combo and p.signer == voter), None
+            )
+            if psig is not None:
+                chosen[voter] = psig
+        if len(chosen) == len(members):
+            big_r, s = crypto.schnorr_aggregate(list(chosen.values()))
+            if crypto.schnorr_verify(keyring, combo, message, big_r, s):
+                return SchnorrBody(combo, big_r, s)
+        bad = [
+            voter for voter in members
+            if voter not in chosen
+            or not crypto.schnorr_partial_verify(keyring, chosen[voter], message)
+        ]
+        if bad:
+            raise BadGrants(bad)
+        raise ProofError("aggregate signature does not verify")
+
+    def check(self, proof, keyring):
+        body = proof.body
+        if body.combo not in keyring.combos:
+            return ValidationResult.UNKNOWN_VOTER
+        if proof.candidate not in body.combo:
+            return ValidationResult.BAD_SIGNATURE
+        ok = crypto.schnorr_verify(
+            keyring, body.combo, _message(proof), body.nonce_point, body.s_value
+        )
+        return ValidationResult.OK if ok else ValidationResult.BAD_SIGNATURE
+
+    def encode_body(self, body):
+        return (
+            wire.encode_combo_mask(body.combo.mask)
+            + wire.encode_point(body.nonce_point)
+            + wire.encode_scalar(body.s_value)
+        )
+
+    def decode_body(self, data):
+        if len(data) != _SCHNORR_BODY_LEN:
+            raise wire.MalformedError("malformed proof")
+        return SchnorrBody(
+            ComboId(wire.decode_combo_mask(data[:8])),
+            wire.decode_point(data[8:41]),
+            wire.decode_scalar(data[41:73]),
+        )
+
+
+class _Sss:
+    """Shamir: each voter gets its own share of a secret drawn from the
+    payload's salt and signs it recoverably; the proof is a quorum of
+    signed shares that restore the secret."""
+
+    def payloads(self, candidate, term, now_ms, keyring, rng):
+        nodes = keyring.node_ids()
+        salt = rng.randbytes(32)
+        secret = sss_secret(now_ms, salt, term)
+        shares = crypto.sss_split(secret, len(nodes), keyring.quorum_size, rng)
+        return {
+            node: VotePayload(
+                wire.SCHEME_SSS, term, now_ms, candidate, salt,
+                shares[keyring.ordinal(node) - 1],
+            )
+            for node in nodes
+        }
+
+    @staticmethod
+    def _sign(kp, payload):
+        if payload.share is None:
+            raise ProofError("payload carries no share")
+        message = share_sign_message(
+            payload.share, payload.term, payload.timestamp_ms, payload.candidate
+        )
+        return payload.share, crypto.sign_recoverable(kp, message)
+
+    def grant(self, voter_kp, voter, payload, keyring):
+        return VoteGrant(voter, payload.term, share_sig=self._sign(voter_kp, payload))
+
+    def well_formed(self, grant, payload):
+        return grant.share_sig is not None and grant.share_sig[0] == payload.share
+
+    def verifies(self, grant, payload, keyring):
+        return _share_signed(keyring, grant.voter, grant.share_sig, payload)
+
+    def assemble(self, candidate_kp, own, members, by_voter, keyring):
+        share_sigs = {own.candidate: self._sign(candidate_kp, own)}
+        for voter in members[1:]:
+            share_sigs[voter] = by_voter[voter].share_sig
+        bad = [
+            voter for voter in members
+            if not _share_signed(keyring, voter, share_sigs[voter], own)
+        ]
+        if bad:
+            raise BadGrants(bad)
+        return SssBody(own.salt, tuple(share_sigs[voter] for voter in members))
+
+    def check(self, proof, keyring):
+        body = proof.body
+        q = keyring.quorum_size
+        if len(body.entries) < q:
+            return ValidationResult.BAD_SECRET
+        voters = set()
+        for entry in body.entries:
+            # A share's index names its voter, who alone may vouch for it.
+            try:
+                voter = keyring.node_for_ordinal(entry[0].index)
+            except crypto.CryptoError:
+                return ValidationResult.UNKNOWN_VOTER
+            if voter in voters:
+                return ValidationResult.BAD_SIGNATURE
+            if not _share_signed(keyring, voter, entry, proof):
+                return ValidationResult.BAD_SIGNATURE
+            voters.add(voter)
+        if proof.candidate not in voters:
+            return ValidationResult.BAD_SIGNATURE
+        expected = sss_secret(proof.timestamp_ms, body.salt, proof.term)
+        try:
+            restored = crypto.sss_restore([s for s, _ in body.entries], q)
+        except crypto.CryptoError:
+            return ValidationResult.BAD_SECRET
+        if restored != expected:
+            return ValidationResult.BAD_SECRET
+        return ValidationResult.OK
+
+    def encode_body(self, body):
+        out = body.salt + len(body.entries).to_bytes(2, "big")
+        for share, sig in body.entries:
+            out += (
+                encode_share(share)
+                + wire.encode_scalar(sig.r)
+                + wire.encode_scalar(sig.s)
+                + bytes([sig.recovery_hint])
+            )
+        return out
+
+    def decode_body(self, data):
+        if len(data) < 34:
+            raise wire.MalformedError("malformed proof")
+        salt = data[:32]
+        count = int.from_bytes(data[32:34], "big")
+        rest = data[34:]
+        if len(rest) != count * _SSS_ENTRY_LEN:
+            raise wire.MalformedError("malformed proof")
+        entries = []
+        for i in range(count):
+            chunk = rest[i * _SSS_ENTRY_LEN:(i + 1) * _SSS_ENTRY_LEN]
+            share = SssShare(
+                wire.decode_scalar(chunk[:32]), wire.decode_scalar(chunk[32:64])
+            )
+            sig = RecoverableSignature(
+                wire.decode_scalar(chunk[64:96]),
+                wire.decode_scalar(chunk[96:128]),
+                chunk[128],
+            )
+            entries.append((share, sig))
+        return SssBody(salt, tuple(entries))
+
+
+SCHEMES = {wire.SCHEME_SCHNORR: _Schnorr(), wire.SCHEME_SSS: _Sss()}
+
+
+def _scheme_of(code: int):
+    try:
+        return SCHEMES[code]
+    except KeyError:
+        raise ProofError(f"unknown scheme {code}") from None
+
+
+# --- Public entry points -------------------------------------------------------
+
+
 def make_vote_payloads(
     candidate: NodeId,
     term: int,
@@ -151,22 +398,7 @@ def make_vote_payloads(
     """One payload per cluster node (the candidate keeps its own entry)."""
     if term < 1:
         raise ProofError("term must be >= 1")
-    nodes = keyring.node_ids()
-    if scheme == wire.SCHEME_SCHNORR:
-        payload = VotePayload(scheme, term, now_ms, candidate)
-        return {node: payload for node in nodes}
-    if scheme == wire.SCHEME_SSS:
-        salt = rng.randbytes(32)
-        secret = sss_secret(now_ms, salt, term)
-        shares = crypto.sss_split(secret, len(nodes), keyring.quorum_size, rng)
-        return {
-            node: VotePayload(
-                scheme, term, now_ms, candidate, salt,
-                shares[keyring.ordinal(node) - 1],
-            )
-            for node in nodes
-        }
-    raise ProofError(f"unknown scheme {scheme}")
+    return _scheme_of(scheme).payloads(candidate, term, now_ms, keyring, rng)
 
 
 def grant_vote(voter_kp: KeyPair, payload: VotePayload, keyring: ClusterKeyring) -> VoteGrant:
@@ -175,44 +407,13 @@ def grant_vote(voter_kp: KeyPair, payload: VotePayload, keyring: ClusterKeyring)
     voter = keyring.node_for_key(voter_kp.public)
     if voter is None:
         raise ProofError("voter not in keyring")
-    if payload.scheme == wire.SCHEME_SCHNORR:
-        message = wire.vote_message(
-            payload.scheme, payload.term, payload.timestamp_ms, payload.candidate
-        )
-        partials = tuple(
-            crypto.schnorr_partial_sign(voter_kp, keyring, combo, message)
-            for combo in keyring.combos_containing({voter, payload.candidate})
-        )
-        return VoteGrant(voter, payload.term, partials=partials)
-    if payload.scheme == wire.SCHEME_SSS:
-        return VoteGrant(voter, payload.term, share_sig=_sign_share(voter_kp, payload))
-    raise ProofError(f"unknown scheme {payload.scheme}")
+    return _scheme_of(payload.scheme).grant(voter_kp, voter, payload, keyring)
 
 
-def _sign_share(
-    kp: KeyPair, payload: VotePayload
-) -> Tuple[SssShare, RecoverableSignature]:
-    if payload.share is None:
-        raise ProofError("payload carries no share")
-    message = share_sign_message(
-        payload.share, payload.term, payload.timestamp_ms, payload.candidate
-    )
-    return payload.share, crypto.sign_recoverable(kp, message)
-
-
-def _share_sig_verifies(
-    keyring: ClusterKeyring,
-    voter: NodeId,
-    share_sig: Optional[Tuple[SssShare, RecoverableSignature]],
-    term: int,
-    timestamp_ms: int,
-    candidate: NodeId,
-) -> bool:
-    if share_sig is None:
-        return False
-    share, sig = share_sig
-    message = share_sign_message(share, term, timestamp_ms, candidate)
-    return crypto.verify_recoverable(keyring.public_key(voter), message, sig)
+def grant_is_well_formed(grant: VoteGrant, payload: VotePayload) -> bool:
+    """The checks on grant that cost no signature work: its partials are
+    all its voter's (Schnorr), or it signs the share payload carried (Sss)."""
+    return _scheme_of(payload.scheme).well_formed(grant, payload)
 
 
 def grant_verifies(
@@ -220,167 +421,55 @@ def grant_verifies(
 ) -> bool:
     """Whether every signature in grant is its voter's, over the vote that
     payload asked for: each partial (Schnorr), or the share signature (Sss)."""
-    if payload.scheme == wire.SCHEME_SCHNORR:
-        message = wire.vote_message(
-            payload.scheme, payload.term, payload.timestamp_ms, payload.candidate
-        )
-        return bool(grant.partials) and all(
-            psig.signer == grant.voter
-            and crypto.schnorr_partial_verify(keyring, psig, message)
-            for psig in grant.partials
-        )
-    return _share_sig_verifies(
-        keyring, grant.voter, grant.share_sig,
-        payload.term, payload.timestamp_ms, payload.candidate,
-    )
-
-
-def _combo_of(members: Sequence[NodeId]) -> ComboId:
-    mask = 0
-    for voter in members:
-        mask |= 1 << voter
-    return ComboId(mask)
+    return _scheme_of(payload.scheme).verifies(grant, payload, keyring)
 
 
 def build_proof(
     candidate_kp: KeyPair,
-    own: Union[VotePayload, VoteGrant],
+    own: VotePayload,
     grants: Sequence[VoteGrant],
     keyring: ClusterKeyring,
-    term: int,
-    timestamp_ms: int,
-    scheme: int,
-    salt: Optional[bytes] = None,
 ) -> VoteProof:
-    """Assemble a proof from the candidate's own vote plus follower grants,
-    in arrival order.
+    """Assemble a proof from the candidate's own payload plus follower
+    grants, in arrival order; term, timestamp, scheme and salt are the
+    payload's.
 
-    The combo is the candidate and the earliest voters, up to a quorum.
-    ``own`` is the candidate's payload, and the candidate then signs here,
-    for that combo alone (Sss: its own share), or a grant it signed before
-    with ``grant_vote``. This is where a grant's signature is checked, and
-    only what enters the proof is checked: for Schnorr, the aggregate over
-    the chosen combo with one ``schnorr_verify``; for Sss, each chosen share
+    The members are the candidate and the earliest voters, up to a quorum.
+    The candidate signs here, for the members' combo alone (Sss: its own
+    share). This is where a grant's signature is checked, and only what
+    enters the proof is checked: for Schnorr, the aggregate over the
+    chosen combo with one ``schnorr_verify``; for Sss, each chosen share
     signature against its voter's key. When that fails, ``BadGrants`` names
     every chosen voter whose partial (checked one at a time, on this path
     only) or share signature fails. Partials for other combos are never
     checked.
     """
-    candidate = own.candidate if isinstance(own, VotePayload) else own.voter
-    q = keyring.quorum_size
-    voters = [candidate]
+    by_voter: Dict[NodeId, VoteGrant] = {}
     for grant in grants:
-        if grant.voter not in voters:
-            voters.append(grant.voter)
-    if len(voters) < q:
+        if grant.voter != own.candidate:
+            by_voter.setdefault(grant.voter, grant)
+    members = [own.candidate, *by_voter][:keyring.quorum_size]
+    if len(members) < keyring.quorum_size:
         raise ProofError("no quorum")
-    members = voters[:q]
-    by_voter = {}
-    for grant in grants:
-        by_voter.setdefault(grant.voter, grant)
-
-    if scheme == wire.SCHEME_SCHNORR:
-        message = wire.vote_message(scheme, term, timestamp_ms, candidate)
-        combo = _combo_of(members)
-        if isinstance(own, VotePayload):
-            psig = crypto.schnorr_partial_sign(candidate_kp, keyring, combo, message)
-            own = VoteGrant(candidate, term, partials=(psig,))
-        by_voter[candidate] = own
-        chosen = {}
-        for voter in members:
-            psig = next(
-                (
-                    p for p in by_voter[voter].partials
-                    if p.combo == combo and p.signer == voter
-                ),
-                None,
-            )
-            if psig is not None:
-                chosen[voter] = psig
-        if len(chosen) == q:
-            big_r, s = crypto.schnorr_aggregate(list(chosen.values()))
-            if crypto.schnorr_verify(keyring, combo, message, big_r, s):
-                return VoteProof(
-                    scheme, term, timestamp_ms, candidate,
-                    SchnorrBody(combo, big_r, s),
-                )
-        bad = [
-            voter for voter in members
-            if voter not in chosen
-            or not crypto.schnorr_partial_verify(keyring, chosen[voter], message)
-        ]
-        if bad:
-            raise BadGrants(bad)
-        raise ProofError("aggregate signature does not verify")
-
-    if scheme == wire.SCHEME_SSS:
-        if salt is None:
-            raise ProofError("salt required for share-based proofs")
-        if isinstance(own, VotePayload):
-            own = VoteGrant(candidate, term, share_sig=_sign_share(candidate_kp, own))
-        by_voter[candidate] = own
-        bad = [
-            voter for voter in members
-            if not _share_sig_verifies(
-                keyring, voter, by_voter[voter].share_sig,
-                term, timestamp_ms, candidate,
-            )
-        ]
-        if bad:
-            raise BadGrants(bad)
-        entries = tuple(by_voter[voter].share_sig for voter in members)
-        return VoteProof(
-            scheme, term, timestamp_ms, candidate, SssBody(salt, entries)
-        )
-
-    raise ProofError(f"unknown scheme {scheme}")
+    body = _scheme_of(own.scheme).assemble(candidate_kp, own, members, by_voter, keyring)
+    return VoteProof(own.scheme, own.term, own.timestamp_ms, own.candidate, body)
 
 
 def _validate_crypto(proof: VoteProof, keyring: ClusterKeyring) -> ValidationResult:
     """Time-independent part of validation; cacheable per proof bytes."""
-    if proof.scheme == wire.SCHEME_SCHNORR:
-        body = proof.body
-        if body.combo not in keyring.combos:
-            return ValidationResult.UNKNOWN_VOTER
-        if proof.candidate not in body.combo:
-            return ValidationResult.BAD_SIGNATURE
-        message = wire.vote_message(
-            proof.scheme, proof.term, proof.timestamp_ms, proof.candidate
-        )
-        ok = crypto.schnorr_verify(
-            keyring, body.combo, message, body.nonce_point, body.s_value
-        )
-        return ValidationResult.OK if ok else ValidationResult.BAD_SIGNATURE
+    return _scheme_of(proof.scheme).check(proof, keyring)
 
-    body = proof.body
-    q = keyring.quorum_size
-    if len(body.entries) < q:
-        return ValidationResult.BAD_SECRET
-    voters = set()
-    for share, sig in body.entries:
-        # A share's index names its voter, who alone may vouch for it.
-        try:
-            voter = keyring.node_for_ordinal(share.index)
-        except crypto.CryptoError:
-            return ValidationResult.UNKNOWN_VOTER
-        if voter in voters:
-            return ValidationResult.BAD_SIGNATURE
-        message = share_sign_message(
-            share, proof.term, proof.timestamp_ms, proof.candidate
-        )
-        if not crypto.verify_recoverable(keyring.public_key(voter), message, sig):
-            return ValidationResult.BAD_SIGNATURE
-        voters.add(voter)
-    if proof.candidate not in voters:
-        return ValidationResult.BAD_SIGNATURE
-    expected = sss_secret(proof.timestamp_ms, body.salt, proof.term)
-    try:
-        restored = crypto.sss_restore([s for s, _ in body.entries], q)
-    except crypto.CryptoError:
-        return ValidationResult.BAD_SECRET
-    if restored != expected:
-        return ValidationResult.BAD_SECRET
-    return ValidationResult.OK
+
+def _time_verdict(
+    proof: VoteProof, policy: ProofPolicy, now_ms: int
+) -> Optional[ValidationResult]:
+    """FUTURE_TIMESTAMP or EXPIRED when now_ms lies outside the proof's
+    window, else None."""
+    if proof.timestamp_ms > now_ms + policy.max_clock_skew_ms:
+        return ValidationResult.FUTURE_TIMESTAMP
+    if now_ms > proof.timestamp_ms + policy.ttl_ms:
+        return ValidationResult.EXPIRED
+    return None
 
 
 def validate_proof(
@@ -389,11 +478,7 @@ def validate_proof(
     policy: ProofPolicy,
     now_ms: int,
 ) -> ValidationResult:
-    if proof.timestamp_ms > now_ms + policy.max_clock_skew_ms:
-        return ValidationResult.FUTURE_TIMESTAMP
-    if now_ms > proof.timestamp_ms + policy.ttl_ms:
-        return ValidationResult.EXPIRED
-    return _validate_crypto(proof, keyring)
+    return _time_verdict(proof, policy, now_ms) or _validate_crypto(proof, keyring)
 
 
 class ProofValidator:
@@ -413,10 +498,9 @@ class ProofValidator:
         self._cache: OrderedDict[bytes, ValidationResult] = OrderedDict()
 
     def validate(self, proof: VoteProof, now_ms: int) -> ValidationResult:
-        if proof.timestamp_ms > now_ms + self.policy.max_clock_skew_ms:
-            return ValidationResult.FUTURE_TIMESTAMP
-        if now_ms > proof.timestamp_ms + self.policy.ttl_ms:
-            return ValidationResult.EXPIRED
+        result = _time_verdict(proof, self.policy, now_ms)
+        if result is not None:
+            return result
         key = proof.digest
         result = self._cache.get(key)
         if result is not None:
@@ -438,74 +522,13 @@ def encode_proof(proof: VoteProof) -> bytes:
     return proof.encoded
 
 
-def _encode(proof: VoteProof) -> bytes:
-    head = (
-        bytes([proof.scheme])
-        + proof.term.to_bytes(8, "big")
-        + proof.timestamp_ms.to_bytes(8, "big")
-        + proof.candidate.to_bytes(2, "big")
-    )
-    if proof.scheme == wire.SCHEME_SCHNORR:
-        body = proof.body
-        return (
-            head
-            + wire.encode_combo_mask(body.combo.mask)
-            + wire.encode_point(body.nonce_point)
-            + wire.encode_scalar(body.s_value)
-        )
-    if proof.scheme == wire.SCHEME_SSS:
-        body = proof.body
-        out = head + body.salt + len(body.entries).to_bytes(2, "big")
-        for share, sig in body.entries:
-            out += (
-                encode_share(share)
-                + wire.encode_scalar(sig.r)
-                + wire.encode_scalar(sig.s)
-                + bytes([sig.recovery_hint])
-            )
-        return out
-    raise ProofError(f"unknown scheme {proof.scheme}")
-
-
 def decode_proof(data: bytes) -> VoteProof:
-    if len(data) < 19:
+    if len(data) < wire.VOTE_MESSAGE_LEN or data[0] not in SCHEMES:
         raise wire.MalformedError("malformed proof")
-    scheme = data[0]
-    term = int.from_bytes(data[1:9], "big")
-    timestamp_ms = int.from_bytes(data[9:17], "big")
-    candidate = int.from_bytes(data[17:19], "big")
-    rest = data[19:]
-    if scheme == wire.SCHEME_SCHNORR:
-        if len(data) != SCHNORR_PROOF_LEN:
-            raise wire.MalformedError("malformed proof")
-        combo = ComboId(wire.decode_combo_mask(rest[:8]))
-        nonce_point = wire.decode_point(rest[8:41])
-        s_value = wire.decode_scalar(rest[41:73])
-        return VoteProof(
-            scheme, term, timestamp_ms, candidate,
-            SchnorrBody(combo, nonce_point, s_value),
-        )
-    if scheme == wire.SCHEME_SSS:
-        if len(rest) < 34:
-            raise wire.MalformedError("malformed proof")
-        salt = rest[:32]
-        count = int.from_bytes(rest[32:34], "big")
-        rest = rest[34:]
-        if len(rest) != count * _SSS_ENTRY_LEN:
-            raise wire.MalformedError("malformed proof")
-        entries = []
-        for i in range(count):
-            chunk = rest[i * _SSS_ENTRY_LEN:(i + 1) * _SSS_ENTRY_LEN]
-            share = SssShare(
-                wire.decode_scalar(chunk[:32]), wire.decode_scalar(chunk[32:64])
-            )
-            sig = RecoverableSignature(
-                wire.decode_scalar(chunk[64:96]),
-                wire.decode_scalar(chunk[96:128]),
-                chunk[128],
-            )
-            entries.append((share, sig))
-        return VoteProof(
-            scheme, term, timestamp_ms, candidate, SssBody(salt, tuple(entries))
-        )
-    raise wire.MalformedError("malformed proof")
+    return VoteProof(
+        data[0],
+        int.from_bytes(data[1:9], "big"),
+        int.from_bytes(data[9:17], "big"),
+        int.from_bytes(data[17:19], "big"),
+        SCHEMES[data[0]].decode_body(data[wire.VOTE_MESSAGE_LEN:]),
+    )

@@ -121,7 +121,6 @@ def test_criterion_02_quorum_only_constructability():
     payloads = proofs.make_vote_payloads(
         candidate, 1, now, keyring, wire.SCHEME_SCHNORR, rng
     )
-    own = proofs.grant_vote(keypairs[candidate], payloads[candidate], keyring)
     others = [n for n in range(5) if n != candidate]
     for size in range(keyring.quorum_size - 1):
         for voters in combinations(others, size):
@@ -131,8 +130,7 @@ def test_criterion_02_quorum_only_constructability():
             ]
             try:
                 proofs.build_proof(
-                    keypairs[candidate], own, grants, keyring, 1, now,
-                    wire.SCHEME_SCHNORR,
+                    keypairs[candidate], payloads[candidate], grants, keyring
                 )
                 failures.append(f"build_proof accepted voters={voters}")
             except proofs.ProofError:
@@ -369,14 +367,10 @@ def test_criterion_07_sss_threshold_and_proof():
     payloads = proofs.make_vote_payloads(
         1, 1, now, keyring, wire.SCHEME_SSS, rng
     )
-    own = proofs.grant_vote(keypairs[1], payloads[1], keyring)
     grants = [
         proofs.grant_vote(keypairs[v], payloads[v], keyring) for v in (0, 3)
     ]
-    proof = proofs.build_proof(
-        keypairs[1], own, grants, keyring, 1, now, wire.SCHEME_SSS,
-        salt=payloads[1].salt,
-    )
+    proof = proofs.build_proof(keypairs[1], payloads[1], grants, keyring)
     if proofs.validate_proof(proof, keyring, POLICY, now) is not ValidationResult.OK:
         failures.append("clean SSS proof did not validate")
     if proofs.decode_proof(proofs.encode_proof(proof)) != proof:

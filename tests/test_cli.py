@@ -217,11 +217,8 @@ class TestVerify:
         payloads = proofs.make_vote_payloads(
             1, 1, now, keyring, wire.SCHEME_SCHNORR, random.Random(0)
         )
-        own = proofs.grant_vote(keypairs[1], payloads[1], keyring)
         grant = proofs.grant_vote(keypairs[0], payloads[0], keyring)
-        proof = proofs.build_proof(
-            keypairs[1], own, [grant], keyring, 1, now, wire.SCHEME_SCHNORR
-        )
+        proof = proofs.build_proof(keypairs[1], payloads[1], [grant], keyring)
         return proofs.encode_proof(proof).hex()
 
     def test_ok_exits_zero(self, keyset, capsys):
@@ -276,6 +273,35 @@ class TestVerify:
         )
         assert code == 2
         assert "malformed" in stderr
+        code, _, stderr = run_cli(
+            capsys, "verify", "--proof", "03" + hexblob[2:], "--keys", keyset,
+            "--now", "50000",
+        )
+        assert code == 2
+        assert "malformed" in stderr
+
+    @pytest.mark.parametrize("flag, value", [("--ttl", "0"), ("--skew", "-1")])
+    def test_bad_policy_is_usage_error(self, keyset, capsys, flag, value):
+        code, stdout, stderr = run_cli(
+            capsys, "verify", "--proof", self._proof_hex(keyset), "--keys", keyset,
+            "--now", "50000", flag, value,
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "error:" in stderr and flag in stderr
+
+    @pytest.mark.parametrize("text", [
+        "- 1", "keys: 5", "keys: [1]", "keys: [{node: 0, public: 5}]", "keys: [",
+    ], ids=["list", "keys-int", "keys-of-ints", "public-int", "not-yaml"])
+    def test_malformed_keyset_is_usage_error(self, tmp_path, capsys, text):
+        keys = tmp_path / "keys.yaml"
+        keys.write_text(text + "\n")
+        code, stdout, stderr = run_cli(
+            capsys, "verify", "--proof", "00", "--keys", str(keys), "--now", "0"
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "error: bad keyset:" in stderr
 
     def test_keyset_whose_keys_cancel_is_usage_error(self, tmp_path, capsys):
         # Keys X, -X and Y: combo {0, 1} has no aggregate key.

@@ -101,6 +101,8 @@ class TestInit:
             NodeConfig(heartbeat_interval_ms=200)
         with pytest.raises(ValueError):
             NodeConfig(proof_policy=ProofPolicy(ttl_ms=40))
+        with pytest.raises(ValueError, match="unknown scheme 9"):
+            NodeConfig(scheme=9)
 
 
 class TestElectionStart:
@@ -462,13 +464,18 @@ class TestVoteResponse:
         self._respond(candidate, grants[1])
         assert isinstance(candidate.role, Leader)
         assert calls == {"sign": 1, "verify": 0}
-        # The proof an eagerly signed own grant (every combo) would give.
+        # The proof assembled by hand from the candidate's grant_vote grant,
+        # which signs every combo.
         payload = proofs.make_vote_payloads(
             0, 1, 1000, keyring, wire.SCHEME_SCHNORR, random.Random(0)
         )[0]
-        eager = proofs.build_proof(
-            keypairs[0], proofs.grant_vote(keypairs[0], payload, keyring),
-            grants[:2], keyring, 1, 1000, wire.SCHEME_SCHNORR,
+        chosen = [proofs.grant_vote(keypairs[0], payload, keyring), *grants[:2]]
+        combo = proofs.ComboId.of(g.voter for g in chosen)
+        big_r, s = proofs.crypto.schnorr_aggregate([
+            next(p for p in g.partials if p.combo == combo) for g in chosen
+        ])
+        eager = proofs.VoteProof(
+            wire.SCHEME_SCHNORR, 1, 1000, 0, proofs.SchnorrBody(combo, big_r, s)
         )
         assert proofs.encode_proof(candidate.role.proof) == proofs.encode_proof(eager)
 

@@ -19,14 +19,10 @@ NOW = 100_000
 def build(keypairs, keyring, candidate, voters, scheme, term=1, now=NOW):
     rng = random.Random(11)
     payloads = proofs.make_vote_payloads(candidate, term, now, keyring, scheme, rng)
-    own = proofs.grant_vote(keypairs[candidate], payloads[candidate], keyring)
     grants = [
         proofs.grant_vote(keypairs[v], payloads[v], keyring) for v in voters
     ]
-    proof = proofs.build_proof(
-        keypairs[candidate], own, grants, keyring, term, now, scheme,
-        salt=payloads[candidate].salt,
-    )
+    proof = proofs.build_proof(keypairs[candidate], payloads[candidate], grants, keyring)
     return payloads, proof
 
 
@@ -165,7 +161,6 @@ class TestBuildProof:
         payloads = proofs.make_vote_payloads(
             1, 1, NOW, keyring, wire.SCHEME_SCHNORR, rng
         )
-        own = proofs.grant_vote(keypairs[1], payloads[1], keyring)
         grant = proofs.grant_vote(keypairs[0], payloads[0], keyring)
         bad = replace(
             grant,
@@ -174,18 +169,15 @@ class TestBuildProof:
             ),
         )
         with pytest.raises(proofs.ProofError, match="bad grant from 0"):
-            proofs.build_proof(
-                keypairs[1], own, [bad], keyring, 1, NOW, wire.SCHEME_SCHNORR
-            )
+            proofs.build_proof(keypairs[1], payloads[1], [bad], keyring)
 
     def _grants_1_0_2(self, cluster5):
         keypairs, keyring = cluster5
         payloads = proofs.make_vote_payloads(
             1, 1, NOW, keyring, wire.SCHEME_SCHNORR, random.Random(11)
         )
-        own = proofs.grant_vote(keypairs[1], payloads[1], keyring)
         grants = [proofs.grant_vote(keypairs[v], payloads[v], keyring) for v in (0, 2)]
-        return keypairs, keyring, own, grants
+        return keypairs, keyring, payloads[1], grants
 
     @staticmethod
     def _tamper(grant, hit):
@@ -205,9 +197,7 @@ class TestBuildProof:
         bad = self._tamper(grant0, lambda p: p.combo == chosen)
         assert sum(p != q for p, q in zip(bad.partials, grant0.partials)) == 1
         with pytest.raises(proofs.ProofError, match="bad grant from 0"):
-            proofs.build_proof(
-                keypairs[1], own, [bad, grant2], keyring, 1, NOW, wire.SCHEME_SCHNORR
-            )
+            proofs.build_proof(keypairs[1], own, [bad, grant2], keyring)
 
     def test_partials_outside_chosen_combo_not_rechecked(self, cluster5):
         # build_proof checks only the aggregate that enters the proof;
@@ -215,9 +205,7 @@ class TestBuildProof:
         keypairs, keyring, own, (grant0, grant2) = self._grants_1_0_2(cluster5)
         chosen = crypto.ComboId(0b111)
         bad = self._tamper(grant0, lambda p: p.combo != chosen)
-        proof = proofs.build_proof(
-            keypairs[1], own, [bad, grant2], keyring, 1, NOW, wire.SCHEME_SCHNORR
-        )
+        proof = proofs.build_proof(keypairs[1], own, [bad, grant2], keyring)
         assert proof.body.combo == chosen
         assert proofs.validate_proof(proof, keyring, POLICY, NOW) is ValidationResult.OK
 
@@ -226,9 +214,7 @@ class TestBuildProof:
         bad0 = self._tamper(grant0, lambda p: True)
         bad2 = self._tamper(grant2, lambda p: True)
         with pytest.raises(proofs.BadGrants, match="bad grant from 0, 2") as err:
-            proofs.build_proof(
-                keypairs[1], own, [bad0, bad2], keyring, 1, NOW, wire.SCHEME_SCHNORR
-            )
+            proofs.build_proof(keypairs[1], own, [bad0, bad2], keyring)
         assert err.value.voters == (0, 2)
 
     def test_sss_bad_share_signature_named(self, cluster5):
@@ -241,10 +227,7 @@ class TestBuildProof:
         assert share == payloads[3].share
         grants[1] = replace(grants[1], share_sig=(share, replace(sig, r=sig.r + 1)))
         with pytest.raises(proofs.BadGrants) as err:
-            proofs.build_proof(
-                keypairs[1], payloads[1], grants, keyring, 1, NOW, wire.SCHEME_SSS,
-                salt=payloads[1].salt,
-            )
+            proofs.build_proof(keypairs[1], payloads[1], grants, keyring)
         assert err.value.voters == (3,)
 
     @pytest.mark.parametrize("scheme", [wire.SCHEME_SCHNORR, wire.SCHEME_SSS])
@@ -253,7 +236,8 @@ class TestBuildProof:
     ):
         # Given its payload, the candidate signs one partial, for the combo
         # of itself and the first voters (Sss: its share), and the proof is
-        # the one an eagerly signed grant_vote grant gives.
+        # the one assembled by hand from its grant_vote grant, which signs
+        # every combo.
         keypairs, keyring = cluster5
         payloads = proofs.make_vote_payloads(
             1, 1, NOW, keyring, scheme, random.Random(11)
@@ -261,6 +245,7 @@ class TestBuildProof:
         grants = [
             proofs.grant_vote(keypairs[v], payloads[v], keyring) for v in (4, 0, 2)
         ]
+        own = proofs.grant_vote(keypairs[1], payloads[1], keyring)
         signed = []
         sign = crypto.schnorr_partial_sign
 
@@ -269,20 +254,20 @@ class TestBuildProof:
             return sign(kp, ring, combo, message)
 
         monkeypatch.setattr(crypto, "schnorr_partial_sign", counting_sign)
-        lazy = proofs.build_proof(
-            keypairs[1], payloads[1], grants, keyring, 1, NOW, scheme,
-            salt=payloads[1].salt,
-        )
+        lazy = proofs.build_proof(keypairs[1], payloads[1], grants, keyring)
+        chosen = [own, grants[0], grants[1]]  # candidate 1, voters 4 and 0
         if scheme == wire.SCHEME_SCHNORR:
-            assert signed == [crypto.ComboId(0b10011)]
-            assert lazy.body.combo == crypto.ComboId(0b10011)
+            combo = crypto.ComboId(0b10011)
+            assert signed == [combo]
+            assert lazy.body.combo == combo
+            body = proofs.SchnorrBody(combo, *crypto.schnorr_aggregate([
+                next(p for p in g.partials if p.combo == combo) for g in chosen
+            ]))
         else:
             assert signed == []
             assert [s.index for s, _ in lazy.body.entries] == [2, 5, 1]
-        own = proofs.grant_vote(keypairs[1], payloads[1], keyring)
-        eager = proofs.build_proof(
-            keypairs[1], own, grants, keyring, 1, NOW, scheme, salt=payloads[1].salt
-        )
+            body = proofs.SssBody(payloads[1].salt, tuple(g.share_sig for g in chosen))
+        eager = proofs.VoteProof(scheme, 1, NOW, 1, body)
         assert proofs.encode_proof(lazy) == proofs.encode_proof(eager)
         assert proofs.validate_proof(lazy, keyring, POLICY, NOW) is ValidationResult.OK
 
@@ -505,7 +490,7 @@ def test_forged_flood_keeps_validator_cache_bounded(cluster5, monkeypatch):
 class TestCodec:
     def test_round_trip_both_schemes(self, cluster5):
         keypairs, keyring = cluster5
-        for scheme in (wire.SCHEME_SCHNORR, wire.SCHEME_SSS):
+        for scheme in proofs.SCHEMES:
             _, proof = build(keypairs, keyring, 1, [0, 3], scheme)
             assert proofs.decode_proof(proofs.encode_proof(proof)) == proof
 
@@ -545,6 +530,8 @@ class TestCodec:
             proofs.decode_proof(blob[:91])
         with pytest.raises(wire.MalformedError, match="malformed proof"):
             proofs.decode_proof(blob + b"\x00")
+        with pytest.raises(wire.MalformedError, match="malformed proof"):
+            proofs.decode_proof(b"\x03" + blob[1:])
 
     def test_sss_length_check(self, cluster5):
         keypairs, keyring = cluster5
