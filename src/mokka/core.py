@@ -33,7 +33,6 @@ class Follower:
 
 @dataclass
 class Candidate:
-    started_ms: int
     payloads: Dict[NodeId, VotePayload]
     # Grants in arrival order. The candidate's own slot comes first and
     # stays None: it signs for the combo it assembles when the quorum forms.
@@ -190,7 +189,7 @@ def init(
         keypair=keypair,
         config=config,
         rng=rng,
-        validator=ProofValidator(keyring, config.proof_policy),
+        validator=ProofValidator(keyring, id),
     )
     return state, [_arm_election(state, "init")]
 
@@ -246,11 +245,7 @@ def _start_election(state: NodeState, now_ms: int) -> List[Output]:
         state.id, term, now_ms, state.keyring, state.config.scheme, state.rng
     )
     state.voted_for = (term, state.id)
-    state.role = Candidate(
-        started_ms=now_ms,
-        payloads=payloads,
-        pending_grants={state.id: None},
-    )
+    state.role = Candidate(payloads=payloads, pending_grants={state.id: None})
     requests = tuple(
         Packet(state.id, peer, VoteRequest(payloads[peer])) for peer in _peers(state)
     )
@@ -367,26 +362,35 @@ def _on_vote_response(state: NodeState, grant: VoteGrant, now_ms: int) -> List[O
 
 
 def _on_heartbeat(state: NodeState, hb: Heartbeat, now_ms: int) -> List[Output]:
-    if hb.proof.term != hb.term or hb.proof.candidate != hb.leader:
+    """Checks run cheapest first; only a fresh proof from another node
+    reaches the validator, whose own-vote refutation needs a term no
+    lower than this node's."""
+    proof = hb.proof
+    if proof.term != hb.term or proof.candidate != hb.leader:
         return [Diagnostic("proof-mismatch", f"term={hb.term} leader={hb.leader}")]
-    result = state.validator.validate(hb.proof, now_ms)
+    result = proofs.time_verdict(proof, state.config.proof_policy, now_ms)
+    if result is None:
+        if hb.leader == state.id:
+            # Its own proof replayed back to it: nothing to follow.
+            return [Diagnostic("self-leader", f"term={hb.term}")]
+        if hb.term < state.current_term:
+            return [Diagnostic("stale-term", f"heartbeat term={hb.term}")]
+        result = state.validator.validate(proof, state.voted_for)
     if result is not ValidationResult.OK:
         return [
             Diagnostic(result.value, f"term={hb.term} leader={hb.leader}")
         ]
-    if hb.term < state.current_term:
-        return [Diagnostic("stale-term", f"heartbeat term={hb.term}")]
     outputs: List[Output] = []
     if hb.term > state.current_term:
         state.current_term = hb.term
     if not isinstance(state.role, Follower):
         state.role = Follower()
         outputs.append(RoleChanged("follower", state.current_term))
-    state.known_leader = (hb.leader, proofs.proof_hash(hb.proof))
+    state.known_leader = (hb.leader, proofs.proof_hash(proof))
     outputs.append(
         ArmElectionTimer(
             state.rng.randint(*state.config.election_timeout_range_ms),
-            f"heartbeat leader={hb.leader} proof_ts={hb.proof.timestamp_ms}",
+            f"heartbeat leader={hb.leader} proof_ts={proof.timestamp_ms}",
         )
     )
     return outputs

@@ -121,8 +121,10 @@ _SCHNORR_BODY_LEN = 8 + 33 + 32
 _SSS_ENTRY_LEN = 32 + 32 + 32 + 32 + 1
 
 # Crypto verdicts a ProofValidator keeps, least recently used evicted first.
-# A fake-leader run stores about 60 per validator; forged proofs beyond the
-# cap cost a re-verification each, not memory.
+# In a fake-leader run (n = 3, 3 s) the node outside the forged combo stores
+# about 60; the combo member refutes the forgeries from its vote record and
+# stores at most the real leader's proof. Forged proofs beyond the cap cost
+# a re-verification each, not memory.
 VALIDATOR_CACHE_SIZE = 256
 
 
@@ -173,6 +175,10 @@ def _share_signed(
 #   assemble(candidate_kp, own, members, by_voter, keyring)
 #                                                     the proof body, or raise
 #   check(proof, keyring)                             the crypto verdict
+#   signers(proof, keyring)                           the nodes whose signatures
+#                                                     the body claims, without
+#                                                     crypto; none when the
+#                                                     body is structurally off
 #   encode_body(body), decode_body(data)              the body's wire codec
 #
 # crypto is called through the module, so tools that wrap or patch its
@@ -246,6 +252,12 @@ class _Schnorr:
             keyring, body.combo, _message(proof), body.nonce_point, body.s_value
         )
         return ValidationResult.OK if ok else ValidationResult.BAD_SIGNATURE
+
+    def signers(self, proof, keyring):
+        body = proof.body
+        if body.combo not in keyring.combos or proof.candidate not in body.combo:
+            return ()
+        return body.combo
 
     def encode_body(self, body):
         return (
@@ -339,6 +351,15 @@ class _Sss:
         if restored != expected:
             return ValidationResult.BAD_SECRET
         return ValidationResult.OK
+
+    def signers(self, proof, keyring):
+        entries = proof.body.entries
+        if len(entries) < keyring.quorum_size:
+            return ()
+        try:
+            return {keyring.node_for_ordinal(share.index) for share, _ in entries}
+        except crypto.CryptoError:
+            return ()
 
     def encode_body(self, body):
         out = body.salt + len(body.entries).to_bytes(2, "big")
@@ -460,7 +481,7 @@ def _validate_crypto(proof: VoteProof, keyring: ClusterKeyring) -> ValidationRes
     return _scheme_of(proof.scheme).check(proof, keyring)
 
 
-def _time_verdict(
+def time_verdict(
     proof: VoteProof, policy: ProofPolicy, now_ms: int
 ) -> Optional[ValidationResult]:
     """FUTURE_TIMESTAMP or EXPIRED when now_ms lies outside the proof's
@@ -478,34 +499,52 @@ def validate_proof(
     policy: ProofPolicy,
     now_ms: int,
 ) -> ValidationResult:
-    return _time_verdict(proof, policy, now_ms) or _validate_crypto(proof, keyring)
+    return time_verdict(proof, policy, now_ms) or _validate_crypto(proof, keyring)
 
 
 class ProofValidator:
-    """validate_proof with a per-proof-bytes cache of the crypto verdict.
+    """A node's signature verdicts on the proofs it receives, cheapest
+    first: a cache of crypto verdicts per proof bytes, then the node's own
+    vote record, then the crypto.
 
-    Time checks run on every call; only the signature/secret work is
-    cached, so the first heartbeat pays the cost and later ones do not.
+    The caller answers the time checks (``time_verdict``) beforehand.
+    owner is the node whose vote record ``validate`` consults; without one
+    that step is skipped.
     Any byte change in the proof forces revalidation. At most
     VALIDATOR_CACHE_SIZE verdicts are kept; a hit makes its entry the most
     recent, so a flood of forged proofs evicts the oldest forgeries, not
     the proof of a leader that keeps sending heartbeats.
     """
 
-    def __init__(self, keyring: ClusterKeyring, policy: ProofPolicy):
+    def __init__(self, keyring: ClusterKeyring, owner: Optional[NodeId] = None):
         self.keyring = keyring
-        self.policy = policy
+        self.owner = owner
         self._cache: OrderedDict[bytes, ValidationResult] = OrderedDict()
 
-    def validate(self, proof: VoteProof, now_ms: int) -> ValidationResult:
-        result = _time_verdict(proof, self.policy, now_ms)
-        if result is not None:
-            return result
+    def validate(
+        self, proof: VoteProof, voted_for: Optional[Tuple[int, NodeId]] = None
+    ) -> ValidationResult:
+        """The signature verdict on proof inside its time window.
+
+        voted_for is the owner's vote record, and proof.term must not lie
+        below the owner's current term. The owner signs for (term,
+        candidate) only when it votes so, and its record changes only when
+        its term rises. So when the proof claims the owner's signature and
+        voted_for is not (proof.term, proof.candidate), that signature
+        cannot be real: the answer is BAD_SIGNATURE without any curve work,
+        and it is not cached. Otherwise the verdict is ``validate_proof``'s.
+        """
         key = proof.digest
         result = self._cache.get(key)
         if result is not None:
             self._cache.move_to_end(key)
             return result
+        if (
+            self.owner is not None
+            and voted_for != (proof.term, proof.candidate)
+            and self.owner in _scheme_of(proof.scheme).signers(proof, self.keyring)
+        ):
+            return ValidationResult.BAD_SIGNATURE
         result = _validate_crypto(proof, self.keyring)
         self._cache[key] = result
         if len(self._cache) > VALIDATOR_CACHE_SIZE:

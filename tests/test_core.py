@@ -68,6 +68,45 @@ def elect_leader(cluster, candidate=0, now_ms=1000, scheme=wire.SCHEME_SCHNORR):
     return states, final_outs
 
 
+def _count_calls(monkeypatch, name):
+    """Record each call of crypto.<name> made from here on."""
+    calls = []
+    original = getattr(proofs.crypto, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(proofs.crypto, name, counting)
+    return calls
+
+
+FORGED_COMBO = proofs.crypto.ComboId.of([0, 2])
+
+
+def _forged_schnorr_heartbeat(keyring, rng, now, algebraic=False):
+    """Node 2's heartbeat at term 99 over combo {0, 2}, signed by nobody.
+
+    Random (R, s) fails the crypto. The algebraic forgery R = s*G - e*A
+    passes it: the challenge e does not depend on R (ROADMAP item 1).
+    """
+    curve = proofs.curve
+    s = rng.randrange(1, curve.N)
+    if algebraic:
+        message = wire.vote_message(wire.SCHEME_SCHNORR, 99, now, 2)
+        e = proofs.crypto.schnorr_challenge(keyring, FORGED_COMBO, message)
+        big_r = curve.point_add(
+            curve.scalar_mult_base(s),
+            curve.point_neg(curve.scalar_mult(e, keyring.combos[FORGED_COMBO])),
+        )
+    else:
+        big_r = curve.scalar_mult_base(rng.randrange(1, curve.N))
+    proof = proofs.VoteProof(
+        wire.SCHEME_SCHNORR, 99, now, 2, proofs.SchnorrBody(FORGED_COMBO, big_r, s)
+    )
+    return Heartbeat(99, 2, proof)
+
+
 class TestInit:
     def test_starts_as_follower_term_zero(self, cluster3):
         state, outs = make_node(0, cluster3)
@@ -568,6 +607,142 @@ class TestHeartbeat:
         _, outs = core.step(follower, PacketArrived(Packet(0, 2, hb)), 1020)
         assert follower.current_term == hb.term
         assert isinstance(follower.role, Follower)
+
+
+    def test_stale_forged_heartbeat_costs_no_crypto(self, cluster3, monkeypatch):
+        follower, _ = make_node(1, cluster3)
+        follower.current_term = 100
+        calls = _count_calls(monkeypatch, "schnorr_verify")
+        hb = _forged_schnorr_heartbeat(cluster3[1], random.Random(5), now=1000)
+        _, outs = core.step(follower, PacketArrived(Packet(2, 1, hb)), 1000)
+        assert outs == [Diagnostic("stale-term", "heartbeat term=99")]
+        ttl = follower.config.proof_policy.ttl_ms
+        _, outs = core.step(follower, PacketArrived(Packet(2, 1, hb)), 1000 + ttl + 1)
+        assert only(outs, Diagnostic).code == "expired"
+        assert calls == [] and not follower.validator._cache
+
+    def test_cached_proof_still_expires(self, cluster3):
+        states, hb = self._leader_and_heartbeat(cluster3)
+        follower = states[2]
+        core.step(follower, PacketArrived(Packet(0, 2, hb)), 1050)
+        assert follower.validator._cache
+        ttl = follower.config.proof_policy.ttl_ms
+        _, outs = core.step(follower, PacketArrived(Packet(0, 2, hb)), 1000 + ttl + 1)
+        assert only(outs, Diagnostic).code == "expired"
+
+    def test_own_proof_replayed_to_leader_changes_nothing(self, cluster3):
+        states, hb = self._leader_and_heartbeat(cluster3)
+        leader = states[0]
+        known = leader.known_leader
+        _, outs = core.step(leader, PacketArrived(Packet(0, 0, hb)), 1300)
+        assert outs == [Diagnostic("self-leader", "term=1")]
+        assert isinstance(leader.role, Leader) and leader.known_leader == known
+        assert leader.current_term == 1
+        # The time checks come first: a replay past the ttl reads expired.
+        ttl = leader.config.proof_policy.ttl_ms
+        _, outs = core.step(leader, PacketArrived(Packet(0, 0, hb)), 1000 + ttl + 1)
+        assert only(outs, Diagnostic).code == "expired"
+        assert isinstance(leader.role, Leader)
+
+
+class TestOwnVoteRefutation:
+    """A proof that claims this node's signature for a vote the node never
+    cast is refuted from its vote record, before any curve work."""
+
+    def test_combo_member_refutes_without_crypto(self, cluster3, monkeypatch):
+        calls = _count_calls(monkeypatch, "schnorr_verify")
+        hb = _forged_schnorr_heartbeat(cluster3[1], random.Random(1), now=1000)
+        member, _ = make_node(0, cluster3)
+        _, outs = core.step(member, PacketArrived(Packet(2, 0, hb)), 1000)
+        assert outs == [Diagnostic("bad_signature", "term=99 leader=2")]
+        assert calls == []
+        assert member.known_leader is None and member.current_term == 0
+        # Having voted for another candidate in that term refutes it too.
+        member.voted_for = (99, 0)
+        _, outs = core.step(member, PacketArrived(Packet(2, 0, hb)), 1000)
+        assert only(outs, Diagnostic).code == "bad_signature"
+        assert calls == []
+        outsider, _ = make_node(1, cluster3)
+        _, outs = core.step(outsider, PacketArrived(Packet(2, 1, hb)), 1000)
+        assert outs == [Diagnostic("bad_signature", "term=99 leader=2")]
+        assert len(calls) == 1
+
+    def test_combo_outside_the_keyring_reads_unknown_voter(self, cluster3):
+        hb = _forged_schnorr_heartbeat(cluster3[1], random.Random(6), now=1000)
+        body = replace(hb.proof.body, combo=proofs.crypto.ComboId(0b111))
+        hb = replace(hb, proof=replace(hb.proof, body=body))
+        member, _ = make_node(0, cluster3)
+        _, outs = core.step(member, PacketArrived(Packet(2, 0, hb)), 1000)
+        assert outs == [Diagnostic("unknown_voter", "term=99 leader=2")]
+
+    def test_refutations_are_not_cached(self, cluster3):
+        hb = _forged_schnorr_heartbeat(cluster3[1], random.Random(2), now=1000)
+        member, _ = make_node(0, cluster3)
+        for now in (1000, 1050):
+            _, outs = core.step(member, PacketArrived(Packet(2, 0, hb)), now)
+            assert only(outs, Diagnostic).code == "bad_signature"
+        assert not member.validator._cache
+
+    def test_voter_still_accepts_the_proof_it_signed(self, cluster3, monkeypatch):
+        states, outs = elect_leader(cluster3)
+        hb = only(outs, Send).packets[0].body
+        voter = states[1]
+        assert voter.voted_for == (1, 0) and 1 in hb.proof.body.combo
+        calls = _count_calls(monkeypatch, "schnorr_verify")
+        _, outs = core.step(voter, PacketArrived(Packet(0, 1, hb)), 1050)
+        assert only(outs, ArmElectionTimer).cause == "heartbeat leader=0 proof_ts=1000"
+        assert voter.known_leader[0] == 0
+        assert len(calls) == 1
+
+    def test_member_refutes_the_algebraic_forgery(self, cluster3):
+        _, keyring = cluster3
+        hb = _forged_schnorr_heartbeat(keyring, random.Random(3), 1000, algebraic=True)
+        policy = ProofPolicy()
+        assert proofs.validate_proof(
+            hb.proof, keyring, policy, 1000
+        ) is proofs.ValidationResult.OK
+        member, _ = make_node(0, cluster3)
+        _, outs = core.step(member, PacketArrived(Packet(2, 0, hb)), 1000)
+        assert outs == [Diagnostic("bad_signature", "term=99 leader=2")]
+        assert member.known_leader is None
+        # A node outside the combo has no record to refute it from.
+        outsider, _ = make_node(1, cluster3)
+        core.step(outsider, PacketArrived(Packet(2, 1, hb)), 1000)
+        assert outsider.known_leader[0] == 2
+
+    @staticmethod
+    def _sss_heartbeat(indices, rng):
+        entries = tuple(
+            (
+                proofs.crypto.SssShare(index, rng.randrange(proofs.curve.N)),
+                proofs.crypto.RecoverableSignature(
+                    rng.randrange(1, proofs.curve.N),
+                    rng.randrange(1, proofs.curve.N),
+                    0,
+                ),
+            )
+            for index in indices
+        )
+        proof = proofs.VoteProof(
+            wire.SCHEME_SSS, 99, 1000, 2, proofs.SssBody(rng.randbytes(32), entries)
+        )
+        return Heartbeat(99, 2, proof)
+
+    @pytest.mark.parametrize("indices, code, checks", [
+        ((3, 1), "bad_signature", 0),   # names node 0, the receiver
+        ((3, 2), "bad_signature", 1),   # receiver not named: checked
+        ((1,), "bad_secret", 0),        # fewer than q entries
+        ((7, 1), "unknown_voter", 0),   # an index no node holds
+    ])
+    def test_sss_shares_naming_the_receiver(
+        self, cluster3, monkeypatch, indices, code, checks
+    ):
+        calls = _count_calls(monkeypatch, "verify_recoverable")
+        hb = self._sss_heartbeat(indices, random.Random(4))
+        node, _ = make_node(0, cluster3)
+        _, outs = core.step(node, PacketArrived(Packet(2, 0, hb)), 1000)
+        assert outs == [Diagnostic(code, "term=99 leader=2")]
+        assert len(calls) == checks
 
 
 class TestLeaderTick:

@@ -159,6 +159,26 @@ class TestAdversaries:
             for ev in trace
         )
 
+    def test_replay_to_its_own_leader_does_not_unseat_it(self):
+        # The replayer also sends the proof to its own leader, which must
+        # keep leading until the proof expires.
+        trace, report = simnet.run(
+            load_scenario(scenario_path("proof-replay-within-ttl"))
+        )
+        led_since = {}
+        for ev in trace:
+            if ev.kind != "role_change":
+                continue
+            if ev.detail.startswith("leader"):
+                led_since[ev.node] = int(ev.detail.split("proof_ts=")[1].split()[0])
+            elif ev.node in led_since:
+                proof_ts = led_since.pop(ev.node)
+                assert ev.time_ms > proof_ts + report.proof_ttl_ms, ev.line()
+        assert any(
+            ev.kind == "diagnostic" and ev.detail.startswith("self-leader")
+            for ev in trace
+        )
+
     def test_replay_after_ttl_rejected_as_expired(self):
         trace, report = simnet.run(
             load_scenario(scenario_path("proof-replay-after-ttl"))
