@@ -177,8 +177,10 @@ def _share_signed(
 #   check(proof, keyring)                             the crypto verdict
 #   signers(proof, keyring)                           the nodes whose signatures
 #                                                     the body claims, without
-#                                                     crypto; none when the
-#                                                     body is structurally off
+#                                                     crypto; none when check
+#                                                     answers other than
+#                                                     BAD_SIGNATURE from the
+#                                                     body's shape alone
 #   encode_body(body), decode_body(data)              the body's wire codec
 #
 # crypto is called through the module, so tools that wrap or patch its
@@ -254,10 +256,8 @@ class _Schnorr:
         return ValidationResult.OK if ok else ValidationResult.BAD_SIGNATURE
 
     def signers(self, proof, keyring):
-        body = proof.body
-        if body.combo not in keyring.combos or proof.candidate not in body.combo:
-            return ()
-        return body.combo
+        combo = proof.body.combo
+        return combo if combo in keyring.combos else ()
 
     def encode_body(self, body):
         return (
@@ -508,21 +508,20 @@ class ProofValidator:
     vote record, then the crypto.
 
     The caller answers the time checks (``time_verdict``) beforehand.
-    owner is the node whose vote record ``validate`` consults; without one
-    that step is skipped.
+    owner is the node whose vote record ``validate`` consults.
     Any byte change in the proof forces revalidation. At most
     VALIDATOR_CACHE_SIZE verdicts are kept; a hit makes its entry the most
     recent, so a flood of forged proofs evicts the oldest forgeries, not
     the proof of a leader that keeps sending heartbeats.
     """
 
-    def __init__(self, keyring: ClusterKeyring, owner: Optional[NodeId] = None):
+    def __init__(self, keyring: ClusterKeyring, owner: NodeId):
         self.keyring = keyring
         self.owner = owner
         self._cache: OrderedDict[bytes, ValidationResult] = OrderedDict()
 
     def validate(
-        self, proof: VoteProof, voted_for: Optional[Tuple[int, NodeId]] = None
+        self, proof: VoteProof, voted_for: Optional[Tuple[int, NodeId]]
     ) -> ValidationResult:
         """The signature verdict on proof inside its time window.
 
@@ -533,6 +532,10 @@ class ProofValidator:
         voted_for is not (proof.term, proof.candidate), that signature
         cannot be real: the answer is BAD_SIGNATURE without any curve work,
         and it is not cached. Otherwise the verdict is ``validate_proof``'s.
+
+        This holds only while voted_for outlives the process: an owner that
+        restarts with no vote record refutes the genuine proof of the
+        leader it voted for until the next election.
         """
         key = proof.digest
         result = self._cache.get(key)
@@ -540,8 +543,7 @@ class ProofValidator:
             self._cache.move_to_end(key)
             return result
         if (
-            self.owner is not None
-            and voted_for != (proof.term, proof.candidate)
+            voted_for != (proof.term, proof.candidate)
             and self.owner in _scheme_of(proof.scheme).signers(proof, self.keyring)
         ):
             return ValidationResult.BAD_SIGNATURE

@@ -401,37 +401,43 @@ class TestValidateProof:
         )
 
 
+# The validators below belong to node 0, which voted for candidate 1 in
+# term 1: it signed the honest proofs that build() makes, and the forged
+# proofs naming it are refuted without reaching the crypto.
+VOTED = (1, 1)
+
+
 class TestValidatorCache:
     def test_cache_hits_do_not_recompute(self, cluster3, monkeypatch):
         keypairs, keyring = cluster3
         _, proof = build(keypairs, keyring, 1, [0], wire.SCHEME_SCHNORR)
-        validator = proofs.ProofValidator(keyring)
-        assert validator.validate(proof) is ValidationResult.OK
+        validator = proofs.ProofValidator(keyring, 0)
+        assert validator.validate(proof, VOTED) is ValidationResult.OK
         calls = []
         monkeypatch.setattr(
             proofs, "_validate_crypto",
             lambda *a: calls.append(1) or ValidationResult.OK,
         )
-        assert validator.validate(proof) is ValidationResult.OK
+        assert validator.validate(proof, VOTED) is ValidationResult.OK
         assert calls == []
 
     def test_any_byte_change_forces_revalidation(self, cluster3):
         keypairs, keyring = cluster3
         _, proof = build(keypairs, keyring, 1, [0], wire.SCHEME_SCHNORR)
-        validator = proofs.ProofValidator(keyring)
-        assert validator.validate(proof) is ValidationResult.OK
+        validator = proofs.ProofValidator(keyring, 0)
+        assert validator.validate(proof, VOTED) is ValidationResult.OK
         bad = replace(
             proof, body=replace(proof.body, s_value=(proof.body.s_value + 1) % curve.N)
         )
-        assert validator.validate(bad) is ValidationResult.BAD_SIGNATURE
+        assert validator.validate(bad, VOTED) is ValidationResult.BAD_SIGNATURE
 
     def test_time_checks_still_fresh_after_caching(self, cluster3):
         # The cache holds signature verdicts only; the caller checks the
         # time window afresh on every heartbeat.
         keypairs, keyring = cluster3
         _, proof = build(keypairs, keyring, 1, [0], wire.SCHEME_SCHNORR)
-        validator = proofs.ProofValidator(keyring)
-        assert validator.validate(proof) is ValidationResult.OK
+        validator = proofs.ProofValidator(keyring, 0)
+        assert validator.validate(proof, VOTED) is ValidationResult.OK
         assert proofs.time_verdict(proof, POLICY, NOW) is None
         assert proofs.time_verdict(
             proof, POLICY, NOW + POLICY.ttl_ms + 1
@@ -458,10 +464,10 @@ def forged_proofs(keyring, count, seed):
 def test_forged_flood_keeps_key_tables_bounded(cluster5):
     # Only the keyring's node keys may get fixed-base tables.
     _, keyring = cluster5
-    validator = proofs.ProofValidator(keyring)
+    validator = proofs.ProofValidator(keyring, 0)
     curve.key_table.cache_clear()
     for forged in forged_proofs(keyring, 1000, seed=23):
-        assert validator.validate(forged) is ValidationResult.BAD_SIGNATURE
+        assert validator.validate(forged, VOTED) is ValidationResult.BAD_SIGNATURE
     assert 0 < curve.key_table.cache_info().currsize <= len(keyring.node_keys)
 
 
@@ -471,7 +477,7 @@ def test_forged_flood_keeps_validator_cache_bounded(cluster5, monkeypatch):
     # evict each other.
     keypairs, keyring = cluster5
     _, honest = build(keypairs, keyring, 1, [0, 3], wire.SCHEME_SCHNORR)
-    validator = proofs.ProofValidator(keyring)
+    validator = proofs.ProofValidator(keyring, 0)
     honest_checks = []
     check = proofs._validate_crypto
 
@@ -483,9 +489,9 @@ def test_forged_flood_keeps_validator_cache_bounded(cluster5, monkeypatch):
     monkeypatch.setattr(proofs, "_validate_crypto", counting_check)
     for i, forged in enumerate(forged_proofs(keyring, 1000, seed=29)):
         if i % 100 == 0:
-            assert validator.validate(honest) is ValidationResult.OK
-        assert validator.validate(forged) is ValidationResult.BAD_SIGNATURE
-    assert validator.validate(honest) is ValidationResult.OK
+            assert validator.validate(honest, VOTED) is ValidationResult.OK
+        assert validator.validate(forged, VOTED) is ValidationResult.BAD_SIGNATURE
+    assert validator.validate(honest, VOTED) is ValidationResult.OK
     assert honest_checks == [1]
     assert len(validator._cache) == proofs.VALIDATOR_CACHE_SIZE
 
