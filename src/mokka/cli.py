@@ -157,19 +157,6 @@ def _cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     trace, report = simnet.run(scenario)
-    if args.selftest_inject_violation:
-        # Harness self-test: feed the checker a trace with an impossible
-        # dual leadership and make sure the exit path reports it.
-        forged = list(trace)
-        nodes = sorted(report.final_roles)[:2]
-        for node in nodes:
-            forged.append(
-                simnet.TraceEvent(0, 10**9 + node, "role_change", node,
-                                  "leader term=999999 proof_ts=0")
-            )
-        report.leaders_per_term.setdefault(999999, []).extend(nodes)
-        report.violations = simnet.check_invariants(forged, report)
-        trace = forged
     summary = simnet.scripted_partition_leadership(trace, report)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
@@ -272,10 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("scenario")
     p_run.add_argument("--machine", action="store_true")
     p_run.add_argument("--trace", type=str, default=None)
-    p_run.add_argument(
-        "--selftest-inject-violation", action="store_true",
-        help=argparse.SUPPRESS,
-    )
     p_run.set_defaults(func=_cmd_run)
 
     p_check = sub.add_parser("check", help="run scenarios under many seeds")

@@ -87,8 +87,6 @@ class VoteResponse:
 
 @dataclass(frozen=True)
 class Heartbeat:
-    term: int
-    leader: NodeId
     proof: VoteProof
 
 
@@ -158,7 +156,7 @@ class NodeState:
     current_term: int
     voted_for: Optional[Tuple[int, NodeId]]
     role: Role
-    known_leader: Optional[Tuple[NodeId, str]]
+    known_leader: Optional[NodeId]
     keyring: ClusterKeyring
     keypair: KeyPair
     config: NodeConfig
@@ -232,7 +230,7 @@ def _peers(state: NodeState) -> List[NodeId]:
 def _heartbeat_burst(state: NodeState, proof: VoteProof) -> Send:
     return Send(
         tuple(
-            Packet(state.id, peer, Heartbeat(proof.term, state.id, proof))
+            Packet(state.id, peer, Heartbeat(proof))
             for peer in _peers(state)
         )
     )
@@ -353,7 +351,7 @@ def _on_vote_response(state: NodeState, grant: VoteGrant, now_ms: int) -> List[O
         role.build_failure = str(exc)
         return outputs + [Diagnostic("bad-grant", role.build_failure)]
     state.role = Leader(proof)
-    state.known_leader = (state.id, proofs.proof_hash(proof))
+    state.known_leader = state.id
     return outputs + [
         RoleChanged("leader", state.current_term, proof),
         _heartbeat_burst(state, proof),
@@ -366,31 +364,28 @@ def _on_heartbeat(state: NodeState, hb: Heartbeat, now_ms: int) -> List[Output]:
     reaches the validator, whose own-vote refutation needs a term no
     lower than this node's."""
     proof = hb.proof
-    if proof.term != hb.term or proof.candidate != hb.leader:
-        return [Diagnostic("proof-mismatch", f"term={hb.term} leader={hb.leader}")]
+    term, leader = proof.term, proof.candidate
     result = proofs.time_verdict(proof, state.config.proof_policy, now_ms)
     if result is None:
-        if hb.leader == state.id:
+        if leader == state.id:
             # Its own proof replayed back to it: nothing to follow.
-            return [Diagnostic("self-leader", f"term={hb.term}")]
-        if hb.term < state.current_term:
-            return [Diagnostic("stale-term", f"heartbeat term={hb.term}")]
+            return [Diagnostic("self-leader", f"term={term}")]
+        if term < state.current_term:
+            return [Diagnostic("stale-term", f"heartbeat term={term}")]
         result = state.validator.validate(proof, state.voted_for)
     if result is not ValidationResult.OK:
-        return [
-            Diagnostic(result.value, f"term={hb.term} leader={hb.leader}")
-        ]
+        return [Diagnostic(result.value, f"term={term} leader={leader}")]
     outputs: List[Output] = []
-    if hb.term > state.current_term:
-        state.current_term = hb.term
+    if term > state.current_term:
+        state.current_term = term
     if not isinstance(state.role, Follower):
         state.role = Follower()
         outputs.append(RoleChanged("follower", state.current_term))
-    state.known_leader = (hb.leader, proofs.proof_hash(proof))
+    state.known_leader = leader
     outputs.append(
         ArmElectionTimer(
             state.rng.randint(*state.config.election_timeout_range_ms),
-            f"heartbeat leader={hb.leader} proof_ts={proof.timestamp_ms}",
+            f"heartbeat leader={leader} proof_ts={proof.timestamp_ms}",
         )
     )
     return outputs
@@ -399,8 +394,8 @@ def _on_heartbeat(state: NodeState, hb: Heartbeat, now_ms: int) -> List[Output]:
 def _on_heartbeat_tick(state: NodeState, now_ms: int) -> List[Output]:
     role = state.role
     assert isinstance(role, Leader)
-    ttl = state.config.proof_policy.ttl_ms
-    if now_ms > role.proof.timestamp_ms + ttl:
+    verdict = proofs.time_verdict(role.proof, state.config.proof_policy, now_ms)
+    if verdict is ValidationResult.EXPIRED:
         state.role = Follower()
         state.known_leader = None
         return [

@@ -5,8 +5,8 @@ silently becomes a default. See the bundled files under ``scenarios/``
 for the full vocabulary.
 """
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Optional, Tuple
 
 import yaml
 
@@ -39,7 +39,6 @@ class AdversarySpec:
 class Scenario:
     name: str
     n: int
-    scheme: int
     node_config: NodeConfig
     seed: int
     duration_ms: int
@@ -87,17 +86,23 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError(f"not valid YAML: {exc}") from None
     if not isinstance(data, dict):
         raise ScenarioError("scenario must be a mapping")
-    _check_keys(data, _TOP_KEYS, "scenario")
-    for key in ("nodes", "seed", "duration_ms"):
-        if key not in data:
-            raise ScenarioError(f"missing required key {key!r}")
-
-    n = int(data["nodes"])
-    scheme_name = data.get("scheme", "schnorr")
-    if scheme_name not in _SCHEMES:
-        raise ScenarioError(f"unknown scheme {scheme_name!r}")
-
+    # A KeyError, TypeError or ValueError below means a malformed value; it
+    # is reported against the section being read when it was raised.
+    where = "scenario"
     try:
+        _check_keys(data, _TOP_KEYS, where)
+        for key in ("nodes", "seed", "duration_ms"):
+            if key not in data:
+                raise ScenarioError(f"missing required key {key!r}")
+
+        n = int(data["nodes"])
+        if n < 3:
+            raise ScenarioError("cluster too small")
+        if n > MAX_NODES:
+            raise ScenarioError(f"cluster too large: at most {MAX_NODES} nodes")
+        scheme_name = data.get("scheme", "schnorr")
+        if scheme_name not in _SCHEMES:
+            raise ScenarioError(f"unknown scheme {scheme_name!r}")
         node_config = NodeConfig(
             election_timeout_range_ms=_pair(
                 data.get("election_timeout_ms", [150, 300]), "election_timeout_ms"
@@ -109,83 +114,85 @@ def parse_scenario(text: str) -> Scenario:
             ),
             scheme=_SCHEMES[scheme_name],
         )
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from None
+        seed = int(data["seed"])
+        duration_ms = int(data["duration_ms"])
+        preferred = data.get("preferred_first_candidate")
+        if preferred is not None:
+            preferred = int(preferred)
+            if not 0 <= preferred < n:
+                raise ScenarioError("preferred_first_candidate out of range")
+        latency = _pair(data.get("latency_ms", [5, 25]), "latency_ms")
+        if not 0 <= latency[0] <= latency[1]:
+            raise ScenarioError("latency_ms must satisfy 0 <= min <= max")
+        drop = float(data.get("drop_probability", 0.0))
+        if not 0.0 <= drop < 1.0:
+            raise ScenarioError("drop_probability must be in [0, 1)")
 
-    partitions = []
-    for i, raw in enumerate(data.get("partitions") or []):
-        if not isinstance(raw, dict):
-            raise ScenarioError("partition entries must be mappings")
-        _check_keys(raw, _PARTITION_KEYS, f"partitions[{i}]")
-        groups = tuple(
-            tuple(int(m) for m in group) for group in raw.get("groups", [])
-        )
-        part = Partition(int(raw["start_ms"]), int(raw["end_ms"]), groups)
-        if part.start_ms >= part.end_ms:
-            raise ScenarioError(f"partitions[{i}]: start_ms must precede end_ms")
-        members = [m for g in groups for m in g]
-        if sorted(members) != list(range(n)):
-            raise ScenarioError(
-                f"partitions[{i}]: groups must be disjoint and cover all nodes"
+        partitions = []
+        where = "partitions"
+        for i, raw in enumerate(data.get("partitions") or []):
+            where = f"partitions[{i}]"
+            if not isinstance(raw, dict):
+                raise ScenarioError("partition entries must be mappings")
+            _check_keys(raw, _PARTITION_KEYS, where)
+            groups = tuple(
+                tuple(int(m) for m in group) for group in raw.get("groups", [])
             )
-        partitions.append(part)
+            part = Partition(int(raw["start_ms"]), int(raw["end_ms"]), groups)
+            if part.start_ms >= part.end_ms:
+                raise ScenarioError(f"{where}: start_ms must precede end_ms")
+            members = [m for g in groups for m in g]
+            if sorted(members) != list(range(n)):
+                raise ScenarioError(
+                    f"{where}: groups must be disjoint and cover all nodes"
+                )
+            partitions.append(part)
 
-    adversaries = []
-    for i, raw in enumerate(data.get("adversaries") or []):
-        if not isinstance(raw, dict):
-            raise ScenarioError("adversary entries must be mappings")
-        _check_keys(raw, _ADVERSARY_KEYS, f"adversaries[{i}]")
-        behavior = raw.get("behavior")
-        if behavior not in _BEHAVIORS:
-            raise ScenarioError(f"unknown adversary behavior {behavior!r}")
-        spec = AdversarySpec(
-            node=int(raw["node"]),
-            behavior=behavior,
-            term=int(raw["term"]) if "term" in raw else None,
-            replay_after_ms=(
-                int(raw["replay_after_ms"]) if "replay_after_ms" in raw else None
-            ),
-        )
-        if not 0 <= spec.node < n:
-            raise ScenarioError(f"adversaries[{i}]: node out of range")
-        if behavior == "fake_leader" and spec.term is None:
-            raise ScenarioError(f"adversaries[{i}]: fake_leader needs a term")
-        if behavior == "proof_replay" and spec.replay_after_ms is None:
-            raise ScenarioError(f"adversaries[{i}]: proof_replay needs replay_after_ms")
-        adversaries.append(spec)
-    if len({a.node for a in adversaries}) != len(adversaries):
-        raise ScenarioError("one adversary behavior per node")
-
-    seed = int(data["seed"])
-    preferred = data.get("preferred_first_candidate")
-    if preferred is not None and not 0 <= int(preferred) < n:
-        raise ScenarioError("preferred_first_candidate out of range")
-
-    latency = _pair(data.get("latency_ms", [5, 25]), "latency_ms")
-    if not 0 <= latency[0] <= latency[1]:
-        raise ScenarioError("latency_ms must satisfy 0 <= min <= max")
-    drop = float(data.get("drop_probability", 0.0))
-    if not 0.0 <= drop < 1.0:
-        raise ScenarioError("drop_probability must be in [0, 1)")
-    if n < 3:
-        raise ScenarioError("cluster too small")
-    if n > MAX_NODES:
-        raise ScenarioError(f"cluster too large: at most {MAX_NODES} nodes")
+        adversaries = []
+        where = "adversaries"
+        for i, raw in enumerate(data.get("adversaries") or []):
+            where = f"adversaries[{i}]"
+            if not isinstance(raw, dict):
+                raise ScenarioError("adversary entries must be mappings")
+            _check_keys(raw, _ADVERSARY_KEYS, where)
+            behavior = raw.get("behavior")
+            if behavior not in _BEHAVIORS:
+                raise ScenarioError(f"unknown adversary behavior {behavior!r}")
+            spec = AdversarySpec(
+                node=int(raw["node"]),
+                behavior=behavior,
+                term=int(raw["term"]) if "term" in raw else None,
+                replay_after_ms=(
+                    int(raw["replay_after_ms"]) if "replay_after_ms" in raw else None
+                ),
+            )
+            if not 0 <= spec.node < n:
+                raise ScenarioError(f"{where}: node out of range")
+            if behavior == "fake_leader" and spec.term is None:
+                raise ScenarioError(f"{where}: fake_leader needs a term")
+            if behavior == "proof_replay" and spec.replay_after_ms is None:
+                raise ScenarioError(f"{where}: proof_replay needs replay_after_ms")
+            adversaries.append(spec)
+        if len({a.node for a in adversaries}) != len(adversaries):
+            raise ScenarioError("one adversary behavior per node")
+    except ScenarioError:
+        raise
+    except KeyError as exc:
+        raise ScenarioError(f"{where}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{where}: {exc}") from None
 
     return Scenario(
         name=str(data.get("name", "unnamed")),
         n=n,
-        scheme=_SCHEMES[scheme_name],
         node_config=node_config,
         seed=seed,
-        duration_ms=int(data["duration_ms"]),
+        duration_ms=duration_ms,
         latency_ms=latency,
         drop_probability=drop,
         partitions=tuple(partitions),
         adversaries=tuple(adversaries),
-        preferred_first_candidate=(
-            int(preferred) if preferred is not None else None
-        ),
+        preferred_first_candidate=preferred,
         key_seed=str(data.get("key_seed", seed)),
     )
 

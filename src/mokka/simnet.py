@@ -9,7 +9,7 @@ seed, so a scenario maps to exactly one trace.
 
 import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from . import core, crypto, curve, proofs, wire
@@ -71,9 +71,10 @@ def _packet_detail(packet: Packet) -> str:
         g = body.grant
         return f"vote-response term={g.term} voter={g.voter}"
     assert isinstance(body, Heartbeat)
+    proof = body.proof
     return (
-        f"heartbeat term={body.term} leader={body.leader}"
-        f" proof_ts={body.proof.timestamp_ms}"
+        f"heartbeat term={proof.term} leader={proof.candidate}"
+        f" proof_ts={proof.timestamp_ms}"
     )
 
 
@@ -157,8 +158,9 @@ class _Sim:
         if emitter is None:
             emitter = packet.src
         spec = self.adversaries.get(emitter)
+        detail = _packet_detail(packet)
         if spec is not None and spec.behavior == "silent":
-            self._record(time_ms, "drop", emitter, "silent " + _packet_detail(packet))
+            self._record(time_ms, "drop", emitter, "silent " + detail)
             return
         copies = 1
         if (
@@ -168,14 +170,10 @@ class _Sim:
         ):
             copies = 2
         for _ in range(copies):
-            self._record(
-                time_ms, "send", emitter,
-                f"{_packet_detail(packet)} to={packet.dst}",
-            )
+            self._record(time_ms, "send", emitter, f"{detail} to={packet.dst}")
             if self._partition_blocks(emitter, packet.dst, time_ms):
                 self._record(
-                    time_ms, "drop", emitter,
-                    f"partition {_packet_detail(packet)} to={packet.dst}",
+                    time_ms, "drop", emitter, f"partition {detail} to={packet.dst}"
                 )
                 continue
             if (
@@ -183,8 +181,7 @@ class _Sim:
                 and self.net_rng.random() < self.sc.drop_probability
             ):
                 self._record(
-                    time_ms, "drop", emitter,
-                    f"loss {_packet_detail(packet)} to={packet.dst}",
+                    time_ms, "drop", emitter, f"loss {detail} to={packet.dst}"
                 )
                 continue
             delay = self.net_rng.randint(*self.sc.latency_ms)
@@ -246,10 +243,7 @@ class _Sim:
             proof = self._fake_proof(spec, time_ms)
             for peer in range(self.sc.n):
                 if peer != node:
-                    self._dispatch(
-                        Packet(node, peer, Heartbeat(spec.term, node, proof)),
-                        time_ms,
-                    )
+                    self._dispatch(Packet(node, peer, Heartbeat(proof)), time_ms)
         elif spec.behavior == "proof_replay":
             captured = self.replay_captured.get(node)
             if captured is None:
@@ -261,10 +255,7 @@ class _Sim:
             for peer in range(self.sc.n):
                 if peer != node:
                     self._dispatch(
-                        Packet(
-                            proof.candidate, peer,
-                            Heartbeat(proof.term, proof.candidate, proof),
-                        ),
+                        Packet(proof.candidate, peer, Heartbeat(proof)),
                         time_ms,
                         emitter=node,
                     )
@@ -341,11 +332,7 @@ class _Sim:
             violations=[],
             final_roles={i: self.nodes[i].role.name for i in range(self.sc.n)},
             final_known_leader={
-                i: (
-                    self.nodes[i].known_leader[0]
-                    if self.nodes[i].known_leader else None
-                )
-                for i in range(self.sc.n)
+                i: self.nodes[i].known_leader for i in range(self.sc.n)
             },
             honest_nodes=tuple(
                 i for i in range(self.sc.n) if i not in self.adversaries
@@ -494,29 +481,7 @@ def check_invariants(trace: List[TraceEvent], report: RunReport) -> List[str]:
 
 
 @dataclass(frozen=True)
-class DualLeadershipInterval:
-    start_ms: int
-    end_ms: int
-    nodes: Tuple[int, ...]
-    terms: Tuple[int, ...]
-
-    @property
-    def length_ms(self) -> int:
-        return self.end_ms - self.start_ms
-
-
-@dataclass(frozen=True)
-class WindowLeadership:
-    start_ms: int
-    end_ms: int
-    group: Tuple[int, ...]
-    leaders: Tuple[Tuple[int, int, int, int], ...]  # (node, term, from, to)
-
-
-@dataclass(frozen=True)
 class PartitionLeadershipSummary:
-    windows: Tuple[WindowLeadership, ...]
-    dual_intervals: Tuple[DualLeadershipInterval, ...]
     max_dual_ms: int
     exceeded_ttl: bool
 
@@ -524,46 +489,18 @@ class PartitionLeadershipSummary:
 def scripted_partition_leadership(
     trace: List[TraceEvent], report: RunReport
 ) -> PartitionLeadershipSummary:
-    """Per partition window: who led on each side, and for how long two
-    nodes simultaneously believed themselves leader."""
-    intervals = _leader_intervals(trace, report)
-    windows = []
-    for part in report.partitions:
-        for group in part.groups:
-            leaders = []
-            for node in sorted(group):
-                for start, end, term in intervals.get(node, []):
-                    lo = max(start, part.start_ms)
-                    hi = min(end, part.end_ms)
-                    if lo < hi:
-                        leaders.append((node, term, lo, hi))
-            windows.append(
-                WindowLeadership(part.start_ms, part.end_ms, tuple(sorted(group)),
-                                 tuple(leaders))
-            )
-
+    """The longest time two nodes simultaneously believed themselves
+    leader, and whether it outlasted a proof's ttl plus one heartbeat."""
     flat = [
-        (node, term, start, end)
-        for node, spans in intervals.items()
-        for start, end, term in spans
+        (node, start, end)
+        for node, spans in _leader_intervals(trace, report).items()
+        for start, end, _ in spans
     ]
-    duals = []
-    for i in range(len(flat)):
-        for j in range(i + 1, len(flat)):
-            a, b = flat[i], flat[j]
-            if a[0] == b[0]:
-                continue
-            lo = max(a[2], b[2])
-            hi = min(a[3], b[3])
-            if lo < hi:
-                duals.append(
-                    DualLeadershipInterval(
-                        lo, hi, tuple(sorted((a[0], b[0]))),
-                        tuple(sorted((a[1], b[1]))),
-                    )
-                )
-    max_dual = max((d.length_ms for d in duals), default=0)
+    max_dual = 0
+    for i, (a_node, a_start, a_end) in enumerate(flat):
+        for b_node, b_start, b_end in flat[i + 1:]:
+            if a_node != b_node:
+                overlap = min(a_end, b_end) - max(a_start, b_start)
+                max_dual = max(max_dual, overlap)
     limit = report.proof_ttl_ms + report.heartbeat_interval_ms
-    return PartitionLeadershipSummary(
-        tuple(windows), tuple(duals), max_dual, max_dual > limit
-    )
+    return PartitionLeadershipSummary(max_dual, max_dual > limit)

@@ -107,6 +107,15 @@ class TestRun:
         assert code == 2
         assert "unknown key" in stderr
 
+    @pytest.mark.parametrize("argv", [["run"], ["check", "--seeds", "1"]])
+    def test_malformed_value_is_usage_error(self, tmp_path, capsys, argv):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("nodes: 3\nseed: 1\nduration_ms: 100\npartitions: 7\n")
+        code, _, stderr = run_cli(capsys, *argv, str(bad))
+        assert code == 2
+        assert stderr.startswith("error:")
+        assert "Traceback" not in stderr
+
     def test_oversized_cluster_is_usage_error(self, tmp_path, capsys, monkeypatch):
         big = tmp_path / "big.yaml"
         big.write_text("nodes: 65\nseed: 1\nduration_ms: 100\n")
@@ -117,10 +126,13 @@ class TestRun:
         assert "too large" in stderr
         assert keygens == []
 
-    def test_injected_violation_exits_one(self, capsys):
+    def test_injected_violation_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            cli.simnet, "check_invariants",
+            lambda trace, report: ["election-safety term=1 leaders=[0, 1]"],
+        )
         code, stdout, _ = run_cli(
-            capsys, "run", scenario_path("happy-path-n3"),
-            "--machine", "--selftest-inject-violation",
+            capsys, "run", scenario_path("happy-path-n3"), "--machine"
         )
         assert code == 1
         assert "election-safety" in stdout

