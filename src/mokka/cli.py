@@ -25,8 +25,7 @@ from .scenario import ScenarioError, load_scenario
 
 
 def _write_keyset(n: int, seed: str, out_path: str) -> None:
-    keypairs = [crypto.keygen(f"{seed}-node-{i}".encode()) for i in range(n)]
-    keyring = crypto.build_keyring([(i, kp.public) for i, kp in enumerate(keypairs)])
+    keypairs, keyring = crypto.cluster(seed, n)
     doc = {
         "nodes": n,
         "seed": seed,
@@ -169,8 +168,8 @@ def _cmd_check(args) -> int:
     if args.seeds < 1:
         print("error: --seeds must be >= 1", file=sys.stderr)
         return 2
-    if args.drop is not None and not 0.0 <= args.drop <= 1.0:
-        print("error: --drop must be in [0, 1]", file=sys.stderr)
+    if args.drop is not None and not 0.0 <= args.drop < 1.0:
+        print("error: --drop must be in [0, 1)", file=sys.stderr)
         return 2
     try:
         scenarios = [load_scenario(path) for path in args.scenarios]

@@ -64,6 +64,8 @@ class NodeConfig:
         low, high = self.election_timeout_range_ms
         if not low < high:
             raise ValueError("election timeout range must satisfy low < high")
+        if self.heartbeat_interval_ms <= 0:
+            raise ValueError("heartbeat interval must be positive")
         if not self.heartbeat_interval_ms < low:
             raise ValueError("heartbeat interval must be below election timeout")
         if not self.heartbeat_interval_ms < self.proof_policy.ttl_ms:
@@ -228,12 +230,8 @@ def _peers(state: NodeState) -> List[NodeId]:
 
 
 def _heartbeat_burst(state: NodeState, proof: VoteProof) -> Send:
-    return Send(
-        tuple(
-            Packet(state.id, peer, Heartbeat(proof))
-            for peer in _peers(state)
-        )
-    )
+    body = Heartbeat(proof)
+    return Send(tuple(Packet(state.id, peer, body) for peer in _peers(state)))
 
 
 def _start_election(state: NodeState, now_ms: int) -> List[Output]:

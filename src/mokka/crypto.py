@@ -21,8 +21,10 @@ deterministically so two runs produce bit-identical signatures.
 import hashlib
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import curve, wire
 from .curve import Point
@@ -88,7 +90,7 @@ class RecoverableSignature:
 class ClusterKeyring:
     node_keys: Tuple[Tuple[NodeId, Point], ...]
     quorum_size: int
-    combos: Dict[ComboId, Point]
+    combos: Mapping[ComboId, Point]
     # Lookups derived from node_keys in __post_init__; equality ignores them.
     sorted_ids: Tuple[NodeId, ...] = field(init=False, repr=False, compare=False)
     _key_of: Dict[NodeId, Point] = field(init=False, repr=False, compare=False)
@@ -191,7 +193,15 @@ def build_keyring(keys: Sequence[Tuple[NodeId, Point]]) -> ClusterKeyring:
         if agg is None:
             raise CryptoError(f"keys of nodes {list(subset)} sum to infinity")
         combos[ComboId.of(subset)] = agg
-    return ClusterKeyring(tuple(keys), quorum, combos)
+    return ClusterKeyring(tuple(keys), quorum, MappingProxyType(combos))
+
+
+@lru_cache(maxsize=8)
+def cluster(key_seed: str, n: int) -> Tuple[Tuple[KeyPair, ...], ClusterKeyring]:
+    """Nodes 0..n-1's keypairs from key_seed and their keyring, derived once per
+    process: both are immutable, so every run on these keys shares them."""
+    keypairs = tuple(keygen(f"{key_seed}-node-{i}".encode()) for i in range(n))
+    return keypairs, build_keyring([(i, kp.public) for i, kp in enumerate(keypairs)])
 
 
 # --- Schnorr quorum multisignatures -----------------------------------------

@@ -116,6 +116,8 @@ def parse_scenario(text: str) -> Scenario:
         )
         seed = int(data["seed"])
         duration_ms = int(data["duration_ms"])
+        if duration_ms <= 0:
+            raise ScenarioError("duration_ms must be positive")
         preferred = data.get("preferred_first_candidate")
         if preferred is not None:
             preferred = int(preferred)

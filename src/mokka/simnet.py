@@ -10,7 +10,7 @@ seed, so a scenario maps to exactly one trace.
 import heapq
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import core, crypto, curve, proofs, wire
 from .core import (
@@ -30,8 +30,7 @@ from .core import (
 from .scenario import AdversarySpec, Partition, Scenario
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     time_ms: int
     seq: int
     kind: str  # send | deliver | drop | timer | role_change | diagnostic | violation
@@ -62,8 +61,8 @@ def trace_lines(trace: List[TraceEvent]) -> str:
     return "".join(ev.line() + "\n" for ev in trace)
 
 
-def _packet_detail(packet: Packet) -> str:
-    body = packet.body
+def _body_detail(body: core.Body) -> str:
+    """A packet body's trace text, shared by its send, drop and deliver lines."""
     if isinstance(body, VoteRequest):
         p = body.payload
         return f"vote-request term={p.term} candidate={p.candidate}"
@@ -90,20 +89,19 @@ class _Sim:
         self.elections_started = 0
         self.adversaries = {a.node: a for a in scenario.adversaries}
 
-        keypairs = [
-            crypto.keygen(f"{scenario.key_seed}-node-{i}".encode())
-            for i in range(scenario.n)
-        ]
-        keyring = crypto.build_keyring(
-            [(i, kp.public) for i, kp in enumerate(keypairs)]
-        )
-        self.keyring = keyring
+        keypairs, self.keyring = crypto.cluster(scenario.key_seed, scenario.n)
+        # A fake leader forges with one combo and nonce point, and a fresh s.
+        self.forgery = {
+            a.node: (min(c for c in self.keyring.combos if a.node in c),
+                     curve.scalar_mult_base(1 + self.adv_rng.randrange(curve.N - 1)))
+            for a in scenario.adversaries if a.behavior == "fake_leader"
+        }
         self.nodes: Dict[int, core.NodeState] = {}
         self.egen = [0] * scenario.n
         self.hgen = [0] * scenario.n
         for i in range(scenario.n):
             state, outputs = core.init(
-                i, keypairs[i], keyring, scenario.node_config,
+                i, keypairs[i], self.keyring, scenario.node_config,
                 random.Random(f"{scenario.seed}:node:{i}"),
             )
             self.nodes[i] = state
@@ -151,47 +149,42 @@ class _Sim:
         return False
 
     def _dispatch(
-        self, packet: Packet, time_ms: int, emitter: Optional[int] = None
+        self, packets: Sequence[Packet], time_ms: int, emitter: Optional[int] = None
     ) -> None:
         # emitter is who physically sends; it differs from packet.src only
-        # when an adversary forges the envelope.
-        if emitter is None:
-            emitter = packet.src
-        spec = self.adversaries.get(emitter)
-        detail = _packet_detail(packet)
-        if spec is not None and spec.behavior == "silent":
-            self._record(time_ms, "drop", emitter, "silent " + detail)
-            return
-        copies = 1
-        if (
-            spec is not None
-            and spec.behavior == "double_voter"
-            and isinstance(packet.body, VoteResponse)
-        ):
-            copies = 2
-        for _ in range(copies):
-            self._record(time_ms, "send", emitter, f"{detail} to={packet.dst}")
-            if self._partition_blocks(emitter, packet.dst, time_ms):
-                self._record(
-                    time_ms, "drop", emitter, f"partition {detail} to={packet.dst}"
-                )
+        # when an adversary forges the envelope. The packets of a burst
+        # share one body, whose trace text is rendered once.
+        body = None
+        for packet in packets:
+            if packet.body is not body:
+                body = packet.body
+                detail = _body_detail(body)
+            sender = packet.src if emitter is None else emitter
+            spec = self.adversaries.get(sender)
+            if spec is not None and spec.behavior == "silent":
+                self._record(time_ms, "drop", sender, "silent " + detail)
                 continue
-            if (
-                self.sc.drop_probability > 0
-                and self.net_rng.random() < self.sc.drop_probability
-            ):
-                self._record(
-                    time_ms, "drop", emitter, f"loss {detail} to={packet.dst}"
-                )
-                continue
-            delay = self.net_rng.randint(*self.sc.latency_ms)
-            self._push(time_ms + delay, ("deliver", packet))
+            double = spec is not None and spec.behavior == "double_voter"
+            copies = 2 if double and isinstance(body, VoteResponse) else 1
+            sent = f"{detail} to={packet.dst}"
+            for _ in range(copies):
+                self._record(time_ms, "send", sender, sent)
+                if self._partition_blocks(sender, packet.dst, time_ms):
+                    self._record(time_ms, "drop", sender, "partition " + sent)
+                    continue
+                if (
+                    self.sc.drop_probability > 0
+                    and self.net_rng.random() < self.sc.drop_probability
+                ):
+                    self._record(time_ms, "drop", sender, "loss " + sent)
+                    continue
+                delay = self.net_rng.randint(*self.sc.latency_ms)
+                self._push(time_ms + delay, ("deliver", packet, detail))
 
     def _apply_outputs(self, node: int, outputs: list, time_ms: int) -> None:
         for out in outputs:
             if isinstance(out, Send):
-                for packet in out.packets:
-                    self._dispatch(packet, time_ms)
+                self._dispatch(out.packets, time_ms)
             elif isinstance(out, ArmElectionTimer):
                 self.egen[node] += 1
                 self._record(
@@ -227,23 +220,18 @@ class _Sim:
     # -- adversary emissions --------------------------------------------------
 
     def _fake_proof(self, spec: AdversarySpec, time_ms: int) -> proofs.VoteProof:
-        combo = next(
-            c for c in sorted(self.keyring.combos) if spec.node in c
-        )
-        big_r = curve.scalar_mult_base(1 + self.adv_rng.randrange(curve.N - 1))
-        s = self.adv_rng.randrange(curve.N)
+        combo, big_r = self.forgery[spec.node]
         return proofs.VoteProof(
             wire.SCHEME_SCHNORR, spec.term, time_ms, spec.node,
-            proofs.SchnorrBody(combo, big_r, s),
+            proofs.SchnorrBody(combo, big_r, self.adv_rng.randrange(curve.N)),
         )
 
     def _adversary_emit(self, node: int, time_ms: int) -> None:
         spec = self.adversaries[node]
+        peers = [peer for peer in range(self.sc.n) if peer != node]
         if spec.behavior == "fake_leader":
-            proof = self._fake_proof(spec, time_ms)
-            for peer in range(self.sc.n):
-                if peer != node:
-                    self._dispatch(Packet(node, peer, Heartbeat(proof)), time_ms)
+            body = Heartbeat(self._fake_proof(spec, time_ms))
+            self._dispatch([Packet(node, peer, body) for peer in peers], time_ms)
         elif spec.behavior == "proof_replay":
             captured = self.replay_captured.get(node)
             if captured is None:
@@ -252,22 +240,15 @@ class _Sim:
             if time_ms < capture_ms + spec.replay_after_ms:
                 return
             # Forged envelope: the replayer impersonates the proof's candidate.
-            for peer in range(self.sc.n):
-                if peer != node:
-                    self._dispatch(
-                        Packet(proof.candidate, peer, Heartbeat(proof)),
-                        time_ms,
-                        emitter=node,
-                    )
+            body = Heartbeat(proof)
+            self._dispatch(
+                [Packet(proof.candidate, peer, body) for peer in peers],
+                time_ms, emitter=node,
+            )
 
     def _maybe_capture(self, node: int, packet: Packet, time_ms: int) -> None:
-        spec = self.adversaries.get(node)
-        if (
-            spec is None
-            or spec.behavior != "proof_replay"
-            or node in self.replay_captured
-            or not isinstance(packet.body, Heartbeat)
-        ):
+        """A replayer keeps the first valid proof it is sent."""
+        if node in self.replay_captured or not isinstance(packet.body, Heartbeat):
             return
         result = proofs.validate_proof(
             packet.body.proof, self.keyring,
@@ -290,17 +271,17 @@ class _Sim:
                 break
             kind = item[0]
             if kind == "deliver":
-                packet = item[1]
+                _, packet, detail = item
                 node = packet.dst
-                self._record(
-                    time_ms, "deliver", node,
-                    f"{_packet_detail(packet)} from={packet.src}",
-                )
-                self._maybe_capture(node, packet, time_ms)
+                self._record(time_ms, "deliver", node, f"{detail} from={packet.src}")
                 spec = self.adversaries.get(node)
-                if spec is not None and spec.behavior == "fake_leader":
+                if spec is not None:
+                    if spec.behavior == "proof_replay":
+                        self._maybe_capture(node, packet, time_ms)
                     # Fake leaders answer votes but never campaign or follow.
-                    if not isinstance(packet.body, VoteRequest):
+                    elif spec.behavior == "fake_leader" and not isinstance(
+                        packet.body, VoteRequest
+                    ):
                         continue
                 _, outputs = core.step(
                     self.nodes[node], PacketArrived(packet), time_ms
@@ -357,13 +338,14 @@ def run(scenario: Scenario) -> Tuple[List[TraceEvent], RunReport]:
 # --- invariant checking ------------------------------------------------------
 
 
-def _fields(detail: str) -> Dict[str, str]:
-    out = {}
-    for token in detail.split():
-        if "=" in token:
-            key, _, value = token.partition("=")
-            out[key] = value
-    return out
+def _number(detail: str, key: str) -> Optional[int]:
+    """The value of the last ``key=`` token in detail, or None."""
+    start = detail.rfind(f" {key}=") + 1
+    if not start and not detail.startswith(f"{key}="):
+        return None
+    start += len(key) + 1
+    end = detail.find(" ", start)
+    return int(detail[start:end if end >= 0 else None])
 
 
 def _leader_intervals(
@@ -375,10 +357,9 @@ def _leader_intervals(
     for ev in trace:
         if ev.kind != "role_change":
             continue
-        role = ev.detail.split()[0]
-        term = int(_fields(ev.detail).get("term", -1))
-        if role == "leader":
-            open_at[ev.node] = (ev.time_ms, term)
+        term = _number(ev.detail, "term")
+        if ev.detail.split()[0] == "leader":
+            open_at[ev.node] = (ev.time_ms, -1 if term is None else term)
         elif ev.node in open_at:
             start, lead_term = open_at.pop(ev.node)
             intervals.setdefault(ev.node, []).append((start, ev.time_ms, lead_term))
@@ -390,67 +371,77 @@ def _leader_intervals(
 
 
 def check_invariants(trace: List[TraceEvent], report: RunReport) -> List[str]:
-    violations: List[str] = []
+    """The run's violations, from one pass over its trace: election safety,
+    vote uniqueness, term monotonicity, timer resets, fake leaders
+    acknowledged and minority leaders, each kind in trace order."""
     honest = set(report.honest_nodes)
+    fake_leaders = {n for n, b in report.adversaries.items() if b == "fake_leader"}
 
     # Election safety: at most one leader per term.
-    for term, leaders in sorted(report.leaders_per_term.items()):
-        if len(leaders) > 1:
-            violations.append(
-                f"election-safety term={term} leaders={sorted(leaders)}"
-            )
-
-    # Vote uniqueness: one VoteResponse per (honest node, term).
+    violations = [
+        f"election-safety term={term} leaders={sorted(leaders)}"
+        for term, leaders in sorted(report.leaders_per_term.items())
+        if len(leaders) > 1
+    ]
+    double_votes: List[str] = []
+    regressions: List[str] = []
+    resets: List[str] = []
+    role_changes: List[TraceEvent] = []
     seen_votes: Dict[Tuple[int, int], int] = {}
-    for ev in trace:
-        if ev.kind == "send" and ev.detail.startswith("vote-response") \
-                and ev.node in honest:
-            term = int(_fields(ev.detail)["term"])
-            key = (ev.node, term)
-            seen_votes[key] = seen_votes.get(key, 0) + 1
-            if seen_votes[key] == 2:
-                violations.append(
-                    f"vote-uniqueness node={ev.node} term={term}"
-                )
-
-    # Term monotonicity over every term observation per node.
     last_term: Dict[int, int] = {}
+    # Details repeat (a burst's heartbeats, a leader's timer resets), so
+    # each distinct one is read once.
+    terms: Dict[str, Optional[int]] = {}
+    timer_fields: Dict[str, Tuple[Optional[int], Optional[int]]] = {}
     for ev in trace:
-        if ev.kind not in ("role_change", "send") or ev.node not in honest:
+        kind, node, detail = ev.kind, ev.node, ev.detail
+        if kind == "role_change":
+            role_changes.append(ev)
+        elif kind != "send" and kind != "timer":
             continue
-        term_str = _fields(ev.detail).get("term")
-        if term_str is None:
+        if node not in honest:
             continue
-        term = int(term_str)
-        if term < last_term.get(ev.node, 0):
-            violations.append(
-                f"term-monotonicity node={ev.node} term={term}"
-                f" after={last_term[ev.node]} at={ev.time_ms}"
+        if kind == "timer":
+            fields = timer_fields.get(detail)
+            if fields is None:
+                leader = _number(detail, "leader")
+                fields = timer_fields[detail] = (leader, _number(detail, "proof_ts"))
+            leader, proof_ts = fields
+            if leader is None:
+                continue
+            # A heartbeat without a valid proof never resets a timer.
+            if leader in fake_leaders:
+                resets.append(
+                    f"fake-leader-reset node={node} leader={leader} at={ev.time_ms}"
+                )
+            # An expired proof never resets a timer (covers post-ttl replay).
+            if ev.time_ms > proof_ts + report.proof_ttl_ms:
+                resets.append(
+                    f"expired-proof-reset node={node} proof_ts={proof_ts}"
+                    f" at={ev.time_ms}"
+                )
+            continue
+        term = terms.get(detail)
+        if term is None:
+            term = terms[detail] = _number(detail, "term")
+        if term is None:
+            continue
+        # Vote uniqueness: one VoteResponse per (honest node, term).
+        if kind == "send" and detail.startswith("vote-response"):
+            votes = seen_votes[node, term] = seen_votes.get((node, term), 0) + 1
+            if votes == 2:
+                double_votes.append(f"vote-uniqueness node={node} term={term}")
+        # Term monotonicity over every term observation per node.
+        last = last_term.get(node, 0)
+        if term < last:
+            regressions.append(
+                f"term-monotonicity node={node} term={term}"
+                f" after={last} at={ev.time_ms}"
             )
-        last_term[ev.node] = max(last_term.get(ev.node, 0), term)
+        else:
+            last_term[node] = term
+    violations += double_votes + regressions + resets
 
-    fake_leaders = {
-        n for n, b in report.adversaries.items() if b == "fake_leader"
-    }
-    for ev in trace:
-        if ev.kind != "timer" or ev.node not in honest:
-            continue
-        fields = _fields(ev.detail)
-        if "leader" not in fields:
-            continue
-        leader = int(fields["leader"])
-        proof_ts = int(fields["proof_ts"])
-        # A heartbeat without a valid proof never resets a timer.
-        if leader in fake_leaders:
-            violations.append(
-                f"fake-leader-reset node={ev.node} leader={leader} at={ev.time_ms}"
-            )
-        # An expired proof never resets a timer (covers post-ttl replay).
-        if ev.time_ms > proof_ts + report.proof_ttl_ms:
-            violations.append(
-                f"expired-proof-reset node={ev.node} proof_ts={proof_ts}"
-                f" at={ev.time_ms}"
-            )
     for node in honest:
         if report.final_known_leader.get(node) in fake_leaders:
             violations.append(
@@ -460,7 +451,7 @@ def check_invariants(trace: List[TraceEvent], report: RunReport) -> List[str]:
 
     # During a partition, a sub-quorum side holds no leader once the old
     # proof has had time to expire (ttl plus one heartbeat of stepdown lag).
-    intervals = _leader_intervals(trace, report)
+    intervals = _leader_intervals(role_changes, report)
     grace = report.proof_ttl_ms + report.heartbeat_interval_ms
     for part in report.partitions:
         for group in part.groups:

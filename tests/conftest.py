@@ -9,11 +9,16 @@ GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def make_cluster(n, seed="test"):
-    keypairs = [crypto.keygen(f"{seed}-node-{i}".encode()) for i in range(n)]
-    keyring = crypto.build_keyring(
-        [(i, kp.public) for i, kp in enumerate(keypairs)]
-    )
-    return keypairs, keyring
+    return crypto.cluster(seed, n)
+
+
+@pytest.fixture(autouse=True)
+def fresh_cluster_memo():
+    """Forget every memoized cluster after each test, so that a cluster
+    built under a patched keygen or build_keyring never reaches another
+    test."""
+    yield
+    crypto.cluster.cache_clear()
 
 
 @pytest.fixture(scope="session")

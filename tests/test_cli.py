@@ -116,6 +116,18 @@ class TestRun:
         assert stderr.startswith("error:")
         assert "Traceback" not in stderr
 
+    @pytest.mark.parametrize("argv", [["run"], ["check", "--seeds", "1"]])
+    @pytest.mark.parametrize("duration", ["0", "-5"])
+    def test_nonpositive_duration_is_usage_error(
+        self, tmp_path, capsys, argv, duration
+    ):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(f"nodes: 3\nseed: 1\nduration_ms: {duration}\n")
+        code, stdout, stderr = run_cli(capsys, *argv, str(bad))
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("error:") and "duration_ms" in stderr
+
     def test_oversized_cluster_is_usage_error(self, tmp_path, capsys, monkeypatch):
         big = tmp_path / "big.yaml"
         big.write_text("nodes: 65\nseed: 1\nduration_ms: 100\n")
@@ -193,13 +205,13 @@ class TestCheck:
     def test_drop_overrides_every_scenario(self, capsys):
         code, stdout, _ = run_cli(
             capsys, "check", scenario_path("happy-path-n3"),
-            scenario_path("happy-path-n5"), "--seeds", "1", "--drop", "1",
+            scenario_path("happy-path-n5"), "--seeds", "1", "--drop", "0.99",
             "--machine",
         )
         assert code == 0
         assert stdout.count("leader_changes\t0\n") == 2
 
-    @pytest.mark.parametrize("drop", ["-0.1", "1.5", "nan"])
+    @pytest.mark.parametrize("drop", ["-0.1", "1.5", "nan", "1.0"])
     def test_drop_out_of_range_is_usage_error(self, capsys, drop):
         code, stdout, stderr = run_cli(
             capsys, "check", scenario_path("happy-path-n3"), "--seeds", "1",

@@ -143,6 +143,13 @@ class TestInit:
         with pytest.raises(ValueError, match="unknown scheme 9"):
             NodeConfig(scheme=9)
 
+    @pytest.mark.parametrize("interval", [0, -50])
+    def test_heartbeat_interval_must_be_positive(self, interval):
+        # A leader would otherwise re-arm its heartbeat timer at the same
+        # virtual instant forever.
+        with pytest.raises(ValueError, match="heartbeat interval must be positive"):
+            NodeConfig(heartbeat_interval_ms=interval)
+
 
 class TestElectionStart:
     def test_timeout_starts_campaign(self, cluster3):

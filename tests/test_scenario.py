@@ -90,6 +90,19 @@ def test_bad_timer_config_surfaces_as_scenario_error():
         parse_scenario(MINIMAL + "heartbeat_interval_ms: 400\n")
 
 
+@pytest.mark.parametrize("interval", [0, -50])
+def test_nonpositive_heartbeat_interval_rejected(interval):
+    with pytest.raises(ScenarioError, match="heartbeat interval must be positive"):
+        parse_scenario(MINIMAL + f"heartbeat_interval_ms: {interval}\n")
+
+
+@pytest.mark.parametrize("duration", [0, -5])
+def test_nonpositive_duration_rejected(duration):
+    text = MINIMAL.replace("duration_ms: 2000", f"duration_ms: {duration}")
+    with pytest.raises(ScenarioError, match="duration_ms must be positive"):
+        parse_scenario(text)
+
+
 def test_latency_and_drop_validation():
     with pytest.raises(ScenarioError, match="latency_ms"):
         parse_scenario(MINIMAL + "latency_ms: [30, 10]\n")

@@ -1,10 +1,11 @@
 """End-to-end simulator runs and the trace-level invariant checker."""
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
-from mokka import cli, simnet
+from mokka import cli, crypto, curve, simnet
 from mokka.scenario import load_scenario
 from mokka.simnet import RunReport, TraceEvent, check_invariants, trace_lines
 
@@ -128,6 +129,29 @@ class TestAdversaries:
             n for leaders in report.leaders_per_term.values() for n in leaders
         }
 
+    def test_forgeries_are_fresh_bytes_without_curve_work(self, monkeypatch):
+        # Each forgery must miss the validators' caches, and none may pay
+        # for a multiple of the generator.
+        mults = []
+        mult = curve.scalar_mult_base
+        monkeypatch.setattr(
+            curve, "scalar_mult_base", lambda k: mults.append(k) or mult(k)
+        )
+        forged = []
+        fake_proof = simnet._Sim._fake_proof
+
+        def spy(sim, spec, time_ms):
+            before = len(mults)
+            proof = fake_proof(sim, spec, time_ms)
+            assert len(mults) == before
+            forged.append(proof.encoded)
+            return proof
+
+        monkeypatch.setattr(simnet._Sim, "_fake_proof", spy)
+        simnet.run(load_scenario(scenario_path("fake-leader")))
+        assert len(forged) > 10
+        assert len(set(forged)) == len(forged)
+
     def test_double_voter_flagged_but_harmless(self):
         trace, report = simnet.run(load_scenario(scenario_path("double-voter")))
         assert report.violations == []
@@ -202,6 +226,45 @@ class TestAdversaries:
         assert "leader" in report.final_roles.values()
 
 
+class TestClusterMemo:
+    def test_run_seeds_share_one_cluster(self, monkeypatch):
+        seeds = []
+        keygen = crypto.keygen
+        monkeypatch.setattr(
+            crypto, "keygen", lambda seed: seeds.append(seed) or keygen(seed)
+        )
+        sc = replace(
+            load_scenario(scenario_path("happy-path-n3")), key_seed="memo-runs"
+        )
+        first, _ = simnet.run(sc)
+        again, _ = simnet.run(sc.with_seed(sc.seed + 1))
+        assert seeds == [f"memo-runs-node-{i}".encode() for i in range(sc.n)]
+        assert trace_lines(first) != trace_lines(again)
+
+    def test_key_seed_and_size_select_the_cluster(self):
+        keypairs, keyring = crypto.cluster("memo", 3)
+        assert crypto.cluster("memo", 3)[1] is keyring
+        assert crypto.cluster("memo-2", 3)[1] != keyring
+        assert crypto.cluster("memo", 5)[1] != keyring
+        assert keyring.public_key(0) == crypto.keygen(b"memo-node-0").public
+
+    def test_cluster_is_immutable(self):
+        keypairs, keyring = crypto.cluster("memo", 3)
+        assert isinstance(keypairs, tuple)
+        with pytest.raises(TypeError):
+            keyring.combos[crypto.ComboId(0b11)] = keyring.public_key(0)
+
+    # The next two run in file order: the first leaves a forged cluster
+    # in the memo, and the autouse fixture must clear it before the second.
+    def test_patched_build_reaches_the_memo(self, monkeypatch):
+        monkeypatch.setattr(crypto, "build_keyring", lambda keys: "patched")
+        assert crypto.cluster("memo-patched", 3)[1] == "patched"
+
+    def test_patched_build_does_not_outlive_its_test(self):
+        _, keyring = crypto.cluster("memo-patched", 3)
+        assert isinstance(keyring, crypto.ClusterKeyring)
+
+
 class TestInvariantChecker:
     def _report(self, **kw):
         base = dict(
@@ -265,6 +328,76 @@ class TestInvariantChecker:
         )
         violations = check_invariants(trace, report)
         assert any(v.startswith("minority-leader node=4") for v in violations)
+
+    def test_every_violation_kind_in_order(self):
+        from mokka.scenario import Partition
+
+        # Node 4 is a fake leader; nodes 3 and 4 form the minority side of
+        # a partition whose leaderless window is [1050, 5000).
+        trace = [
+            TraceEvent(10, 0, "send", 1, "vote-response term=2 voter=1 to=0"),
+            TraceEvent(11, 1, "send", 1, "vote-response term=2 voter=1 to=2"),
+            TraceEvent(12, 2, "send", 4, "vote-response term=2 voter=4 to=0"),
+            TraceEvent(13, 3, "send", 4, "vote-response term=2 voter=4 to=1"),
+            # term= as the last token, then a lower term from the same node.
+            TraceEvent(20, 4, "role_change", 2, "candidate term=5"),
+            TraceEvent(21, 5, "send", 2, "vote-request term=4 candidate=2 to=0"),
+            # term= absent: no term observation.
+            TraceEvent(22, 6, "send", 2, "heartbeat leader=2 proof_ts=3 to=1"),
+            # A key ending in "term" is not term.
+            TraceEvent(23, 7, "role_change", 0, "follower term=3 oldterm=9"),
+            TraceEvent(24, 8, "send", 0, "vote-request term=1 candidate=0 to=1"),
+            # Adversaries are not held to monotonic terms.
+            TraceEvent(25, 9, "send", 4, "vote-request term=1 candidate=4 to=0"),
+            # leader= follows cause=heartbeat, with an expired proof_ts too.
+            TraceEvent(
+                3000, 10, "timer", 1,
+                "arm-election dur=200 cause=heartbeat leader=4 proof_ts=5",
+            ),
+            # leader= as the last token.
+            TraceEvent(
+                3001, 11, "timer", 2,
+                "arm-election dur=200 cause=heartbeat proof_ts=2900 leader=4",
+            ),
+            # leader= absent: not a heartbeat reset.
+            TraceEvent(3002, 12, "timer", 0, "arm-election dur=150 cause=init"),
+            TraceEvent(
+                3003, 13, "timer", 3,
+                "arm-election dur=200 cause=heartbeat leader=0 proof_ts=100",
+            ),
+            TraceEvent(3004, 14, "timer", 4, "arm-election dur=200 cause=heartbeat"
+                       " leader=4 proof_ts=0"),
+            # Leadership spans on the minority side: one before the window,
+            # one open to the end, one without a term.
+            TraceEvent(100, 15, "role_change", 3, "leader term=6 proof_ts=100"),
+            TraceEvent(200, 16, "role_change", 3, "follower term=6"),
+            TraceEvent(2000, 17, "role_change", 3, "leader term=7 proof_ts=2000"),
+            TraceEvent(2500, 18, "role_change", 4, "leader proof_ts=2500"),
+            TraceEvent(2600, 19, "role_change", 4, "follower term=8"),
+            TraceEvent(2700, 20, "role_change", 0, "leader term=7 proof_ts=2700"),
+        ]
+        report = self._report(
+            leaders_per_term={7: [3, 0], 3: [1], 2: [2, 0, 1]},
+            final_known_leader={0: 4, 1: 1, 2: None, 3: 4, 4: 4},
+            honest_nodes=(3, 0, 1, 2), adversaries={4: "fake_leader"},
+            quorum_size=3,
+            partitions=(Partition(0, 5000, ((0, 1, 2), (3, 4))),),
+        )
+        assert check_invariants(trace, report) == [
+            "election-safety term=2 leaders=[0, 1, 2]",
+            "election-safety term=7 leaders=[0, 3]",
+            "vote-uniqueness node=1 term=2",
+            "term-monotonicity node=2 term=4 after=5 at=21",
+            "term-monotonicity node=0 term=1 after=3 at=24",
+            "fake-leader-reset node=1 leader=4 at=3000",
+            "expired-proof-reset node=1 proof_ts=5 at=3000",
+            "fake-leader-reset node=2 leader=4 at=3001",
+            "expired-proof-reset node=3 proof_ts=100 at=3003",
+            "fake-leader-acknowledged node=0 leader=4",
+            "fake-leader-acknowledged node=3 leader=4",
+            "minority-leader node=3 term=7 window=[1050,5000)",
+            "minority-leader node=4 term=-1 window=[1050,5000)",
+        ]
 
     def test_clean_trace_passes(self, happy3):
         trace, report = happy3
