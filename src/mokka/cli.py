@@ -144,6 +144,12 @@ def _cmd_keys(args) -> int:
     if args.nodes > crypto.MAX_NODES:
         print(f"error: at most {crypto.MAX_NODES} nodes", file=sys.stderr)
         return 2
+    if args.nodes > crypto.MAX_KEYRING_NODES:
+        print(
+            f"error: a keyring holds at most {crypto.MAX_KEYRING_NODES} nodes",
+            file=sys.stderr,
+        )
+        return 2
     _write_keyset(args.nodes, args.seed, args.out)
     print(f"wrote keyset for {args.nodes} nodes to {args.out}")
     return 0

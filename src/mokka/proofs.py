@@ -62,9 +62,17 @@ class VoteGrant:
 
 @dataclass(frozen=True)
 class SchnorrBody:
+    """An aggregate Schnorr signature for one combo. The nonce point R is
+    kept as (x, y parity), all that its encoding and its check read; the
+    constructor also takes R as an affine point."""
+
     combo: ComboId
-    nonce_point: curve.Point
+    nonce: Tuple[int, bool]
     s_value: int
+
+    def __post_init__(self):
+        x, y = self.nonce
+        object.__setattr__(self, "nonce", (x, bool(y & 1)))
 
 
 @dataclass(frozen=True)
@@ -251,7 +259,7 @@ class _Schnorr:
         if proof.candidate not in body.combo:
             return ValidationResult.BAD_SIGNATURE
         ok = crypto.schnorr_verify(
-            keyring, body.combo, _message(proof), body.nonce_point, body.s_value
+            keyring, body.combo, _message(proof), body.nonce, body.s_value
         )
         return ValidationResult.OK if ok else ValidationResult.BAD_SIGNATURE
 
@@ -262,7 +270,7 @@ class _Schnorr:
     def encode_body(self, body):
         return (
             wire.encode_combo_mask(body.combo.mask)
-            + wire.encode_point(body.nonce_point)
+            + wire.encode_point(body.nonce)
             + wire.encode_scalar(body.s_value)
         )
 
@@ -271,7 +279,7 @@ class _Schnorr:
             raise wire.MalformedError("malformed proof")
         return SchnorrBody(
             ComboId(wire.decode_combo_mask(data[:8])),
-            wire.decode_point(data[8:41]),
+            wire.decode_x_parity(data[8:41]),
             wire.decode_scalar(data[41:73]),
         )
 

@@ -12,7 +12,7 @@ import yaml
 
 from . import wire
 from .core import NodeConfig
-from .crypto import MAX_NODES
+from .crypto import MAX_KEYRING_NODES, MAX_NODES
 from .proofs import ProofPolicy
 
 
@@ -100,6 +100,10 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError("cluster too small")
         if n > MAX_NODES:
             raise ScenarioError(f"cluster too large: at most {MAX_NODES} nodes")
+        if n > MAX_KEYRING_NODES:
+            raise ScenarioError(
+                f"cluster too large: a keyring holds at most {MAX_KEYRING_NODES} nodes"
+            )
         scheme_name = data.get("scheme", "schnorr")
         if scheme_name not in _SCHEMES:
             raise ScenarioError(f"unknown scheme {scheme_name!r}")

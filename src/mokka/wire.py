@@ -6,6 +6,8 @@ scalars and field elements 32-byte big-endian, combination bitmasks
 ``tag(1) || term(8 BE) || timestamp_ms(8 BE) || candidate(2 BE)``.
 """
 
+from typing import Tuple
+
 from . import curve
 from .curve import Point
 
@@ -20,17 +22,28 @@ class MalformedError(ValueError):
 
 
 def encode_point(point: Point) -> bytes:
+    """33-byte compressed form of an affine point, or of (x, y parity)."""
     if point is None:
         raise MalformedError("cannot encode the point at infinity")
     x, y = point
     return bytes([2 + (y & 1)]) + x.to_bytes(32, "big")
 
 
-def decode_point(data: bytes) -> Point:
+def decode_x_parity(data: bytes) -> Tuple[int, bool]:
+    """(x, y parity) of a compressed point, without checking that x is on
+    the curve: that costs a square root."""
     if len(data) != 33 or data[0] not in (2, 3):
         raise MalformedError("bad point encoding")
+    x = int.from_bytes(data[1:], "big")
+    if x >= curve.P:
+        raise MalformedError("x out of range")
+    return x, data[0] == 3
+
+
+def decode_point(data: bytes) -> Point:
+    x, y_odd = decode_x_parity(data)
     try:
-        return curve.lift_x(int.from_bytes(data[1:], "big"), data[0] == 3)
+        return curve.lift_x(x, y_odd)
     except ValueError as exc:
         raise MalformedError(str(exc)) from None
 

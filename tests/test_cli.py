@@ -54,6 +54,19 @@ class TestKeys:
         assert "at most 64" in stderr
         assert keygens == [] and not out.exists()
 
+    def test_more_nodes_than_a_keyring_holds_is_usage_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        out = tmp_path / "k.yaml"
+        keygens = []
+        monkeypatch.setattr(cli.crypto, "keygen", lambda seed: keygens.append(seed))
+        code, _, stderr = run_cli(
+            capsys, "keys", "--nodes", "18", "--seed", "x", "--out", str(out)
+        )
+        assert code == 2
+        assert stderr.startswith("error:") and "at most 17" in stderr
+        assert keygens == [] and not out.exists()
+
     def test_tampered_keyset_rejected(self, tmp_path, capsys):
         out = tmp_path / "keys.yaml"
         run_cli(capsys, "keys", "--nodes", "3", "--seed", "demo", "--out", str(out))
@@ -136,6 +149,19 @@ class TestRun:
         code, _, stderr = run_cli(capsys, "run", str(big))
         assert code == 2
         assert "too large" in stderr
+        assert keygens == []
+
+    def test_more_nodes_than_a_keyring_holds_is_usage_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        big = tmp_path / "big.yaml"
+        big.write_text("nodes: 18\nseed: 1\nduration_ms: 100\n")
+        keygens = []
+        monkeypatch.setattr(cli.crypto, "keygen", lambda seed: keygens.append(seed))
+        code, stdout, stderr = run_cli(capsys, "run", str(big))
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("error:") and "at most 17" in stderr
         assert keygens == []
 
     def test_injected_violation_exits_one(self, capsys, monkeypatch):
@@ -326,6 +352,21 @@ class TestVerify:
         assert code == 2
         assert stdout == ""
         assert "error: bad keyset:" in stderr
+
+    def test_keyset_past_keyring_bound_is_usage_error(self, tmp_path, capsys):
+        keys = tmp_path / "keys.yaml"
+        keys.write_text(yaml.safe_dump({"keys": [
+            {"node": i, "public": wire.encode_point(
+                crypto.keygen(f"big-{i}".encode()).public
+            ).hex()}
+            for i in range(18)
+        ]}))
+        code, stdout, stderr = run_cli(
+            capsys, "verify", "--proof", "00", "--keys", str(keys), "--now", "0"
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "error: bad keyset:" in stderr and "at most 17" in stderr
 
     def test_keyset_whose_keys_cancel_is_usage_error(self, tmp_path, capsys):
         # Keys X, -X and Y: combo {0, 1} has no aggregate key.

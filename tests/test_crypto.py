@@ -144,6 +144,12 @@ class TestBuildKeyring:
         with pytest.raises(crypto.CryptoError, match="too small"):
             crypto.build_keyring([(0, kp.public), (1, kp.public)])
 
+    def test_too_large_cluster_rejected_before_enumerating(self, monkeypatch):
+        kp = crypto.keygen(b"x")
+        monkeypatch.setattr(crypto, "combinations", None)  # enumerating raises
+        with pytest.raises(crypto.CryptoError, match="at most 17"):
+            crypto.build_keyring([(i, kp.public) for i in range(18)])
+
     @settings(max_examples=5, deadline=None)
     @given(st.integers(min_value=3, max_value=7))
     def test_quorum_is_majority(self, n):

@@ -542,6 +542,40 @@ class TestCodec:
         with pytest.raises(wire.MalformedError, match="malformed proof"):
             proofs.decode_proof(b"\x03" + blob[1:])
 
+    def test_schnorr_nonce_is_x_and_parity(self, cluster3):
+        # Decoding reads R's x and y parity and checks only x < P; an x off
+        # the curve decodes and fails the signature check instead.
+        keypairs, keyring = cluster3
+        _, proof = build(keypairs, keyring, 1, [0], wire.SCHEME_SCHNORR)
+        big_r = curve.scalar_mult_base(5)
+        body = proofs.SchnorrBody(proof.body.combo, big_r, proof.body.s_value)
+        assert body.nonce == (big_r[0], bool(big_r[1] & 1))
+        assert body == replace(body, nonce=body.nonce)
+        blob = proofs.encode_proof(proof)
+        nonce_at = wire.VOTE_MESSAGE_LEN + 8
+        with pytest.raises(wire.MalformedError):  # x = 5 is off the curve
+            wire.decode_point(b"\x02" + (5).to_bytes(32, "big"))
+        for prefix, x in ((b"\x02", 5), (b"\x03", 5), (b"\x02", curve.P - 1)):
+            forged = (
+                blob[:nonce_at] + prefix + x.to_bytes(32, "big") + blob[nonce_at + 33:]
+            )
+            decoded = proofs.decode_proof(forged)
+            assert decoded.body.nonce == (x, prefix == b"\x03")
+            assert proofs.encode_proof(decoded) == forged
+            assert proofs.validate_proof(
+                decoded, keyring, POLICY, NOW
+            ) is ValidationResult.BAD_SIGNATURE
+        flipped = bytearray(blob)
+        flipped[nonce_at] ^= 1  # R's parity
+        assert proofs.validate_proof(
+            proofs.decode_proof(bytes(flipped)), keyring, POLICY, NOW
+        ) is ValidationResult.BAD_SIGNATURE
+        past_field = curve.P.to_bytes(32, "big")
+        with pytest.raises(wire.MalformedError, match="x out of range"):
+            proofs.decode_proof(
+                blob[:nonce_at + 1] + past_field + blob[nonce_at + 33:]
+            )
+
     def test_sss_length_check(self, cluster5):
         keypairs, keyring = cluster5
         _, proof = build(keypairs, keyring, 1, [0, 3], wire.SCHEME_SSS)

@@ -80,8 +80,10 @@ def test_cluster_too_small():
 
 
 def test_cluster_too_large():
-    assert parse_scenario(MINIMAL.replace("nodes: 3", "nodes: 64")).n == 64
-    with pytest.raises(ScenarioError, match="too large"):
+    assert parse_scenario(MINIMAL.replace("nodes: 3", "nodes: 17")).n == 17
+    with pytest.raises(ScenarioError, match="too large.*at most 17"):
+        parse_scenario(MINIMAL.replace("nodes: 3", "nodes: 18"))
+    with pytest.raises(ScenarioError, match="too large: at most 64"):
         parse_scenario(MINIMAL.replace("nodes: 3", "nodes: 65"))
 
 
