@@ -86,8 +86,8 @@ def load_keyset(path: str) -> crypto.ClusterKeyring:
     keyring = crypto.build_keyring(keys)
     for entry in _entries(doc.get("combos", []), "combos"):
         combo = crypto.ComboId(_field(entry, "mask", int))
-        stored = wire.decode_point(bytes.fromhex(_field(entry, "aggregate", str)))
-        if keyring.aggregate_key(combo) != stored:
+        stored = bytes.fromhex(_field(entry, "aggregate", str))
+        if wire.encode_point(keyring.aggregate_key(combo)) != stored:
             raise ValueError(f"keyset aggregate mismatch for combo {combo.mask:#x}")
     return keyring
 
@@ -138,17 +138,10 @@ def _print_report(scenario_name, seed, report, summary, machine: bool) -> None:
 
 
 def _cmd_keys(args) -> int:
-    if args.nodes < 3:
-        print("error: need at least 3 nodes", file=sys.stderr)
-        return 2
-    if args.nodes > crypto.MAX_NODES:
-        print(f"error: at most {crypto.MAX_NODES} nodes", file=sys.stderr)
-        return 2
-    if args.nodes > crypto.MAX_KEYRING_NODES:
-        print(
-            f"error: a keyring holds at most {crypto.MAX_KEYRING_NODES} nodes",
-            file=sys.stderr,
-        )
+    try:
+        crypto.check_cluster_size(args.nodes)
+    except crypto.CryptoError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     _write_keyset(args.nodes, args.seed, args.out)
     print(f"wrote keyset for {args.nodes} nodes to {args.out}")
@@ -280,8 +273,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--proof", type=str, required=True)
     p_verify.add_argument("--keys", type=str, required=True)
     p_verify.add_argument("--now", type=int, required=True)
-    p_verify.add_argument("--ttl", type=int, default=15000)
-    p_verify.add_argument("--skew", type=int, default=500)
+    p_verify.add_argument("--ttl", type=int, default=proofs.ProofPolicy.ttl_ms)
+    p_verify.add_argument(
+        "--skew", type=int, default=proofs.ProofPolicy.max_clock_skew_ms
+    )
     p_verify.set_defaults(func=_cmd_verify)
     return parser
 

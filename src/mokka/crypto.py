@@ -42,6 +42,18 @@ class CryptoError(ValueError):
     pass
 
 
+def check_cluster_size(n: int) -> None:
+    """Raise CryptoError unless a keyring can be built for n nodes."""
+    if n < 3:
+        raise CryptoError("cluster too small: need at least 3 nodes")
+    if n > MAX_NODES:
+        raise CryptoError(f"cluster too large: at most {MAX_NODES} nodes")
+    if n > MAX_KEYRING_NODES:
+        raise CryptoError(
+            f"cluster too large: a keyring holds at most {MAX_KEYRING_NODES} nodes"
+        )
+
+
 @dataclass(frozen=True)
 class KeyPair:
     secret: int
@@ -178,12 +190,7 @@ def build_keyring(keys: Sequence[Tuple[NodeId, Point]]) -> ClusterKeyring:
     aggregate key, so such a keyset is rejected.
     """
     n = len(keys)
-    if n < 3:
-        raise CryptoError("cluster too small")
-    if n > MAX_KEYRING_NODES:
-        raise CryptoError(
-            f"cluster too large: a keyring holds at most {MAX_KEYRING_NODES} nodes"
-        )
+    check_cluster_size(n)
     ids = [node_id for node_id, _ in keys]
     if len(set(ids)) != n:
         raise CryptoError("duplicate node")

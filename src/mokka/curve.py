@@ -1,29 +1,19 @@
-"""secp256k1 group arithmetic.
+"""secp256k1 group arithmetic over plain Python integers.
 
 Affine points are (x, y) integer tuples; ``None`` is the point at infinity.
 A multiple of a point with a fixed-base table -- the generator, or a
 long-lived key through ``key_table`` -- and any sum of such multiples is a
-sum of one table entry per signed window digit and needs no doublings. The
-entries are added in affine pairs, level by level, with one field inversion
-shared by each level (Montgomery's trick), and the last few in Jacobian
-coordinates; ``sum_names`` checks a sum against a point given as its x
-coordinate and y parity, and pays an inversion only when x matches. Any
-other point goes through ``scalar_mult``, which doubles and adds in 4-bit
-windows in Jacobian coordinates. None of this is constant-time: the library
-targets simulation and desk-scale testing, not hostile production
-deployments.
-"""
+sum of one table entry per signed window digit and needs no doublings;
+``sum_names`` checks such a sum against a point given as its x coordinate
+and y parity. Any other point goes through ``scalar_mult``, which doubles
+and adds in 4-bit windows in Jacobian coordinates. Apart from ``point_add``,
+the simple reference, every affine addition goes through one batched kernel,
+``_add_affine``, whose pairs share one field inversion (Montgomery's trick).
+None of this is constant-time: the library targets simulation and
+desk-scale testing, not hostile production deployments."""
 
 import functools
 from typing import Iterable, List, Optional, Tuple
-
-try:  # gmpy2 speeds 256-bit modular arithmetic up; plain ints work too
-    from gmpy2 import invert as _invert, mpz as _mpz
-except ImportError:  # pragma: no cover
-    _mpz = int
-
-    def _invert(z, m):
-        return pow(z, -1, m)
 
 Point = Tuple[int, int]
 
@@ -82,19 +72,18 @@ def point_add(p1: Optional[Point], p2: Optional[Point]) -> Optional[Point]:
 
 
 # Jacobian coordinates: (X, Y, Z) with x = X/Z^2, y = Y/Z^3; Z == 0 is infinity.
-_P = _mpz(P)
-_JINF = (_mpz(1), _mpz(1), _mpz(0))
+_JINF = (1, 1, 0)
 
 
 def _jac_double(pt):
     X, Y, Z = pt
     if not Z or not Y:
         return _JINF
-    YY = Y * Y % _P
-    S = 4 * X * YY % _P
-    M = 3 * X * X % _P
-    X3 = (M * M - 2 * S) % _P
-    return (X3, (M * (S - X3) - 8 * YY * YY) % _P, 2 * Y * Z % _P)
+    YY = Y * Y % P
+    S = 4 * X * YY % P
+    M = 3 * X * X % P
+    X3 = (M * M - 2 * S) % P
+    return (X3, (M * (S - X3) - 8 * YY * YY) % P, 2 * Y * Z % P)
 
 
 def _jac_add_mixed(pt, aff):
@@ -103,29 +92,21 @@ def _jac_add_mixed(pt, aff):
     x2, y2 = aff
     if not Z:
         return (x2, y2, 1)
-    ZZ = Z * Z % _P
-    H = x2 * ZZ % _P - X
-    R = y2 * ZZ % _P * Z % _P - Y
+    ZZ = Z * Z % P
+    H = x2 * ZZ % P - X
+    R = y2 * ZZ % P * Z % P - Y
     if not H:
         return _jac_double(pt) if not R else _JINF
-    HH = H * H % _P
-    HHH = H * HH % _P
-    V = X * HH % _P
-    X3 = (R * R - HHH - 2 * V) % _P
-    return (X3, (R * (V - X3) - Y * HHH) % _P, Z * H % _P)
-
-
-def _jac_to_affine(pt) -> Optional[Point]:
-    X, Y, Z = pt
-    if Z == 0:
-        return None
-    zinv = _invert(Z, _P)
-    zinv2 = zinv * zinv % P
-    return (int(X * zinv2 % P), int(Y * zinv2 * zinv % P))
+    HH = H * H % P
+    HHH = H * HH % P
+    V = X * HH % P
+    X3 = (R * R - HHH - 2 * V) % P
+    return (X3, (R * (V - X3) - Y * HHH) % P, Z * H % P)
 
 
 def _jac_to_affine_all(pts) -> List[Optional[Point]]:
-    """_jac_to_affine of each point, sharing one field inversion."""
+    """Each Jacobian point made affine, None for infinity, all sharing one
+    field inversion."""
     zinvs = iter(_batch_invert([Z for _, _, Z in pts if Z]))
     out = []
     for X, Y, Z in pts:
@@ -133,8 +114,8 @@ def _jac_to_affine_all(pts) -> List[Optional[Point]]:
             out.append(None)
             continue
         zinv = next(zinvs)
-        zinv2 = zinv * zinv % _P
-        out.append((int(X * zinv2 % _P), int(Y * zinv2 * zinv % _P)))
+        zinv2 = zinv * zinv % P
+        out.append((X * zinv2 % P, Y * zinv2 * zinv % P))
     return out
 
 
@@ -150,12 +131,31 @@ def _batch_invert(values):
     acc = 1
     for v in values:
         prefix.append(acc)
-        acc = acc * v % _P
-    inv = _invert(acc, _P)
+        acc = acc * v % P
+    inv = pow(acc, -1, P)
     out = [None] * len(values)
     for i in range(len(values) - 1, -1, -1):
-        out[i] = inv * prefix[i] % _P
-        inv = inv * values[i] % _P
+        out[i] = inv * prefix[i] % P
+        inv = inv * values[i] % P
+    return out
+
+
+def _add_affine(pairs):
+    """The sum of each pair of affine points, or None where the pair
+    cancels to infinity; all the pairs share one field inversion."""
+    # Equal x: a doubling (2y), or a cancellation whose inverse goes unused.
+    dens = [q[0] - p[0] or 2 * p[1] for p, q in pairs]
+    out = []
+    for ((x1, y1), (x2, y2)), inv in zip(pairs, _batch_invert(dens)):
+        if x1 != x2:
+            lam = (y2 - y1) * inv % P
+        elif y1 == y2:
+            lam = 3 * x1 * x1 * inv % P
+        else:
+            out.append(None)
+            continue
+        x3 = (lam * lam - x1 - x2) % P
+        out.append((x3, (lam * (x1 - x3) - y1) % P))
     return out
 
 
@@ -169,21 +169,9 @@ def _multiples(bases, count):
     rows = [[base] for base in bases]
     m = 1
     while m < count:
-        dens = []
-        for row in rows:
-            xm, ym = row[m - 1]
-            dens.extend((xm - x) % _P for x, _ in row[: m - 1])
-            dens.append(2 * ym % _P)
-        invs = iter(_batch_invert(dens))
-        for row in rows:
-            xm, ym = row[m - 1]
-            for x, y in row[:m]:
-                if x == xm:  # entry m plus itself
-                    lam = 3 * x * x * next(invs) % _P
-                else:
-                    lam = (ym - y) * next(invs) % _P
-                x3 = (lam * lam - x - xm) % _P
-                row.append((x3, (lam * (x - x3) - y) % _P))
+        sums = _add_affine([(p, row[m - 1]) for row in rows for p in row])
+        for i, row in enumerate(rows):
+            row.extend(sums[i * m : (i + 1) * m])
         m *= 2
     return rows
 
@@ -193,14 +181,14 @@ def scalar_mult(k: int, point: Optional[Point]) -> Optional[Point]:
     k %= N
     if k == 0 or point is None:
         return None
-    multiples = _multiples([(_mpz(point[0]), _mpz(point[1]))], 16)[0]
+    multiples = _multiples([point], 16)[0]
     acc = _JINF
     for byte in k.to_bytes(32, "big"):
         for digit in (byte >> 4, byte & 15):
             acc = _jac_double(_jac_double(_jac_double(_jac_double(acc))))
             if digit:
                 acc = _jac_add_mixed(acc, multiples[digit - 1])
-    return _jac_to_affine(acc)
+    return _jac_to_affine_all([acc])[0]
 
 
 class FixedBase:
@@ -217,14 +205,14 @@ class FixedBase:
         self.window = window
         # Row bases 2^(window*i) * point: one doubling chain in Jacobian,
         # then one shared inversion to make them affine.
-        acc = (_mpz(point[0]), _mpz(point[1]), _mpz(1))
+        acc = (point[0], point[1], 1)
         bases = [acc]
         for _ in range(256 // window):
             for _ in range(window):
                 acc = _jac_double(acc)
             bases.append(acc)
-        affine = [(_mpz(x), _mpz(y)) for x, y in _jac_to_affine_all(bases)]
-        self.rows = [[None] + row for row in _multiples(affine, 1 << (window - 1))]
+        rows = _multiples(_jac_to_affine_all(bases), 1 << (window - 1))
+        self.rows = [[None] + row for row in rows]
 
     def mult(self, k: int) -> Optional[Point]:
         """k * point."""
@@ -248,7 +236,7 @@ def _entries(terms) -> List[Point]:
             if digit > half:  # the signed digit digit - 2^w; carry into k
                 k += 1
                 x, y = row[full - digit]
-                entries.append((x, _P - y))
+                entries.append((x, P - y))
             elif digit:
                 entries.append(row[digit])
     return entries
@@ -260,19 +248,8 @@ def _add_pairs(points: List[Point]) -> List[Point]:
     A pair that cancels to infinity is left out, and an odd last point
     carries over, so the list's sum is unchanged.
     """
-    pairs = list(zip(points[0::2], points[1::2]))
-    # Equal x: a doubling (2y), or a cancellation whose inverse goes unused.
-    dens = [q[0] - p[0] or 2 * p[1] for p, q in pairs]
-    out = []
-    for ((x1, y1), (x2, y2)), inv in zip(pairs, _batch_invert(dens)):
-        if x1 != x2:
-            lam = (y2 - y1) * inv % _P
-        elif y1 == y2:
-            lam = 3 * x1 * x1 * inv % _P
-        else:
-            continue
-        x3 = (lam * lam - x1 - x2) % _P
-        out.append((x3, (lam * (x1 - x3) - y1) % _P))
+    sums = _add_affine(list(zip(points[0::2], points[1::2])))
+    out = [point for point in sums if point is not None]
     if len(points) % 2:
         out.append(points[-1])
     return out
@@ -318,7 +295,7 @@ def key_table(point: Point) -> FixedBase:
 
 def fixed_sum(terms) -> Optional[Point]:
     """The affine sum of k * base over (k, FixedBase) terms."""
-    return _jac_to_affine(_jac_sum(_entries(terms)))
+    return _jac_to_affine_all([_jac_sum(_entries(terms))])[0]
 
 
 def sum_names(x: int, y_odd: bool, terms) -> bool:
@@ -331,36 +308,10 @@ def sum_names(x: int, y_odd: bool, terms) -> bool:
     if not 0 <= x < P:
         return False
     X, Y, Z = _jac_sum(_entries(terms))
-    ZZ = Z * Z % _P
-    if not Z or X != x * ZZ % _P:
+    ZZ = Z * Z % P
+    if not Z or X != x * ZZ % P:
         return False
-    return bool(Y * _invert(ZZ * Z % _P, _P) % _P & 1) == y_odd
-
-
-def _sqrt_candidate(a: int) -> int:
-    """a^((P+1)/4), the square root of a when a has one (P = 3 mod 4).
-
-    The exponent's bits are runs of 223, 22 and 2 ones; this addition
-    chain (libsecp256k1's) needs 253 squarings and 13 multiplications,
-    where a plain ``pow`` spends about 50 more multiplications. Each
-    ``pow(t, 1 << n, P)`` is n squarings done in C; n stays below 60, past
-    which CPython's ``pow`` first builds a window table. ``xn`` is
-    a^(2^n - 1).
-    """
-    x2 = a * a % P * a % P
-    x3 = x2 * x2 % P * a % P
-    x6 = pow(x3, 1 << 3, P) * x3 % P
-    x9 = pow(x6, 1 << 3, P) * x3 % P
-    x11 = pow(x9, 1 << 2, P) * x2 % P
-    x22 = pow(x11, 1 << 11, P) * x11 % P
-    x44 = pow(x22, 1 << 22, P) * x22 % P
-    x88 = pow(x44, 1 << 44, P) * x44 % P
-    x176 = pow(pow(x88, 1 << 44, P), 1 << 44, P) * x88 % P
-    x220 = pow(x176, 1 << 44, P) * x44 % P
-    x223 = pow(x220, 1 << 3, P) * x3 % P
-    t = pow(x223, 1 << 23, P) * x22 % P
-    t = pow(t, 1 << 6, P) * x2 % P
-    return pow(t, 1 << 2, P)
+    return bool(Y * pow(ZZ * Z, -1, P) % P & 1) == y_odd
 
 
 def lift_x(x: int, y_odd: bool) -> Point:
@@ -368,7 +319,7 @@ def lift_x(x: int, y_odd: bool) -> Point:
     if not 0 <= x < P:
         raise ValueError("x out of range")
     y_sq = (x * x * x + 7) % P
-    y = _sqrt_candidate(y_sq)
+    y = pow(y_sq, (P + 1) // 4, P)  # a root when one exists, as P = 3 mod 4
     if y * y % P != y_sq:
         raise ValueError("x is not on the curve")
     if bool(y & 1) != y_odd:

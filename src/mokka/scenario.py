@@ -12,7 +12,7 @@ import yaml
 
 from . import wire
 from .core import NodeConfig
-from .crypto import MAX_KEYRING_NODES, MAX_NODES
+from .crypto import CryptoError, check_cluster_size
 from .proofs import ProofPolicy
 
 
@@ -74,7 +74,7 @@ def _check_keys(mapping: dict, allowed: set, where: str) -> None:
 
 
 def _pair(value, where: str) -> Tuple[int, int]:
-    if not isinstance(value, list) or len(value) != 2:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ScenarioError(f"{where} must be a [low, high] pair")
     return int(value[0]), int(value[1])
 
@@ -96,25 +96,26 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioError(f"missing required key {key!r}")
 
         n = int(data["nodes"])
-        if n < 3:
-            raise ScenarioError("cluster too small")
-        if n > MAX_NODES:
-            raise ScenarioError(f"cluster too large: at most {MAX_NODES} nodes")
-        if n > MAX_KEYRING_NODES:
-            raise ScenarioError(
-                f"cluster too large: a keyring holds at most {MAX_KEYRING_NODES} nodes"
-            )
+        try:
+            check_cluster_size(n)
+        except CryptoError as exc:
+            raise ScenarioError(str(exc)) from None
         scheme_name = data.get("scheme", "schnorr")
         if scheme_name not in _SCHEMES:
             raise ScenarioError(f"unknown scheme {scheme_name!r}")
         node_config = NodeConfig(
             election_timeout_range_ms=_pair(
-                data.get("election_timeout_ms", [150, 300]), "election_timeout_ms"
+                data.get("election_timeout_ms", NodeConfig.election_timeout_range_ms),
+                "election_timeout_ms",
             ),
-            heartbeat_interval_ms=int(data.get("heartbeat_interval_ms", 50)),
+            heartbeat_interval_ms=int(
+                data.get("heartbeat_interval_ms", NodeConfig.heartbeat_interval_ms)
+            ),
             proof_policy=ProofPolicy(
-                ttl_ms=int(data.get("proof_ttl_ms", 15000)),
-                max_clock_skew_ms=int(data.get("max_clock_skew_ms", 500)),
+                ttl_ms=int(data.get("proof_ttl_ms", ProofPolicy.ttl_ms)),
+                max_clock_skew_ms=int(
+                    data.get("max_clock_skew_ms", ProofPolicy.max_clock_skew_ms)
+                ),
             ),
             scheme=_SCHEMES[scheme_name],
         )

@@ -71,10 +71,19 @@ class TestKeys:
         out = tmp_path / "keys.yaml"
         run_cli(capsys, "keys", "--nodes", "3", "--seed", "demo", "--out", str(out))
         doc = yaml.safe_load(out.read_text())
-        doc["combos"][0]["aggregate"] = doc["combos"][1]["aggregate"]
-        out.write_text(yaml.safe_dump(doc, sort_keys=False))
-        with pytest.raises(ValueError, match="aggregate mismatch"):
-            load_keyset(str(out))
+        real = doc["combos"][0]["aggregate"]
+        # Another combo's aggregate; an x that is not on the curve (x = 5);
+        # the right x behind an uncompressed-point prefix. Stored aggregates
+        # are compared as bytes, so each one reads as a mismatch.
+        for tampered in (
+            doc["combos"][1]["aggregate"],
+            real[:2] + (5).to_bytes(32, "big").hex(),
+            "04" + real[2:],
+        ):
+            doc["combos"][0]["aggregate"] = tampered
+            out.write_text(yaml.safe_dump(doc, sort_keys=False))
+            with pytest.raises(ValueError, match="aggregate mismatch"):
+                load_keyset(str(out))
 
 
 class TestRun:

@@ -61,6 +61,9 @@ def window_boundaries(*windows):
 def test_fast_paths_agree_with_each_other(k):
     assert curve.scalar_mult_base(k) == curve.scalar_mult(k, curve.G)
     assert curve.key_table(KEY).mult(k) == curve.scalar_mult(k, KEY)
+    # scalar_mult shares _multiples and _add_affine with the key table, so
+    # also check the table against the independent point_add oracle.
+    assert curve.key_table(KEY).mult(k) == naive_mult(k, KEY)
 
 
 def fold(points):
