@@ -10,7 +10,7 @@ Subcommands:
           virtual time
 
 Exit codes: 0 success / proof ok, 1 invariant or validation failure,
-2 usage or parse error.
+2 usage, parse or file error.
 """
 
 import argparse
@@ -151,7 +151,7 @@ def _cmd_keys(args) -> int:
 def _cmd_run(args) -> int:
     try:
         scenario = load_scenario(args.scenario)
-    except (OSError, ScenarioError) as exc:
+    except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     trace, report = simnet.run(scenario)
@@ -172,7 +172,7 @@ def _cmd_check(args) -> int:
         return 2
     try:
         scenarios = [load_scenario(path) for path in args.scenarios]
-    except (OSError, ScenarioError) as exc:
+    except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.drop is not None:
@@ -284,7 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # a file that cannot be read or written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -127,8 +127,11 @@ class Send:
 
 @dataclass(frozen=True)
 class ArmElectionTimer:
+    """proof is the leader's proof when cause is "heartbeat", else None."""
+
     duration_ms: int
     cause: str
+    proof: Optional[VoteProof] = None
 
 
 @dataclass(frozen=True)
@@ -220,9 +223,11 @@ def step(state: NodeState, event: Event, now_ms: int) -> Tuple[NodeState, List[O
     return state, [Diagnostic("malformed", f"unknown event {event!r}")]
 
 
-def _arm_election(state: NodeState, cause: str) -> ArmElectionTimer:
+def _arm_election(
+    state: NodeState, cause: str, proof: Optional[VoteProof] = None
+) -> ArmElectionTimer:
     low, high = state.config.election_timeout_range_ms
-    return ArmElectionTimer(state.rng.randint(low, high), cause)
+    return ArmElectionTimer(state.rng.randint(low, high), cause, proof)
 
 
 def _peers(state: NodeState) -> List[NodeId]:
@@ -380,12 +385,7 @@ def _on_heartbeat(state: NodeState, hb: Heartbeat, now_ms: int) -> List[Output]:
         state.role = Follower()
         outputs.append(RoleChanged("follower", state.current_term))
     state.known_leader = leader
-    outputs.append(
-        ArmElectionTimer(
-            state.rng.randint(*state.config.election_timeout_range_ms),
-            f"heartbeat leader={leader} proof_ts={proof.timestamp_ms}",
-        )
-    )
+    outputs.append(_arm_election(state, "heartbeat", proof))
     return outputs
 
 

@@ -175,8 +175,9 @@ def parse_scenario(text: str) -> Scenario:
             )
             if not 0 <= spec.node < n:
                 raise ScenarioError(f"{where}: node out of range")
-            if behavior == "fake_leader" and spec.term is None:
-                raise ScenarioError(f"{where}: fake_leader needs a term")
+            # An absent term reads as 0; a term travels in 8 bytes on the wire.
+            if behavior == "fake_leader" and not 0 < (spec.term or 0) < 1 << 64:
+                raise ScenarioError(f"{where}: fake_leader needs a term in [1, 2**64)")
             if behavior == "proof_replay" and spec.replay_after_ms is None:
                 raise ScenarioError(f"{where}: proof_replay needs replay_after_ms")
             adversaries.append(spec)

@@ -10,7 +10,7 @@ seed, so a scenario maps to exactly one trace.
 import heapq
 import random
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import core, crypto, curve, proofs, wire
 from .core import (
@@ -36,6 +36,10 @@ class TraceEvent(NamedTuple):
     kind: str  # send | deliver | drop | timer | role_change | diagnostic | violation
     node: int
     detail: str
+    # The object the line renders, for readers that need its fields: the
+    # packet body (send, deliver, drop), the ArmElectionTimer (timer) or
+    # the RoleChanged (role_change); None for the other kinds.
+    about: object = None
 
     def line(self) -> str:
         return f"{self.time_ms}\t{self.seq}\t{self.kind}\t{self.node}\t{self.detail}"
@@ -124,8 +128,10 @@ class _Sim:
         heapq.heappush(self.heap, (time_ms, self.seq, item))
         self.seq += 1
 
-    def _record(self, time_ms: int, kind: str, node: int, detail: str) -> None:
-        self.trace.append(TraceEvent(time_ms, self.seq, kind, node, detail))
+    def _record(
+        self, time_ms: int, kind: str, node: int, detail: str, about: object = None
+    ) -> None:
+        self.trace.append(TraceEvent(time_ms, self.seq, kind, node, detail, about))
         self.seq += 1
 
     def _bias_first_timer(self, node: int, outputs: list) -> list:
@@ -162,21 +168,21 @@ class _Sim:
             sender = packet.src if emitter is None else emitter
             spec = self.adversaries.get(sender)
             if spec is not None and spec.behavior == "silent":
-                self._record(time_ms, "drop", sender, "silent " + detail)
+                self._record(time_ms, "drop", sender, "silent " + detail, body)
                 continue
             double = spec is not None and spec.behavior == "double_voter"
             copies = 2 if double and isinstance(body, VoteResponse) else 1
             sent = f"{detail} to={packet.dst}"
             for _ in range(copies):
-                self._record(time_ms, "send", sender, sent)
+                self._record(time_ms, "send", sender, sent, body)
                 if self._partition_blocks(sender, packet.dst, time_ms):
-                    self._record(time_ms, "drop", sender, "partition " + sent)
+                    self._record(time_ms, "drop", sender, "partition " + sent, body)
                     continue
                 if (
                     self.sc.drop_probability > 0
                     and self.net_rng.random() < self.sc.drop_probability
                 ):
-                    self._record(time_ms, "drop", sender, "loss " + sent)
+                    self._record(time_ms, "drop", sender, "loss " + sent, body)
                     continue
                 delay = self.net_rng.randint(*self.sc.latency_ms)
                 self._push(time_ms + delay, ("deliver", packet, detail))
@@ -187,10 +193,11 @@ class _Sim:
                 self._dispatch(out.packets, time_ms)
             elif isinstance(out, ArmElectionTimer):
                 self.egen[node] += 1
-                self._record(
-                    time_ms, "timer", node,
-                    f"arm-election dur={out.duration_ms} cause={out.cause}",
-                )
+                proof = out.proof
+                detail = f"arm-election dur={out.duration_ms} cause={out.cause}"
+                if proof is not None:
+                    detail += f" leader={proof.candidate} proof_ts={proof.timestamp_ms}"
+                self._record(time_ms, "timer", node, detail, out)
                 self._push(
                     time_ms + out.duration_ms, ("etimer", node, self.egen[node])
                 )
@@ -211,7 +218,7 @@ class _Sim:
                     )
                 elif out.role == "candidate":
                     self.elections_started += 1
-                self._record(time_ms, "role_change", node, detail)
+                self._record(time_ms, "role_change", node, detail, out)
             elif isinstance(out, Diagnostic):
                 self._record(
                     time_ms, "diagnostic", node, f"{out.code} {out.detail}"
@@ -246,20 +253,16 @@ class _Sim:
                 time_ms, emitter=node,
             )
 
-    def _maybe_capture(self, node: int, packet: Packet, time_ms: int) -> None:
-        """A replayer keeps the first valid proof it is sent."""
-        if node in self.replay_captured or not isinstance(packet.body, Heartbeat):
-            return
-        result = proofs.validate_proof(
-            packet.body.proof, self.keyring,
-            self.sc.node_config.proof_policy, time_ms,
+    def _maybe_capture(self, node: int, outputs: list, time_ms: int) -> None:
+        """A replayer keeps the first proof that its own node follows."""
+        proof = next(
+            (out.proof for out in outputs if isinstance(out, ArmElectionTimer)), None
         )
-        if result is proofs.ValidationResult.OK:
-            self.replay_captured[node] = (packet.body.proof, time_ms)
+        if proof is not None and node not in self.replay_captured:
+            self.replay_captured[node] = (proof, time_ms)
             self._record(
                 time_ms, "diagnostic", node,
-                f"proof-captured term={packet.body.proof.term}"
-                f" proof_ts={packet.body.proof.timestamp_ms}",
+                f"proof-captured term={proof.term} proof_ts={proof.timestamp_ms}",
             )
 
     # -- main loop ------------------------------------------------------------
@@ -273,19 +276,19 @@ class _Sim:
             if kind == "deliver":
                 _, packet, detail = item
                 node = packet.dst
-                self._record(time_ms, "deliver", node, f"{detail} from={packet.src}")
-                spec = self.adversaries.get(node)
-                if spec is not None:
-                    if spec.behavior == "proof_replay":
-                        self._maybe_capture(node, packet, time_ms)
-                    # Fake leaders answer votes but never campaign or follow.
-                    elif spec.behavior == "fake_leader" and not isinstance(
-                        packet.body, VoteRequest
-                    ):
-                        continue
+                body = packet.body
+                self._record(
+                    time_ms, "deliver", node, f"{detail} from={packet.src}", body
+                )
+                behavior = getattr(self.adversaries.get(node), "behavior", None)
+                # Fake leaders answer votes but never campaign or follow.
+                if behavior == "fake_leader" and not isinstance(body, VoteRequest):
+                    continue
                 _, outputs = core.step(
                     self.nodes[node], PacketArrived(packet), time_ms
                 )
+                if behavior == "proof_replay":
+                    self._maybe_capture(node, outputs, time_ms)
                 self._apply_outputs(node, outputs, time_ms)
             elif kind == "etimer":
                 node, gen = item[1], item[2]
@@ -338,14 +341,13 @@ def run(scenario: Scenario) -> Tuple[List[TraceEvent], RunReport]:
 # --- invariant checking ------------------------------------------------------
 
 
-def _number(detail: str, key: str) -> Optional[int]:
-    """The value of the last ``key=`` token in detail, or None."""
-    start = detail.rfind(f" {key}=") + 1
-    if not start and not detail.startswith(f"{key}="):
-        return None
-    start += len(key) + 1
-    end = detail.find(" ", start)
-    return int(detail[start:end if end >= 0 else None])
+def _term(about: Union[core.Body, RoleChanged]) -> int:
+    """The term of a packet body or a RoleChanged."""
+    if isinstance(about, VoteRequest):
+        return about.payload.term
+    if isinstance(about, VoteResponse):
+        return about.grant.term
+    return about.proof.term if isinstance(about, Heartbeat) else about.term
 
 
 def _leader_intervals(
@@ -357,9 +359,8 @@ def _leader_intervals(
     for ev in trace:
         if ev.kind != "role_change":
             continue
-        term = _number(ev.detail, "term")
-        if ev.detail.split()[0] == "leader":
-            open_at[ev.node] = (ev.time_ms, -1 if term is None else term)
+        if ev.about.role == "leader":
+            open_at[ev.node] = (ev.time_ms, ev.about.term)
         elif ev.node in open_at:
             start, lead_term = open_at.pop(ev.node)
             intervals.setdefault(ev.node, []).append((start, ev.time_ms, lead_term))
@@ -371,7 +372,8 @@ def _leader_intervals(
 
 
 def check_invariants(trace: List[TraceEvent], report: RunReport) -> List[str]:
-    """The run's violations, from one pass over its trace: election safety,
+    """The run's violations, from one pass over the trace's typed events
+    (``TraceEvent.about``; the text is never read): election safety,
     vote uniqueness, term monotonicity, timer resets, fake leaders
     acknowledged and minority leaders, each kind in trace order."""
     honest = set(report.honest_nodes)
@@ -389,12 +391,8 @@ def check_invariants(trace: List[TraceEvent], report: RunReport) -> List[str]:
     role_changes: List[TraceEvent] = []
     seen_votes: Dict[Tuple[int, int], int] = {}
     last_term: Dict[int, int] = {}
-    # Details repeat (a burst's heartbeats, a leader's timer resets), so
-    # each distinct one is read once.
-    terms: Dict[str, Optional[int]] = {}
-    timer_fields: Dict[str, Tuple[Optional[int], Optional[int]]] = {}
     for ev in trace:
-        kind, node, detail = ev.kind, ev.node, ev.detail
+        kind, node, about = ev.kind, ev.node, ev.about
         if kind == "role_change":
             role_changes.append(ev)
         elif kind != "send" and kind != "timer":
@@ -402,13 +400,9 @@ def check_invariants(trace: List[TraceEvent], report: RunReport) -> List[str]:
         if node not in honest:
             continue
         if kind == "timer":
-            fields = timer_fields.get(detail)
-            if fields is None:
-                leader = _number(detail, "leader")
-                fields = timer_fields[detail] = (leader, _number(detail, "proof_ts"))
-            leader, proof_ts = fields
-            if leader is None:
+            if about.proof is None:
                 continue
+            leader, proof_ts = about.proof.candidate, about.proof.timestamp_ms
             # A heartbeat without a valid proof never resets a timer.
             if leader in fake_leaders:
                 resets.append(
@@ -421,13 +415,9 @@ def check_invariants(trace: List[TraceEvent], report: RunReport) -> List[str]:
                     f" at={ev.time_ms}"
                 )
             continue
-        term = terms.get(detail)
-        if term is None:
-            term = terms[detail] = _number(detail, "term")
-        if term is None:
-            continue
+        term = _term(about)
         # Vote uniqueness: one VoteResponse per (honest node, term).
-        if kind == "send" and detail.startswith("vote-response"):
+        if isinstance(about, VoteResponse):
             votes = seen_votes[node, term] = seen_votes.get((node, term), 0) + 1
             if votes == 2:
                 double_votes.append(f"vote-uniqueness node={node} term={term}")

@@ -67,6 +67,14 @@ class TestKeys:
         assert stderr.startswith("error:") and "at most 17" in stderr
         assert keygens == [] and not out.exists()
 
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "k.yaml"
+        code, _, stderr = run_cli(
+            capsys, "keys", "--nodes", "3", "--seed", "x", "--out", str(out)
+        )
+        assert code == 2
+        assert stderr.startswith("error:") and str(out) in stderr
+
     def test_tampered_keyset_rejected(self, tmp_path, capsys):
         out = tmp_path / "keys.yaml"
         run_cli(capsys, "keys", "--nodes", "3", "--seed", "demo", "--out", str(out))
@@ -116,6 +124,14 @@ class TestRun:
         )
         assert code == 0
         assert trace.read_text() == (GOLDEN_DIR / "happy-path-n3.trace").read_text()
+
+    def test_unwritable_trace_is_usage_error(self, tmp_path, capsys):
+        trace = tmp_path / "missing" / "out.trace"
+        code, _, stderr = run_cli(
+            capsys, "run", scenario_path("happy-path-n3"), "--trace", str(trace)
+        )
+        assert code == 2
+        assert stderr.startswith("error:") and str(trace) in stderr
 
     def test_missing_scenario_is_usage_error(self, capsys):
         code, _, stderr = run_cli(capsys, "run", "/nonexistent.yaml")

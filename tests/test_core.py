@@ -546,7 +546,8 @@ class TestHeartbeat:
         follower = states[2]
         _, outs = core.step(follower, PacketArrived(Packet(0, 2, hb)), 1050)
         timer = only(outs, ArmElectionTimer)
-        assert timer.cause == "heartbeat leader=0 proof_ts=1000"
+        assert (timer.cause, timer.proof) == ("heartbeat", hb.proof)
+        assert (timer.proof.candidate, timer.proof.timestamp_ms) == (0, 1000)
         assert follower.known_leader == 0
         assert follower.current_term == 1
 
@@ -687,7 +688,8 @@ class TestOwnVoteRefutation:
         assert voter.voted_for == (1, 0) and 1 in hb.proof.body.combo
         calls = _count_calls(monkeypatch, "schnorr_verify")
         _, outs = core.step(voter, PacketArrived(Packet(0, 1, hb)), 1050)
-        assert only(outs, ArmElectionTimer).cause == "heartbeat leader=0 proof_ts=1000"
+        timer = only(outs, ArmElectionTimer)
+        assert (timer.cause, timer.proof) == ("heartbeat", hb.proof)
         assert voter.known_leader == 0
         assert len(calls) == 1
 
@@ -780,7 +782,8 @@ class TestSssScheme:
         hb = only(outs, Send).packets[0].body
         follower = states[4]
         _, fouts = core.step(follower, PacketArrived(Packet(0, 4, hb)), 1050)
-        assert only(fouts, ArmElectionTimer).cause.startswith("heartbeat leader=0")
+        timer = only(fouts, ArmElectionTimer)
+        assert (timer.cause, timer.proof.candidate) == ("heartbeat", 0)
 
     def test_sss_wrong_share_rejected(self, cluster3):
         keypairs, keyring = cluster3

@@ -166,6 +166,11 @@ class TestAdversaries:
             parse_scenario(text)
         sc = parse_scenario(text + "    term: 99\n")
         assert sc.adversaries[0].term == 99
+        for term in (0, 2**64):
+            with pytest.raises(ScenarioError, match="needs a term"):
+                parse_scenario(text + f"    term: {term}\n")
+        sc = parse_scenario(text + f"    term: {2**64 - 1}\n")
+        assert sc.adversaries[0].term == 2**64 - 1
 
     def test_proof_replay_needs_delay(self):
         text = MINIMAL + "adversaries:\n  - node: 1\n    behavior: proof_replay\n"

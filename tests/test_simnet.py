@@ -5,8 +5,11 @@ from dataclasses import replace
 
 import pytest
 
-from mokka import cli, crypto, curve, simnet
-from mokka.scenario import load_scenario
+from mokka import cli, crypto, curve, proofs, simnet, wire
+from mokka.core import (
+    ArmElectionTimer, Heartbeat, RoleChanged, VoteRequest, VoteResponse,
+)
+from mokka.scenario import Partition, load_scenario
 from mokka.simnet import RunReport, TraceEvent, check_invariants, trace_lines
 
 from conftest import SCENARIO_DIR, scenario_path
@@ -265,64 +268,146 @@ class TestClusterMemo:
         assert isinstance(keyring, crypto.ClusterKeyring)
 
 
-class TestInvariantChecker:
-    def _report(self, **kw):
-        base = dict(
-            leaders_per_term={}, elections_started=0, violations=[],
-            final_roles={}, final_known_leader={}, honest_nodes=(0, 1, 2),
-            adversaries={}, quorum_size=2, proof_ttl_ms=1000,
-            heartbeat_interval_ms=50, partitions=(), duration_ms=5000,
-        )
-        base.update(kw)
-        return RunReport(**base)
+def _send(time_ms, seq, node, body, to):
+    detail = f"{simnet._body_detail(body)} to={to}"
+    return TraceEvent(time_ms, seq, "send", node, detail, body)
 
+
+def _vote_response(voter, term):
+    return VoteResponse(proofs.VoteGrant(voter, term))
+
+
+def _vote_request(candidate, term):
+    return VoteRequest(proofs.VotePayload(wire.SCHEME_SCHNORR, term, 0, candidate))
+
+
+def _proof(leader, term, proof_ts):
+    # The checker reads no signature, so the proof carries no body.
+    return proofs.VoteProof(wire.SCHEME_SCHNORR, term, proof_ts, leader, None)
+
+
+def _timer(time_ms, seq, node, cause, proof=None):
+    timer = ArmElectionTimer(200, cause, proof)
+    detail = f"arm-election dur=200 cause={cause}"
+    if proof is not None:
+        detail += f" leader={proof.candidate} proof_ts={proof.timestamp_ms}"
+    return TraceEvent(time_ms, seq, "timer", node, detail, timer)
+
+
+def _role(time_ms, seq, node, role, term):
+    change = RoleChanged(role, term)
+    return TraceEvent(
+        time_ms, seq, "role_change", node, f"{role} term={term}", change
+    )
+
+
+def _report(**kw):
+    base = dict(
+        leaders_per_term={}, elections_started=0, violations=[],
+        final_roles={}, final_known_leader={}, honest_nodes=(0, 1, 2),
+        adversaries={}, quorum_size=2, proof_ttl_ms=1000,
+        heartbeat_interval_ms=50, partitions=(), duration_ms=5000,
+    )
+    base.update(kw)
+    return RunReport(**base)
+
+
+def _every_violation_kind():
+    """A hand-made trace and report that break every invariant, and the
+    violations check_invariants must list for them, in order."""
+    # Node 4 is a fake leader; nodes 3 and 4 form the minority side of
+    # a partition whose leaderless window is [1050, 5000).
+    trace = [
+        _send(10, 0, 1, _vote_response(1, 2), to=0),
+        _send(11, 1, 1, _vote_response(1, 2), to=2),
+        _send(12, 2, 4, _vote_response(4, 2), to=0),
+        _send(13, 3, 4, _vote_response(4, 2), to=1),
+        # A lower term from the same node, after a role change.
+        _role(20, 4, 2, "candidate", 5),
+        _send(21, 5, 2, _vote_request(2, 4), to=0),
+        # A heartbeat's term is a term observation too.
+        _send(22, 6, 2, Heartbeat(_proof(2, 5, 3)), to=1),
+        _role(23, 7, 0, "follower", 3),
+        _send(24, 8, 0, _vote_request(0, 1), to=1),
+        # Adversaries are not held to monotonic terms.
+        _send(25, 9, 4, _vote_request(4, 1), to=0),
+        # A fake leader's proof, expired too.
+        _timer(3000, 10, 1, "heartbeat", _proof(4, 1, 5)),
+        _timer(3001, 11, 2, "heartbeat", _proof(4, 1, 2900)),
+        # No proof: not a heartbeat reset.
+        _timer(3002, 12, 0, "init"),
+        _timer(3003, 13, 3, "heartbeat", _proof(0, 1, 100)),
+        _timer(3004, 14, 4, "heartbeat", _proof(4, 1, 0)),
+        # Leadership spans on the minority side: one before the window,
+        # and two that reach into it, one of them an adversary's.
+        _role(100, 15, 3, "leader", 6),
+        _role(200, 16, 3, "follower", 6),
+        _role(2000, 17, 3, "leader", 7),
+        _role(2500, 18, 4, "leader", 8),
+        _role(2600, 19, 4, "follower", 8),
+        _role(2700, 20, 0, "leader", 7),
+    ]
+    report = _report(
+        leaders_per_term={7: [3, 0], 3: [1], 2: [2, 0, 1]},
+        final_known_leader={0: 4, 1: 1, 2: None, 3: 4, 4: 4},
+        honest_nodes=(3, 0, 1, 2), adversaries={4: "fake_leader"},
+        quorum_size=3,
+        partitions=(Partition(0, 5000, ((0, 1, 2), (3, 4))),),
+    )
+    expected = [
+        "election-safety term=2 leaders=[0, 1, 2]",
+        "election-safety term=7 leaders=[0, 3]",
+        "vote-uniqueness node=1 term=2",
+        "term-monotonicity node=2 term=4 after=5 at=21",
+        "term-monotonicity node=0 term=1 after=3 at=24",
+        "fake-leader-reset node=1 leader=4 at=3000",
+        "expired-proof-reset node=1 proof_ts=5 at=3000",
+        "fake-leader-reset node=2 leader=4 at=3001",
+        "expired-proof-reset node=3 proof_ts=100 at=3003",
+        "fake-leader-acknowledged node=0 leader=4",
+        "fake-leader-acknowledged node=3 leader=4",
+        "minority-leader node=3 term=7 window=[1050,5000)",
+        "minority-leader node=4 term=8 window=[1050,5000)",
+    ]
+    return trace, report, expected
+
+
+class TestInvariantChecker:
     def test_detects_dual_leaders_in_one_term(self):
-        report = self._report(leaders_per_term={3: [0, 2]})
+        report = _report(leaders_per_term={3: [0, 2]})
         violations = check_invariants([], report)
         assert any(v.startswith("election-safety term=3") for v in violations)
 
     def test_detects_double_vote(self):
         trace = [
-            TraceEvent(10, 0, "send", 1, "vote-response term=2 voter=1 to=0"),
-            TraceEvent(11, 1, "send", 1, "vote-response term=2 voter=1 to=2"),
+            _send(10, 0, 1, _vote_response(1, 2), to=0),
+            _send(11, 1, 1, _vote_response(1, 2), to=2),
         ]
-        violations = check_invariants(trace, self._report())
+        violations = check_invariants(trace, _report())
         assert any(v.startswith("vote-uniqueness node=1 term=2") for v in violations)
 
     def test_detects_term_regression(self):
         trace = [
-            TraceEvent(10, 0, "role_change", 1, "candidate term=5"),
-            TraceEvent(20, 1, "role_change", 1, "candidate term=4"),
+            _role(10, 0, 1, "candidate", 5),
+            _role(20, 1, 1, "candidate", 4),
         ]
-        violations = check_invariants(trace, self._report())
+        violations = check_invariants(trace, _report())
         assert any(v.startswith("term-monotonicity node=1") for v in violations)
 
     def test_detects_fake_leader_reset(self):
-        trace = [
-            TraceEvent(
-                10, 0, "timer", 1,
-                "arm-election dur=200 cause=heartbeat leader=2 proof_ts=5",
-            ),
-        ]
-        report = self._report(adversaries={2: "fake_leader"}, honest_nodes=(0, 1))
+        trace = [_timer(10, 0, 1, "heartbeat", _proof(2, 1, 5))]
+        report = _report(adversaries={2: "fake_leader"}, honest_nodes=(0, 1))
         violations = check_invariants(trace, report)
         assert any(v.startswith("fake-leader-reset node=1") for v in violations)
 
     def test_detects_expired_proof_reset(self):
-        trace = [
-            TraceEvent(
-                5000, 0, "timer", 1,
-                "arm-election dur=200 cause=heartbeat leader=0 proof_ts=100",
-            ),
-        ]
-        violations = check_invariants(trace, self._report(proof_ttl_ms=1000))
+        trace = [_timer(5000, 0, 1, "heartbeat", _proof(0, 1, 100))]
+        violations = check_invariants(trace, _report(proof_ttl_ms=1000))
         assert any(v.startswith("expired-proof-reset node=1") for v in violations)
 
     def test_detects_minority_leader(self):
-        from mokka.scenario import Partition
-
-        trace = [TraceEvent(0, 0, "role_change", 4, "leader term=1 proof_ts=0")]
-        report = self._report(
+        trace = [_role(0, 0, 4, "leader", 1)]
+        report = _report(
             honest_nodes=(0, 1, 2, 3, 4), quorum_size=3,
             partitions=(Partition(0, 5000, ((0, 1, 2), (3, 4))),),
         )
@@ -330,74 +415,24 @@ class TestInvariantChecker:
         assert any(v.startswith("minority-leader node=4") for v in violations)
 
     def test_every_violation_kind_in_order(self):
-        from mokka.scenario import Partition
+        trace, report, expected = _every_violation_kind()
+        assert check_invariants(trace, report) == expected
 
-        # Node 4 is a fake leader; nodes 3 and 4 form the minority side of
-        # a partition whose leaderless window is [1050, 5000).
-        trace = [
-            TraceEvent(10, 0, "send", 1, "vote-response term=2 voter=1 to=0"),
-            TraceEvent(11, 1, "send", 1, "vote-response term=2 voter=1 to=2"),
-            TraceEvent(12, 2, "send", 4, "vote-response term=2 voter=4 to=0"),
-            TraceEvent(13, 3, "send", 4, "vote-response term=2 voter=4 to=1"),
-            # term= as the last token, then a lower term from the same node.
-            TraceEvent(20, 4, "role_change", 2, "candidate term=5"),
-            TraceEvent(21, 5, "send", 2, "vote-request term=4 candidate=2 to=0"),
-            # term= absent: no term observation.
-            TraceEvent(22, 6, "send", 2, "heartbeat leader=2 proof_ts=3 to=1"),
-            # A key ending in "term" is not term.
-            TraceEvent(23, 7, "role_change", 0, "follower term=3 oldterm=9"),
-            TraceEvent(24, 8, "send", 0, "vote-request term=1 candidate=0 to=1"),
-            # Adversaries are not held to monotonic terms.
-            TraceEvent(25, 9, "send", 4, "vote-request term=1 candidate=4 to=0"),
-            # leader= follows cause=heartbeat, with an expired proof_ts too.
-            TraceEvent(
-                3000, 10, "timer", 1,
-                "arm-election dur=200 cause=heartbeat leader=4 proof_ts=5",
-            ),
-            # leader= as the last token.
-            TraceEvent(
-                3001, 11, "timer", 2,
-                "arm-election dur=200 cause=heartbeat proof_ts=2900 leader=4",
-            ),
-            # leader= absent: not a heartbeat reset.
-            TraceEvent(3002, 12, "timer", 0, "arm-election dur=150 cause=init"),
-            TraceEvent(
-                3003, 13, "timer", 3,
-                "arm-election dur=200 cause=heartbeat leader=0 proof_ts=100",
-            ),
-            TraceEvent(3004, 14, "timer", 4, "arm-election dur=200 cause=heartbeat"
-                       " leader=4 proof_ts=0"),
-            # Leadership spans on the minority side: one before the window,
-            # one open to the end, one without a term.
-            TraceEvent(100, 15, "role_change", 3, "leader term=6 proof_ts=100"),
-            TraceEvent(200, 16, "role_change", 3, "follower term=6"),
-            TraceEvent(2000, 17, "role_change", 3, "leader term=7 proof_ts=2000"),
-            TraceEvent(2500, 18, "role_change", 4, "leader proof_ts=2500"),
-            TraceEvent(2600, 19, "role_change", 4, "follower term=8"),
-            TraceEvent(2700, 20, "role_change", 0, "leader term=7 proof_ts=2700"),
-        ]
-        report = self._report(
-            leaders_per_term={7: [3, 0], 3: [1], 2: [2, 0, 1]},
-            final_known_leader={0: 4, 1: 1, 2: None, 3: 4, 4: 4},
-            honest_nodes=(3, 0, 1, 2), adversaries={4: "fake_leader"},
-            quorum_size=3,
-            partitions=(Partition(0, 5000, ((0, 1, 2), (3, 4))),),
+    def test_verdicts_do_not_read_the_trace_text(self):
+        handmade, report, expected = _every_violation_kind()
+        fake_trace, fake_report = simnet.run(
+            load_scenario(scenario_path("fake-leader"))
         )
-        assert check_invariants(trace, report) == [
-            "election-safety term=2 leaders=[0, 1, 2]",
-            "election-safety term=7 leaders=[0, 3]",
-            "vote-uniqueness node=1 term=2",
-            "term-monotonicity node=2 term=4 after=5 at=21",
-            "term-monotonicity node=0 term=1 after=3 at=24",
-            "fake-leader-reset node=1 leader=4 at=3000",
-            "expired-proof-reset node=1 proof_ts=5 at=3000",
-            "fake-leader-reset node=2 leader=4 at=3001",
-            "expired-proof-reset node=3 proof_ts=100 at=3003",
-            "fake-leader-acknowledged node=0 leader=4",
-            "fake-leader-acknowledged node=3 leader=4",
-            "minority-leader node=3 term=7 window=[1050,5000)",
-            "minority-leader node=4 term=-1 window=[1050,5000)",
-        ]
+        for trace, run_report in ((handmade, report), (fake_trace, fake_report)):
+            blank = [ev._replace(detail="") for ev in trace]
+            assert check_invariants(blank, run_report) == (
+                check_invariants(trace, run_report)
+            )
+            assert simnet._leader_intervals(blank, run_report) == (
+                simnet._leader_intervals(trace, run_report)
+            )
+        assert check_invariants(handmade, report) == expected
+        assert simnet._leader_intervals(fake_trace, fake_report)
 
     def test_clean_trace_passes(self, happy3):
         trace, report = happy3
