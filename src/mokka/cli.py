@@ -21,7 +21,7 @@ from typing import List, Optional
 import yaml
 
 from . import crypto, proofs, simnet, wire
-from .scenario import ScenarioError, load_scenario
+from .scenario import ScenarioError, load_scenario, load_yaml
 
 
 def _write_keyset(n: int, seed: str, out_path: str) -> None:
@@ -71,7 +71,7 @@ def load_keyset(path: str) -> crypto.ClusterKeyring:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        doc = yaml.safe_load(text)
+        doc = load_yaml(text)
     except yaml.YAMLError as exc:
         raise ValueError(f"not YAML: {exc}") from None
     if not isinstance(doc, dict):

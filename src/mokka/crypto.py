@@ -245,18 +245,20 @@ def schnorr_partial_sign(
 def _schnorr_holds(
     keyring: ClusterKeyring, signers: Iterable[NodeId], e: int, big_r, s: int
 ) -> bool:
-    """s*G == R + e*(sum of the signers' keys), checked as
-    s*G - e*X_1 - ... - e*X_k == R on fixed-base tables. Tables exist only
-    for node keys, at most n of them, whatever combos a message names.
-    big_r is R as an affine point or as (x, y parity); None, the point at
-    infinity, has no x and never holds."""
+    """s*G == R + e*(X_1 + ... + X_k) for the signers' keys X_i, checked as
+    s*G - e*(X_1 + ... + X_k) == R in one fixed-base sum. As the signers
+    share e, their keys make one term: on the key's ``curve.key_table``,
+    or for k >= 2 on the keys' ``curve.sum_table``, whose entries are sums
+    of the keys' entries, so e costs one entry per digit, not k. Tables
+    exist only for node keys and their sums, whatever combos a message
+    names. big_r is R as an affine point or as (x, y parity); None, the
+    point at infinity, has no x and never holds."""
     if big_r is None:
         return False
-    terms = [(s, curve.BASE)]
-    for node in signers:
-        terms.append((curve.N - e, curve.key_table(keyring.public_key(node))))
+    keys = tuple(keyring.public_key(node) for node in signers)
+    table = curve.key_table(keys[0]) if len(keys) == 1 else curve.sum_table(keys)
     x, y = big_r
-    return curve.sum_names(x, bool(y & 1), terms)
+    return curve.sum_names(x, bool(y & 1), [(s, curve.BASE), (curve.N - e, table)])
 
 
 def schnorr_partial_verify(

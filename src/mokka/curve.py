@@ -5,12 +5,16 @@ A multiple of a point with a fixed-base table -- the generator, or a
 long-lived key through ``key_table`` -- and any sum of such multiples is a
 sum of one table entry per signed window digit and needs no doublings;
 ``sum_names`` checks such a sum against a point given as its x coordinate
-and y parity. Any other point goes through ``scalar_mult``, which doubles
-and adds in 4-bit windows in Jacobian coordinates. Apart from ``point_add``,
-the simple reference, every affine addition goes through one batched kernel,
-``_add_affine``, whose pairs share one field inversion (Montgomery's trick).
-None of this is constant-time: the library targets simulation and
-desk-scale testing, not hostile production deployments."""
+and y parity. ``sum_table`` stands for a sum of keys that share one scalar:
+each of its entries is the sum of the keys' entries for the same digit,
+summed the first time a check needs it and kept, so that k * (X_1 + ... +
+X_q) costs one entry per digit instead of q. Any other point goes through
+``scalar_mult``, which doubles and adds in 4-bit windows in Jacobian
+coordinates. Apart from ``point_add``, the simple reference, every affine
+addition goes through one batched kernel, ``_add_affine``, whose pairs
+share one field inversion (Montgomery's trick). None of this is
+constant-time: the library targets simulation and desk-scale testing, not
+hostile production deployments."""
 
 import functools
 from typing import Iterable, List, Optional, Tuple
@@ -23,9 +27,10 @@ Point = Tuple[int, int]
 # 0.06 ms per key term but costs about 9 ms more per table, so it pays
 # only after some 150 uses of a table, more than a one-shot run of any
 # bundled scenario makes.
-# KEY_TABLE_CACHE bounds how many key tables live, and so their memory to
-# about 17 MB: 64 is the most nodes a keyring holds, so the tables of one
-# keyring never evict each other.
+# KEY_TABLE_CACHE bounds how many key tables live, and as many summed
+# tables, each at most a key table's size, so the two caches hold at most
+# about 34 MB: 64 is the most nodes a keyring holds, so the key tables of
+# one keyring never evict each other.
 BASE_WINDOW = 10
 KEY_WINDOW = 6
 KEY_TABLE_CACHE = 64
@@ -219,27 +224,113 @@ class FixedBase:
         return fixed_sum(((k, self),))
 
 
+class SumTable:
+    """The entries of a FixedBase-style table for X_1 + ... + X_q, summed
+    from the key tables of the points X_i one slot at a time.
+
+    Slot (i, j) is the sum of the keys' slots (i, j), or None until a
+    check first needs it. The points are kept rather than their tables, so
+    ``key_table``'s bound still holds every key table.
+    """
+
+    __slots__ = ("window", "rows", "points")
+
+    def __init__(self, points: Tuple[Point, ...]):
+        self.window = KEY_WINDOW
+        self.points = points
+        self.rows = [
+            [None] * ((1 << (KEY_WINDOW - 1)) + 1)
+            for _ in range(256 // KEY_WINDOW + 1)
+        ]
+
+
 def _entries(terms) -> List[Point]:
     """The signed-digit table entries whose sum is k * base summed over
-    (k, FixedBase) terms: one entry per nonzero window digit of each k."""
+    (k, table) terms: one entry per nonzero window digit of each k. The
+    SumTable slots the digits need and nobody has summed yet are summed
+    first, all together."""
     entries = []
+    unsummed = []  # (position in entries, table, row, slot, negated)
     for k, table in terms:
         k %= N
         w = table.window
         full = 1 << w
         half = full >> 1
-        for row in table.rows:
+        for i, row in enumerate(table.rows):
             if not k:
                 break
             digit = k & (full - 1)
             k >>= w
             if digit > half:  # the signed digit digit - 2^w; carry into k
                 k += 1
-                x, y = row[full - digit]
-                entries.append((x, P - y))
+                entry = row[full - digit]
+                if entry is None:
+                    unsummed.append((len(entries), table, i, full - digit, True))
+                else:
+                    entry = (entry[0], P - entry[1])
             elif digit:
-                entries.append(row[digit])
+                entry = row[digit]
+                if entry is None:
+                    unsummed.append((len(entries), table, i, digit, False))
+            else:
+                continue
+            entries.append(entry)
+    if unsummed:
+        _sum_slots(unsummed, entries)
     return entries
+
+
+def _sum_slots(unsummed, entries) -> None:
+    """Sum and keep the SumTable slots that _entries found unsummed, and
+    put them, negated where their digit was, into entries.
+
+    Column c holds key c's entry for each slot (None, infinity, past a
+    table's keys). Adjacent columns are added level by level, one field
+    inversion per level for all of them, so a slot of q keys costs the
+    q - 1 additions that its q key-table entries would cost the check. A
+    slot whose keys sum to infinity stays unsummed and leaves entries.
+    """
+    key_rows = {
+        table: [key_table(point).rows for point in table.points]
+        for table in {table for _, table, _, _, _ in unsummed}
+    }
+    slots = [(key_rows[table], i, j) for _, table, i, j, _ in unsummed]
+    columns = [
+        [rows[c][i][j] if c < len(rows) else None for rows, i, j in slots]
+        for c in range(max(map(len, key_rows.values())))
+    ]
+    while len(columns) > 1:
+        columns = _add_columns(columns)
+    for (pos, table, i, j, negated), entry in zip(unsummed, columns[0]):
+        if entry is not None:
+            table.rows[i][j] = entry
+            entries[pos] = (entry[0], P - entry[1]) if negated else entry
+    if None in columns[0]:
+        entries[:] = [entry for entry in entries if entry is not None]
+
+
+def _add_columns(columns: List[list]) -> List[list]:
+    """Adjacent columns of affine points added elementwise, None standing
+    for infinity, all the pairs sharing one field inversion; an odd last
+    column carries over."""
+    size = len(columns[0])
+    pairs = len(columns) // 2
+    left = [p for column in columns[0 : 2 * pairs : 2] for p in column]
+    right = [p for column in columns[1::2] for p in column]
+    if None in left or None in right:
+        sums = [p if q is None else q for p, q in zip(left, right)]
+        both = [
+            k for k, (p, q) in enumerate(zip(left, right))
+            if p is not None and q is not None
+        ]
+        for k, point in zip(both, _add_affine([(left[k], right[k]) for k in both])):
+            sums[k] = point
+    else:
+        sums = _add_affine(list(zip(left, right)))
+    out = [sums[c * size : (c + 1) * size] for c in range(pairs)]
+    if len(columns) % 2:
+        out.append(columns[-1])
+    return out
 
 
 def _add_pairs(points: List[Point]) -> List[Point]:
@@ -293,14 +384,28 @@ def key_table(point: Point) -> FixedBase:
     return FixedBase(point, KEY_WINDOW)
 
 
+@functools.lru_cache(maxsize=KEY_TABLE_CACHE)
+def sum_table(points: Tuple[Point, ...]) -> SumTable:
+    """The SumTable of a sum of long-lived keys, its slots summed as checks
+    need them.
+
+    Cached by the tuple of points, at most KEY_TABLE_CACHE of them, so
+    pass only keyring node keys, as for ``key_table``. A slot costs the
+    check that sums it no more additions than the keys' own entries would,
+    so not even sums that evict each other make a check add more than it
+    would over the keys' own tables.
+    """
+    return SumTable(points)
+
+
 def fixed_sum(terms) -> Optional[Point]:
-    """The affine sum of k * base over (k, FixedBase) terms."""
+    """The affine sum of k * base over (k, FixedBase or SumTable) terms."""
     return _jac_to_affine_all([_jac_sum(_entries(terms))])[0]
 
 
 def sum_names(x: int, y_odd: bool, terms) -> bool:
-    """Whether the sum of k * base over (k, FixedBase) terms is the point
-    with x coordinate x and y parity y_odd.
+    """Whether the sum of k * base over (k, FixedBase or SumTable) terms is
+    the point with x coordinate x and y parity y_odd.
 
     x is compared in Jacobian coordinates, X == x * Z^2, so a sum that
     misses it costs no inversion; only a match pays one for the parity.

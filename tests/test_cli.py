@@ -5,7 +5,7 @@ import filecmp
 import pytest
 import yaml
 
-from mokka import cli, crypto, curve, proofs, wire
+from mokka import cli, crypto, curve, proofs, scenario, wire
 from mokka.cli import load_keyset, main
 
 from conftest import GOLDEN_DIR, scenario_path
@@ -28,6 +28,15 @@ class TestKeys:
         keyring = load_keyset(str(out))
         assert keyring.quorum_size == 2
         assert len(keyring.combos) == 3
+
+    def test_keyset_loads_alike_under_both_loaders(self, tmp_path, capsys, monkeypatch):
+        # YAML_LOADER is libyaml's CSafeLoader where PyYAML has it; the
+        # pure-Python SafeLoader must read a keyset to an equal keyring.
+        out = tmp_path / "keys.yaml"
+        run_cli(capsys, "keys", "--nodes", "5", "--seed", "demo", "--out", str(out))
+        keyring = load_keyset(str(out))
+        monkeypatch.setattr(scenario, "YAML_LOADER", yaml.SafeLoader)
+        assert load_keyset(str(out)) == keyring
 
     def test_byte_identical_for_same_seed(self, tmp_path, capsys):
         a, b = tmp_path / "a.yaml", tmp_path / "b.yaml"
@@ -132,6 +141,19 @@ class TestRun:
         )
         assert code == 2
         assert stderr.startswith("error:") and str(trace) in stderr
+
+    @pytest.mark.parametrize("loader", ["platform", "SafeLoader"])
+    def test_scenario_that_is_not_yaml_is_usage_error(
+        self, tmp_path, capsys, monkeypatch, loader
+    ):
+        if loader == "SafeLoader":
+            monkeypatch.setattr(scenario, "YAML_LOADER", yaml.SafeLoader)
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("nodes: [3\nseed: 1\n")
+        code, stdout, stderr = run_cli(capsys, "run", str(bad))
+        assert code == 2
+        assert stdout == ""
+        assert "not valid YAML" in stderr
 
     def test_missing_scenario_is_usage_error(self, capsys):
         code, _, stderr = run_cli(capsys, "run", "/nonexistent.yaml")
@@ -377,6 +399,21 @@ class TestVerify:
         assert code == 2
         assert stdout == ""
         assert "error: bad keyset:" in stderr
+
+    @pytest.mark.parametrize("loader", ["platform", "SafeLoader"])
+    def test_keyset_that_is_not_yaml_is_usage_error(
+        self, tmp_path, capsys, monkeypatch, loader
+    ):
+        if loader == "SafeLoader":
+            monkeypatch.setattr(scenario, "YAML_LOADER", yaml.SafeLoader)
+        keys = tmp_path / "keys.yaml"
+        keys.write_text("keys: [{node: 0\n")
+        code, stdout, stderr = run_cli(
+            capsys, "verify", "--proof", "00", "--keys", str(keys), "--now", "0"
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "error: bad keyset: not YAML" in stderr
 
     def test_keyset_past_keyring_bound_is_usage_error(self, tmp_path, capsys):
         keys = tmp_path / "keys.yaml"

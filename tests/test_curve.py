@@ -162,6 +162,65 @@ def test_fixed_sum_and_sum_names_match_the_fold(k):
     assert names(curve.G, cancelled) == (False, False)
 
 
+KEYS = (KEY, KEY2) + tuple(
+    curve.scalar_mult_base(k) for k in (0xFACE, 0xF00D, 0xD00D)
+)
+
+
+def filled(table):
+    return sum(slot is not None for row in table.rows for slot in row)
+
+
+@settings(max_examples=3, deadline=None)
+@given(st.integers(min_value=1, max_value=curve.N - 1))
+@window_boundaries(curve.KEY_WINDOW)
+@pytest.mark.parametrize("keys", [
+    KEYS[:2], KEYS[:3], KEYS,
+    (KEY, curve.point_neg(KEY), KEY2),  # the fill's first pair cancels
+], ids=["2-keys", "3-keys", "5-keys", "X,-X,Y"])
+def test_sum_table_matches_the_fold(keys, k):
+    # The boundary scalars hold digits above half (2^5 + 1, 2^6 - 1 and
+    # most digits of N - 1), which take negated slots.
+    total = fold([naive_mult(k, key) for key in keys])
+    if keys[1] == curve.point_neg(keys[0]):
+        assert total == naive_mult(k, keys[2])
+    # Each check runs first on empty slots: sum_names on one table,
+    # fixed_sum on another.
+    by_names, by_sum = curve.SumTable(keys), curve.SumTable(keys)
+    if total is not None:
+        assert names(total, [(k, by_names)]) == (True, False)
+    assert curve.fixed_sum([(k, by_sum)]) == total
+    # The slots the digits need are now filled, the same in both tables;
+    # the checks again read them and fill none.
+    assert by_names.rows == by_sum.rows
+    rows = [list(row) for row in by_sum.rows]
+    assert (filled(by_sum) > 0) == (k % curve.N > 0)
+    for table in (by_names, by_sum):
+        assert curve.fixed_sum([(k, table)]) == total
+        if total is not None:
+            assert names(total, [(k, table)]) == (True, False)
+        assert table.rows == rows
+
+
+def test_sum_tables_of_two_sizes_fill_together():
+    # The two tables' slots are summed in the same levels, the smaller
+    # table's columns padded with infinity.
+    small, large = curve.SumTable(KEYS[:2]), curve.SumTable(KEYS[2:])
+    for k in (2**5 + 1, 0xDEADBEEF, curve.N - 1):
+        total = fold([naive_mult(k, key) for key in KEYS[:2]] + [
+            naive_mult(curve.N - k, key) for key in KEYS[2:]
+        ])
+        assert curve.fixed_sum([(k, small), (curve.N - k, large)]) == total
+
+
+def test_sum_table_of_keys_that_cancel_stays_unsummed():
+    table = curve.SumTable((KEY, curve.point_neg(KEY)))
+    for k in (1, 2**5 + 1, curve.N - 1):
+        assert curve.fixed_sum([(k, table)]) is None
+        assert curve.fixed_sum([(k, curve.BASE), (k, table)]) == naive_mult(k, curve.G)
+    assert filled(table) == 0
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.integers(min_value=1, max_value=curve.N - 1),

@@ -444,31 +444,98 @@ class TestValidatorCache:
         ) is ValidationResult.EXPIRED
 
 
+def forged_proof(combo, rng):
+    """The fake_leader pattern: a random nonce point and scalar."""
+    return proofs.VoteProof(
+        wire.SCHEME_SCHNORR, 7, NOW, combo.members()[0],
+        proofs.SchnorrBody(
+            combo,
+            curve.scalar_mult_base(rng.randrange(1, curve.N)),
+            rng.randrange(curve.N),
+        ),
+    )
+
+
 def forged_proofs(keyring, count, seed):
-    """The fake_leader pattern: random nonce points and scalars, over every
-    combo of one keyring."""
+    """Forged proofs over random combos of one keyring."""
     combos = sorted(keyring.combos)
     rng = random.Random(seed)
     for _ in range(count):
-        combo = rng.choice(combos)
-        yield proofs.VoteProof(
-            wire.SCHEME_SCHNORR, 7, NOW, combo.members()[0],
-            proofs.SchnorrBody(
-                combo,
-                curve.scalar_mult_base(rng.randrange(1, curve.N)),
-                rng.randrange(curve.N),
-            ),
-        )
+        yield forged_proof(rng.choice(combos), rng)
 
 
-def test_forged_flood_keeps_key_tables_bounded(cluster5):
-    # Only the keyring's node keys may get fixed-base tables.
+def test_forged_flood_keeps_key_tables_bounded(cluster5, monkeypatch):
+    # Only the keyring's node keys get fixed-base tables, and only the
+    # C(5, 3) combos summed tables.
     _, keyring = cluster5
     validator = proofs.ProofValidator(keyring, 0)
     curve.key_table.cache_clear()
+    curve.sum_table.cache_clear()
+    built = []
+    fixed_base = curve.FixedBase
+    monkeypatch.setattr(
+        curve, "FixedBase",
+        lambda point, window: built.append(point) or fixed_base(point, window),
+    )
     for forged in forged_proofs(keyring, 1000, seed=23):
         assert validator.validate(forged, VOTED) is ValidationResult.BAD_SIGNATURE
     assert 0 < curve.key_table.cache_info().currsize <= len(keyring.node_keys)
+    assert 0 < curve.sum_table.cache_info().currsize <= len(keyring.combos) == 10
+    assert len(built) == len(set(built))
+    assert set(built) <= {public for _, public in keyring.node_keys}
+
+
+def test_forged_flood_over_every_combo_costs_no_more_than_key_terms(monkeypatch):
+    # At n = 9 a sender names the 126 combos in turn, twice, so that every
+    # check misses the summed-table cache. Each check must still make no
+    # more additions (affine pairs plus Jacobian mixed additions) than the
+    # same check summed over the signers' own key tables.
+    _, keyring = make_cluster(9)
+    combos = sorted(keyring.combos)
+    assert len(combos) == 126 > curve.KEY_TABLE_CACHE
+    curve.key_table.cache_clear()
+    curve.sum_table.cache_clear()
+    for _, public in keyring.node_keys:
+        curve.key_table(public)
+    additions = []
+    add_affine, jac_add_mixed, sum_names = (
+        curve._add_affine, curve._jac_add_mixed, curve.sum_names
+    )
+    monkeypatch.setattr(
+        curve, "_add_affine",
+        lambda pairs: additions.append(len(pairs)) or add_affine(pairs),
+    )
+    monkeypatch.setattr(
+        curve, "_jac_add_mixed",
+        lambda pt, aff: additions.append(1) or jac_add_mixed(pt, aff),
+    )
+    checks = []
+    monkeypatch.setattr(
+        curve, "sum_names",
+        lambda x, y_odd, terms: checks.append((x, y_odd, terms))
+        or sum_names(x, y_odd, terms),
+    )
+
+    def counted(check):
+        before = sum(additions)
+        result = check()
+        return result, sum(additions) - before
+
+    rng = random.Random(31)
+    for combo in combos * 2:
+        forged = forged_proof(combo, rng)
+        verdict, cost = counted(
+            lambda: proofs.validate_proof(forged, keyring, POLICY, NOW)
+        )
+        assert verdict is ValidationResult.BAD_SIGNATURE
+        x, y_odd, [(s, base), (k, table)] = checks.pop()
+        assert table.points == tuple(keyring.public_key(i) for i in combo.members())
+        per_key = [(s, base)] + [(k, curve.key_table(p)) for p in table.points]
+        holds, cost_per_key = counted(lambda: sum_names(x, y_odd, per_key))
+        assert not holds
+        assert cost <= cost_per_key
+    assert curve.sum_table.cache_info().currsize == curve.KEY_TABLE_CACHE
+    assert curve.key_table.cache_info().currsize == len(keyring.node_keys)
 
 
 def test_forged_flood_keeps_validator_cache_bounded(cluster5, monkeypatch):

@@ -1,8 +1,9 @@
 """Scenario file parsing: defaults, strictness, and validation."""
 
 import pytest
+import yaml
 
-from mokka import wire
+from mokka import scenario, wire
 from mokka.scenario import ScenarioError, load_scenario, parse_scenario
 
 from conftest import SCENARIO_DIR
@@ -219,3 +220,12 @@ def test_all_bundled_scenarios_parse():
     for path in paths:
         sc = load_scenario(str(path))
         assert sc.n >= 3 and sc.duration_ms > 0
+
+
+def test_bundled_scenarios_load_alike_under_both_loaders(monkeypatch):
+    # YAML_LOADER is libyaml's CSafeLoader where PyYAML has it; the
+    # pure-Python SafeLoader must read every bundled file to equal objects.
+    paths = sorted(SCENARIO_DIR.glob("*.yaml"))
+    loaded = [load_scenario(str(path)) for path in paths]
+    monkeypatch.setattr(scenario, "YAML_LOADER", yaml.SafeLoader)
+    assert [load_scenario(str(path)) for path in paths] == loaded
