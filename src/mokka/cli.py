@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands:
-  keys    generate a deterministic cluster keyset (secrets, publics,
-          quorum-combination aggregate keys)
+  keys    generate a deterministic cluster keyset (each node's secret and
+          public key)
   run     execute one scenario file, print a report, optionally dump the trace
   check   execute scenarios under many seeds and aggregate the results,
           one block per scenario file
@@ -38,24 +38,10 @@ def _write_keyset(n: int, seed: str, out_path: str) -> None:
             }
             for i, kp in enumerate(keypairs)
         ],
-        "combos": [
-            {
-                "mask": combo.mask,
-                "members": list(combo.members()),
-                "aggregate": wire.encode_point(agg).hex(),
-            }
-            for combo, agg in sorted(keyring.combos.items())
-        ],
     }
     text = yaml.safe_dump(doc, sort_keys=False)
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(text)
-
-
-def _entries(entries, section: str) -> list:
-    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-        raise ValueError(f"{section} must be a list of mappings")
-    return entries
 
 
 def _field(entry: dict, name: str, kind: type):
@@ -76,20 +62,16 @@ def load_keyset(path: str) -> crypto.ClusterKeyring:
         raise ValueError(f"not YAML: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError("keyset must be a mapping")
-    keys = [
+    entries = doc["keys"]
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ValueError("keys must be a list of mappings")
+    return crypto.build_keyring([
         (
             _field(entry, "node", int),
             wire.decode_point(bytes.fromhex(_field(entry, "public", str))),
         )
-        for entry in _entries(doc["keys"], "keys")
-    ]
-    keyring = crypto.build_keyring(keys)
-    for entry in _entries(doc.get("combos", []), "combos"):
-        combo = crypto.ComboId(_field(entry, "mask", int))
-        stored = bytes.fromhex(_field(entry, "aggregate", str))
-        if wire.encode_point(keyring.aggregate_key(combo)) != stored:
-            raise ValueError(f"keyset aggregate mismatch for combo {combo.mask:#x}")
-    return keyring
+        for entry in entries
+    ])
 
 
 def _report_lines(scenario_name, seed, report, summary) -> List[str]:
@@ -233,10 +215,13 @@ def _cmd_verify(args) -> int:
         return 2
     try:
         proof = proofs.decode_proof(blob)
+        result = proofs.validate_proof(proof, keyring, policy, args.now)
     except wire.MalformedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    result = proofs.validate_proof(proof, keyring, policy, args.now)
+    except crypto.CryptoError as exc:  # keys that cancel in the proof's combo
+        print(f"error: bad keyset: {exc}", file=sys.stderr)
+        return 2
     print(result.value)
     return 0 if result is proofs.ValidationResult.OK else 1
 

@@ -5,8 +5,8 @@ Three families live here:
 * quorum-combination Schnorr multisignatures (single-round: the
   challenge binds the aggregate key and the message but not the nonce
   point, which is what lets followers sign without a nonce-exchange
-  round — see README for the security caveat); the keyring's aggregate
-  keys are summed with one field inversion for the whole keyring,
+  round — see README for the security caveat); the keyring holds node
+  keys only, and a combo's aggregate key is summed on its first use,
 * Shamir secret sharing over the curve's scalar field,
 * deterministic ECDSA with public-key recovery, used to authenticate
   secret shares; a share signature is verified against the expected
@@ -21,10 +21,11 @@ deterministically so two runs produce bit-identical signatures.
 import hashlib
 import random
 from dataclasses import dataclass, field
+from collections.abc import Mapping
 from functools import lru_cache
 from itertools import combinations
-from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from math import comb
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import curve, wire
 from .curve import Point
@@ -33,8 +34,9 @@ NodeId = int
 
 # Node ids are bits of a 64-bit combo mask, so a cluster holds at most 64.
 MAX_NODES = 64
-# A keyring holds every C(n, n//2 + 1) combo: 24,310 at n = 17, built in
-# about 0.8 s, and each further two nodes multiply that by about four.
+# A Schnorr grant signs one partial per combo holding its voter and the
+# candidate, C(n - 2, n//2 - 1) of them: 6,435 at n = 17, and each further
+# two nodes multiply that by about four.
 MAX_KEYRING_NODES = 17
 
 
@@ -50,7 +52,7 @@ def check_cluster_size(n: int) -> None:
         raise CryptoError(f"cluster too large: at most {MAX_NODES} nodes")
     if n > MAX_KEYRING_NODES:
         raise CryptoError(
-            f"cluster too large: a keyring holds at most {MAX_KEYRING_NODES} nodes"
+            f"cluster too large: grant cost allows at most {MAX_KEYRING_NODES} nodes"
         )
 
 
@@ -101,13 +103,45 @@ class RecoverableSignature:
     recovery_hint: int
 
 
+class _Combos(Mapping):
+    """A keyring's combos and their aggregate keys, as a rule on the mask:
+    quorum bits, each naming a node. Each aggregate is summed on its first
+    lookup and kept; one whose keys sum to infinity raises CryptoError."""
+
+    def __init__(self, keyring: "ClusterKeyring"):
+        self._keyring = keyring
+        self._nodes = ComboId.of(keyring.sorted_ids).mask
+        # Keyed by mask: an int hashes and compares without a Python call.
+        self._sums: Dict[int, Optional[Point]] = {}
+
+    def __contains__(self, combo) -> bool:
+        mask = combo.mask if isinstance(combo, ComboId) else 0
+        return mask.bit_count() == self._keyring.quorum_size and not mask & ~self._nodes
+
+    def __getitem__(self, combo: ComboId) -> Point:
+        if combo not in self:
+            raise KeyError(combo)
+        if combo.mask not in self._sums:
+            keys = [self._keyring.public_key(node) for node in combo.members()]
+            [self._sums[combo.mask]] = curve.affine_sums([keys])
+        if self._sums[combo.mask] is None:
+            raise CryptoError(f"keys of nodes {list(combo.members())} sum to infinity")
+        return self._sums[combo.mask]
+
+    def __iter__(self) -> Iterator[ComboId]:
+        return self._keyring.combos_containing(())
+
+    def __len__(self) -> int:
+        return comb(len(self._keyring.sorted_ids), self._keyring.quorum_size)
+
+
 @dataclass(frozen=True)
 class ClusterKeyring:
     node_keys: Tuple[Tuple[NodeId, Point], ...]
     quorum_size: int
-    combos: Mapping[ComboId, Point]
     # Lookups derived from node_keys in __post_init__; equality ignores them.
     sorted_ids: Tuple[NodeId, ...] = field(init=False, repr=False, compare=False)
+    combos: Mapping[ComboId, Point] = field(init=False, repr=False, compare=False)
     _key_of: Dict[NodeId, Point] = field(init=False, repr=False, compare=False)
     _id_of: Dict[Point, NodeId] = field(init=False, repr=False, compare=False)
     _ordinal_of: Dict[NodeId, int] = field(init=False, repr=False, compare=False)
@@ -123,6 +157,7 @@ class ClusterKeyring:
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "combos", _Combos(self))
 
     def public_key(self, node: NodeId) -> Point:
         try:
@@ -149,15 +184,14 @@ class ClusterKeyring:
             raise CryptoError(f"bad ordinal {ordinal}")
         return self.sorted_ids[ordinal - 1]
 
-    def aggregate_key(self, combo: ComboId) -> Point:
-        try:
-            return self.combos[combo]
-        except KeyError:
-            raise CryptoError(f"unknown combo {combo.mask:#x}") from None
-
-    def combos_containing(self, nodes: Iterable[NodeId]) -> List[ComboId]:
-        want = ComboId.of(nodes).mask
-        return [c for c in self.combos if c.mask & want == want]
+    def combos_containing(self, nodes: Iterable[NodeId]) -> Iterator[ComboId]:
+        """The combos holding every one of nodes, in lexicographic order."""
+        want = set(nodes)
+        if not want <= self._key_of.keys() or len(want) > self.quorum_size:
+            return iter(())
+        others = [node for node in self.sorted_ids if node not in want]
+        rests = combinations(others, self.quorum_size - len(want))
+        return (ComboId.of(want.union(rest)) for rest in rests)
 
 
 def hash_to_scalar(domain_tag: str, parts: Sequence[bytes]) -> int:
@@ -183,12 +217,8 @@ def keygen(seed: bytes) -> KeyPair:
 
 
 def build_keyring(keys: Sequence[Tuple[NodeId, Point]]) -> ClusterKeyring:
-    """Precompute one aggregate public key per quorum-size node subset.
-
-    The aggregates are summed in Jacobian coordinates and made affine
-    together, with one field inversion. A subset whose keys cancel has no
-    aggregate key, so such a keyset is rejected.
-    """
+    """The keyring of these node keys, after checking the cluster's size and
+    ids; no curve work, as each combo's aggregate is summed on first use."""
     n = len(keys)
     check_cluster_size(n)
     ids = [node_id for node_id, _ in keys]
@@ -196,18 +226,7 @@ def build_keyring(keys: Sequence[Tuple[NodeId, Point]]) -> ClusterKeyring:
         raise CryptoError("duplicate node")
     if any(not 0 <= i < MAX_NODES for i in ids):
         raise CryptoError(f"node ids must be in [0, {MAX_NODES})")
-    quorum = n // 2 + 1
-    by_id = dict(keys)
-    subsets = list(combinations(sorted(ids), quorum))
-    aggregates = curve.affine_sums(
-        [by_id[node_id] for node_id in subset] for subset in subsets
-    )
-    combos: Dict[ComboId, Point] = {}
-    for subset, agg in zip(subsets, aggregates):
-        if agg is None:
-            raise CryptoError(f"keys of nodes {list(subset)} sum to infinity")
-        combos[ComboId.of(subset)] = agg
-    return ClusterKeyring(tuple(keys), quorum, MappingProxyType(combos))
+    return ClusterKeyring(tuple(keys), n // 2 + 1)
 
 
 @lru_cache(maxsize=8)
@@ -222,7 +241,9 @@ def cluster(key_seed: str, n: int) -> Tuple[Tuple[KeyPair, ...], ClusterKeyring]
 
 
 def schnorr_challenge(keyring: ClusterKeyring, combo: ComboId, message: bytes) -> int:
-    agg = keyring.aggregate_key(combo)
+    if combo not in keyring.combos:
+        raise CryptoError(f"unknown combo {combo.mask:#x}")
+    agg = keyring.combos[combo]
     return hash_to_scalar("challenge", [wire.encode_point(agg), message])
 
 
@@ -291,15 +312,12 @@ def schnorr_aggregate(partials: Sequence[PartialSignature]) -> Tuple[Point, int]
 def schnorr_verify(
     keyring: ClusterKeyring, combo: ComboId, message: bytes, big_r, s: int
 ) -> bool:
-    """Whether (R, s) is combo's signature on message; big_r is R as an
-    affine point or as (x, y parity)."""
-    if s % curve.N == 0:
+    """Whether (R, s) is combo's signature on message, big_r being R as an
+    affine point or as (x, y parity); keys that cancel raise CryptoError."""
+    if s % curve.N == 0 or combo not in keyring.combos:
         return False
-    try:
-        e = schnorr_challenge(keyring, combo, message)
-        return _schnorr_holds(keyring, combo.members(), e, big_r, s)
-    except CryptoError:
-        return False
+    e = schnorr_challenge(keyring, combo, message)
+    return _schnorr_holds(keyring, combo.members(), e, big_r, s)
 
 
 # --- Shamir secret sharing ---------------------------------------------------

@@ -507,6 +507,7 @@ def validate_proof(
     policy: ProofPolicy,
     now_ms: int,
 ) -> ValidationResult:
+    """The verdict on proof at now_ms; CryptoError if its combo's keys cancel."""
     return time_verdict(proof, policy, now_ms) or _validate_crypto(proof, keyring)
 
 

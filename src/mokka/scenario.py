@@ -21,9 +21,7 @@ class ScenarioError(ValueError):
 
 
 # PyYAML's libyaml parser where the platform built it, else the pure-Python
-# one. Both read a file to the same objects; with the first, a 17-node keyset
-# (24,310 combos) loads in about 5.7 s instead of 17.7 s (2-core x86_64 VM,
-# Python 3.11).
+# one. Both read a file to the same objects.
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 

@@ -94,9 +94,10 @@ class _Sim:
         self.adversaries = {a.node: a for a in scenario.adversaries}
 
         keypairs, self.keyring = crypto.cluster(scenario.key_seed, scenario.n)
-        # A fake leader forges with one combo and nonce point, and a fresh s.
+        # A fake leader forges with its first combo (itself and its lowest-id
+        # peers) and one nonce point, and a fresh s.
         self.forgery = {
-            a.node: (min(c for c in self.keyring.combos if a.node in c),
+            a.node: (next(self.keyring.combos_containing({a.node})),
                      curve.scalar_mult_base(1 + self.adv_rng.randrange(curve.N - 1)))
             for a in scenario.adversaries if a.behavior == "fake_leader"
         }

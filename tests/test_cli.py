@@ -1,6 +1,8 @@
 """CLI surface: exit codes, machine output, and golden pinning."""
 
 import filecmp
+import random
+import time
 
 import pytest
 import yaml
@@ -84,23 +86,67 @@ class TestKeys:
         assert code == 2
         assert stderr.startswith("error:") and str(out) in stderr
 
+    def test_largest_keyset_writes_and_loads_within_budget(self, tmp_path, capsys):
+        # A keyset holds each node's keys and nothing derived from them, so
+        # the largest one is written and read back in well under 2 s of CPU.
+        out = tmp_path / "keys.yaml"
+        started = time.process_time()
+        code, _, _ = run_cli(
+            capsys, "keys", "--nodes", "17", "--seed", "big", "--out", str(out)
+        )
+        keyring = load_keyset(str(out))
+        elapsed = time.process_time() - started
+        assert code == 0
+        assert keyring == crypto.cluster("big", 17)[1]
+        doc = yaml.safe_load(out.read_text())
+        assert list(doc) == ["nodes", "seed", "quorum", "keys"]
+        assert elapsed < 2.0, f"took {elapsed:.2f} s of CPU (budget 2 s)"
+
     def test_tampered_keyset_rejected(self, tmp_path, capsys):
         out = tmp_path / "keys.yaml"
         run_cli(capsys, "keys", "--nodes", "3", "--seed", "demo", "--out", str(out))
-        doc = yaml.safe_load(out.read_text())
-        real = doc["combos"][0]["aggregate"]
-        # Another combo's aggregate; an x that is not on the curve (x = 5);
-        # the right x behind an uncompressed-point prefix. Stored aggregates
-        # are compared as bytes, so each one reads as a mismatch.
+        genuine = out.read_text()
+        doc = yaml.safe_load(genuine)
+        keypairs, _ = crypto.cluster("demo", 3)
+        keyring = load_keyset(str(out))
+        payloads = proofs.make_vote_payloads(
+            0, 1, 0, keyring, wire.SCHEME_SCHNORR, random.Random(0)
+        )
+        grant = proofs.grant_vote(keypairs[1], payloads[1], keyring)
+        proof = proofs.build_proof(keypairs[0], payloads[0], [grant], keyring)
+        assert proof.body.combo == crypto.ComboId(0b011)
+        verify = (
+            "verify", "--proof", proofs.encode_proof(proof).hex(),
+            "--keys", str(out), "--now", "0",
+        )
+        assert run_cli(capsys, *verify)[:2] == (0, "ok\n")
+        real = doc["keys"][0]["public"]
+        # Node 0's key replaced by another node's key; by an x that is not
+        # on the curve (x = 5); by the right x behind an uncompressed-point
+        # prefix. Each keyset is refused, or its keyring refutes the genuine
+        # proof, which node 0 signed.
         for tampered in (
-            doc["combos"][1]["aggregate"],
+            doc["keys"][1]["public"],
             real[:2] + (5).to_bytes(32, "big").hex(),
             "04" + real[2:],
         ):
-            doc["combos"][0]["aggregate"] = tampered
+            doc["keys"][0]["public"] = tampered
             out.write_text(yaml.safe_dump(doc, sort_keys=False))
-            with pytest.raises(ValueError, match="aggregate mismatch"):
-                load_keyset(str(out))
+            code, stdout, stderr = run_cli(capsys, *verify)
+            assert (code, stdout) in ((2, ""), (1, "bad_signature\n"))
+            if code == 2:
+                assert "bad keyset" in stderr
+        # A keyset written with the stored aggregates of earlier versions
+        # loads to the same keyring, whatever that section holds.
+        doc = yaml.safe_load(genuine)
+        aggregates = [wire.encode_point(agg).hex() for agg in keyring.combos.values()]
+        for stored in (aggregates, aggregates[1:] + aggregates[:1]):
+            doc["combos"] = [
+                {"mask": combo.mask, "members": list(combo.members()), "aggregate": agg}
+                for combo, agg in zip(keyring.combos, stored)
+            ]
+            out.write_text(yaml.safe_dump(doc, sort_keys=False))
+            assert load_keyset(str(out)) == keyring
 
 
 class TestRun:

@@ -1,15 +1,19 @@
 """Keygen, the domain-separated hash, and keyring construction."""
 
+import math
 import random
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mokka import crypto, curve
+from mokka import crypto, curve, proofs, wire
 
 from conftest import make_cluster
 from test_curve import naive_mult
+
+MSG = b"keyring test message"
+POLICY = proofs.ProofPolicy()
 
 
 class TestKeygen:
@@ -106,7 +110,7 @@ class TestBuildKeyring:
                     lambda: keyring.node_for_ordinal(4)):
             with pytest.raises(crypto.CryptoError):
                 bad()
-        # Equality and repr see node_keys, quorum_size and combos only.
+        # Equality and repr see node_keys and quorum_size only.
         again = crypto.build_keyring(keys)
         assert again == keyring and repr(again) == repr(keyring)
         assert crypto.build_keyring(keys[::-1]) != keyring
@@ -129,10 +133,52 @@ class TestBuildKeyring:
         assert list(keyring.combos.items()) == list(expected.items())
 
     def test_cancelling_keys_rejected(self):
-        x = crypto.keygen(b"cancel-x").public
-        y = crypto.keygen(b"cancel-y").public
-        with pytest.raises(crypto.CryptoError, match="infinity"):
-            crypto.build_keyring([(0, x), (1, curve.point_neg(x)), (2, y)])
+        # n = 3 with keys X, -X and Y, and n = 5 with keys X, Y, -(X + Y), Z
+        # and W: the keys of nodes 0 .. q-1 cancel. Their combo is found on
+        # first use: it has no aggregate key, never signs, and no proof
+        # naming it reads OK. Every other combo signs and verifies.
+        for n in (3, 5):
+            q = n // 2 + 1
+            kps = [crypto.keygen(f"cancel-{i}".encode()) for i in range(n)]
+            secret = -sum(kp.secret for kp in kps[:q - 1]) % curve.N
+            kps[q - 1] = crypto.KeyPair(secret, curve.scalar_mult_base(secret))
+            keyring = crypto.build_keyring([(i, kp.public) for i, kp in enumerate(kps)])
+            cancelling = crypto.ComboId.of(range(q))
+            with pytest.raises(crypto.CryptoError, match="infinity"):
+                keyring.combos[cancelling]
+            for member in range(q):
+                with pytest.raises(crypto.CryptoError, match="infinity"):
+                    crypto.schnorr_partial_sign(kps[member], keyring, cancelling, MSG)
+            # s*G = R: what a check against an aggregate at infinity accepts.
+            rng = random.Random(n)
+            for big_r, s in [(curve.G, 1)] + [
+                (curve.scalar_mult_base(k), k)
+                for k in (rng.randrange(1, curve.N) for _ in range(3))
+            ]:
+                proof = proofs.VoteProof(
+                    wire.SCHEME_SCHNORR, 1, 0, 0,
+                    proofs.SchnorrBody(cancelling, big_r, s),
+                )
+                with pytest.raises(crypto.CryptoError, match="infinity"):
+                    proofs.validate_proof(proof, keyring, POLICY, 0)
+            others = [combo for combo in keyring.combos if combo != cancelling]
+            assert len(others) == math.comb(n, q) - 1
+            for combo in others:
+                message = wire.vote_message(
+                    wire.SCHEME_SCHNORR, 1, 0, combo.members()[0]
+                )
+                partials = [
+                    crypto.schnorr_partial_sign(kps[m], keyring, combo, message)
+                    for m in combo.members()
+                ]
+                big_r, s = crypto.schnorr_aggregate(partials)
+                proof = proofs.VoteProof(
+                    wire.SCHEME_SCHNORR, 1, 0, combo.members()[0],
+                    proofs.SchnorrBody(combo, big_r, s),
+                )
+                assert proofs.validate_proof(
+                    proof, keyring, POLICY, 0
+                ) is proofs.ValidationResult.OK
 
     def test_duplicate_node_rejected(self):
         kp = crypto.keygen(b"x")
@@ -149,6 +195,66 @@ class TestBuildKeyring:
         monkeypatch.setattr(crypto, "combinations", None)  # enumerating raises
         with pytest.raises(crypto.CryptoError, match="at most 17"):
             crypto.build_keyring([(i, kp.public) for i in range(18)])
+
+    @pytest.mark.parametrize("ids", [tuple(range(5)), (7, 2, 40)])
+    def test_combos_are_a_rule_on_the_mask(self, ids):
+        # A mask is a combo exactly when it is one of the enumerated
+        # quorum-size subsets, and a proof naming any other mask reads
+        # UNKNOWN_VOTER: checked for each combo, each combo with one bit
+        # flipped or one member moved to another bit, and random 64-bit
+        # masks.
+        keyring = crypto.build_keyring(
+            [(i, crypto.keygen(f"rule-{i}".encode()).public) for i in ids]
+        )
+        enumerated = {
+            crypto.ComboId.of(subset).mask
+            for subset in combinations(sorted(ids), keyring.quorum_size)
+        }
+        assert len(enumerated) == len(keyring.combos)
+        rng = random.Random(47)
+        masks = set(enumerated) | {rng.getrandbits(64) for _ in range(2000)}
+        masks |= {mask ^ 1 << bit for mask in enumerated for bit in range(64)}
+        masks |= {
+            mask ^ 1 << member ^ 1 << bit
+            for mask in enumerated for member in ids if mask >> member & 1
+            for bit in range(64) if not mask >> bit & 1
+        }
+        for mask in sorted(masks):
+            combo = crypto.ComboId(mask)
+            assert (combo in keyring.combos) == (mask in enumerated)
+            if mask in enumerated:
+                continue
+            proof = proofs.VoteProof(
+                wire.SCHEME_SCHNORR, 1, 0, min(ids),
+                proofs.SchnorrBody(combo, curve.G, 1),
+            )
+            assert proofs.SCHEMES[wire.SCHEME_SCHNORR].check(proof, keyring) is \
+                proofs.ValidationResult.UNKNOWN_VOTER
+
+    @pytest.mark.parametrize(
+        "ids", [tuple(range(5)), (7, 2, 40), tuple(range(9)), (5, 1, 9, 3, 12, 60, 0)]
+    )
+    def test_combos_containing_follow_the_enumeration(self, ids):
+        keyring = crypto.build_keyring(
+            [(i, crypto.keygen(f"containing-{i}".encode()).public) for i in ids]
+        )
+        wanted = [set(pair) for pair in combinations(ids, 2)] + [{i} for i in ids]
+        subsets = list(combinations(sorted(ids), keyring.quorum_size))
+        for nodes in wanted + [set(), {99}, set(ids)]:
+            assert list(keyring.combos_containing(nodes)) == [
+                crypto.ComboId.of(subset) for subset in subsets if nodes <= set(subset)
+            ]
+
+    def test_building_does_no_curve_work(self, monkeypatch):
+        keys = [(i, crypto.keygen(f"big-{i}".encode()).public) for i in range(17)]
+
+        def no_additions(*args):
+            raise AssertionError("curve addition while building a keyring")
+
+        monkeypatch.setattr(curve, "_add_affine", no_additions)
+        monkeypatch.setattr(curve, "_jac_add_mixed", no_additions)
+        keyring = crypto.build_keyring(keys)
+        assert len(keyring.combos) == 24310
 
     @settings(max_examples=5, deadline=None)
     @given(st.integers(min_value=3, max_value=7))

@@ -489,7 +489,9 @@ def test_forged_flood_over_every_combo_costs_no_more_than_key_terms(monkeypatch)
     # At n = 9 a sender names the 126 combos in turn, twice, so that every
     # check misses the summed-table cache. Each check must still make no
     # more additions (affine pairs plus Jacobian mixed additions) than the
-    # same check summed over the signers' own key tables.
+    # same check summed over the signers' own key tables, but for the q
+    # mixed additions that sum a combo's aggregate key on its first check.
+    # Each aggregate is summed exactly once over both passes.
     _, keyring = make_cluster(9)
     combos = sorted(keyring.combos)
     assert len(combos) == 126 > curve.KEY_TABLE_CACHE
@@ -509,6 +511,18 @@ def test_forged_flood_over_every_combo_costs_no_more_than_key_terms(monkeypatch)
         curve, "_jac_add_mixed",
         lambda pt, aff: additions.append(1) or jac_add_mixed(pt, aff),
     )
+    summed, sum_costs = [], []
+    affine_sums = curve.affine_sums
+
+    def recording_sums(groups):
+        groups = [tuple(group) for group in groups]
+        summed.extend(groups)
+        before = sum(additions)
+        result = affine_sums(groups)
+        sum_costs.append(sum(additions) - before)
+        return result
+
+    monkeypatch.setattr(curve, "affine_sums", recording_sums)
     checks = []
     monkeypatch.setattr(
         curve, "sum_names",
@@ -522,7 +536,8 @@ def test_forged_flood_over_every_combo_costs_no_more_than_key_terms(monkeypatch)
         return result, sum(additions) - before
 
     rng = random.Random(31)
-    for combo in combos * 2:
+    q = keyring.quorum_size
+    for i, combo in enumerate(combos * 2):
         forged = forged_proof(combo, rng)
         verdict, cost = counted(
             lambda: proofs.validate_proof(forged, keyring, POLICY, NOW)
@@ -533,7 +548,14 @@ def test_forged_flood_over_every_combo_costs_no_more_than_key_terms(monkeypatch)
         per_key = [(s, base)] + [(k, curve.key_table(p)) for p in table.points]
         holds, cost_per_key = counted(lambda: sum_names(x, y_odd, per_key))
         assert not holds
-        assert cost <= cost_per_key
+        if i < len(combos):
+            assert cost <= cost_per_key + q
+        else:
+            assert cost <= cost_per_key
+    assert summed == [
+        tuple(keyring.public_key(i) for i in combo.members()) for combo in combos
+    ]
+    assert sum_costs == [q] * len(combos)
     assert curve.sum_table.cache_info().currsize == curve.KEY_TABLE_CACHE
     assert curve.key_table.cache_info().currsize == len(keyring.node_keys)
 
