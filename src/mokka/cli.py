@@ -46,7 +46,8 @@ def _write_keyset(n: int, seed: str, out_path: str) -> None:
 
 def _field(entry: dict, name: str, kind: type):
     value = entry[name]
-    if not isinstance(value, kind):
+    # bool is an int subclass in Python, but a YAML true is no node id.
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise ValueError(f"{name} must be of type {kind.__name__}: {value!r}")
     return value
 

@@ -12,12 +12,16 @@ X_q) costs one entry per digit instead of q. Any other point goes through
 ``scalar_mult``, which doubles and adds in 4-bit windows in Jacobian
 coordinates. Apart from ``point_add``, the simple reference, every affine
 addition goes through one batched kernel, ``_add_affine``, whose pairs
-share one field inversion (Montgomery's trick). None of this is
-constant-time: the library targets simulation and desk-scale testing, not
-hostile production deployments."""
+share one field inversion (Montgomery's trick). Every batched sum is made
+of levels of ``_halve``, which adds adjacent points in many groups at once:
+``affine_sums`` halves until each group holds one point, ``_jac_sum`` takes
+its affine levels from it, and a check fills the table slots it finds
+unsummed with one ``affine_sums`` call. None of this is constant-time: the
+library targets simulation and desk-scale testing, not hostile production
+deployments."""
 
 import functools
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 Point = Tuple[int, int]
 
@@ -124,12 +128,6 @@ def _jac_to_affine_all(pts) -> List[Optional[Point]]:
     return out
 
 
-def affine_sums(groups: Iterable[Iterable[Point]]) -> List[Optional[Point]]:
-    """The sum of each group of affine points, all made affine with one
-    shared field inversion; None where a sum is the point at infinity."""
-    return _jac_to_affine_all([_jac_sum(list(group)) for group in groups])
-
-
 def _batch_invert(values):
     """Inverses of nonzero field elements, sharing one field inversion."""
     prefix = []
@@ -162,6 +160,33 @@ def _add_affine(pairs):
         x3 = (lam * lam - x1 - x2) % P
         out.append((x3, (lam * (x1 - x3) - y1) % P))
     return out
+
+
+def _halve(groups: List[Sequence[Point]]) -> List[List[Point]]:
+    """Adjacent points of each group added, the pairs of all groups sharing
+    one field inversion. A pair that cancels to infinity leaves its group,
+    and an odd last point carries over, so each group's sum is unchanged."""
+    sums = _add_affine([p for group in groups for p in zip(group[0::2], group[1::2])])
+    out = []
+    end = 0
+    for group in groups:
+        start, end = end, end + len(group) // 2
+        half = sums[start:end]
+        if None in half:
+            half = [point for point in half if point is not None]
+        if len(group) % 2:
+            half.append(group[-1])
+        out.append(half)
+    return out
+
+
+def affine_sums(groups: Iterable[Sequence[Point]]) -> List[Optional[Point]]:
+    """The sum of each group of affine points, the groups halved together
+    until each holds one point; None where a sum is the point at infinity."""
+    groups = list(groups)
+    while max(map(len, groups), default=0) > 1:
+        groups = _halve(groups)
+    return [group[0] if group else None for group in groups]
 
 
 def _multiples(bases, count):
@@ -276,74 +301,19 @@ def _entries(terms) -> List[Point]:
                 continue
             entries.append(entry)
     if unsummed:
-        _sum_slots(unsummed, entries)
+        # A slot whose keys sum to infinity stays unsummed and leaves entries.
+        tables = {table for _, table, _, _, _ in unsummed}
+        key_rows = {table: [key_table(p).rows for p in table.points] for table in tables}
+        sums = affine_sums(
+            [rows[i][j] for rows in key_rows[table]] for _, table, i, j, _ in unsummed
+        )
+        for (pos, table, i, j, negated), entry in zip(unsummed, sums):
+            if entry is not None:
+                table.rows[i][j] = entry
+                entries[pos] = (entry[0], P - entry[1]) if negated else entry
+        if None in sums:
+            entries = [entry for entry in entries if entry is not None]
     return entries
-
-
-def _sum_slots(unsummed, entries) -> None:
-    """Sum and keep the SumTable slots that _entries found unsummed, and
-    put them, negated where their digit was, into entries.
-
-    Column c holds key c's entry for each slot (None, infinity, past a
-    table's keys). Adjacent columns are added level by level, one field
-    inversion per level for all of them, so a slot of q keys costs the
-    q - 1 additions that its q key-table entries would cost the check. A
-    slot whose keys sum to infinity stays unsummed and leaves entries.
-    """
-    key_rows = {
-        table: [key_table(point).rows for point in table.points]
-        for table in {table for _, table, _, _, _ in unsummed}
-    }
-    slots = [(key_rows[table], i, j) for _, table, i, j, _ in unsummed]
-    columns = [
-        [rows[c][i][j] if c < len(rows) else None for rows, i, j in slots]
-        for c in range(max(map(len, key_rows.values())))
-    ]
-    while len(columns) > 1:
-        columns = _add_columns(columns)
-    for (pos, table, i, j, negated), entry in zip(unsummed, columns[0]):
-        if entry is not None:
-            table.rows[i][j] = entry
-            entries[pos] = (entry[0], P - entry[1]) if negated else entry
-    if None in columns[0]:
-        entries[:] = [entry for entry in entries if entry is not None]
-
-
-def _add_columns(columns: List[list]) -> List[list]:
-    """Adjacent columns of affine points added elementwise, None standing
-    for infinity, all the pairs sharing one field inversion; an odd last
-    column carries over."""
-    size = len(columns[0])
-    pairs = len(columns) // 2
-    left = [p for column in columns[0 : 2 * pairs : 2] for p in column]
-    right = [p for column in columns[1::2] for p in column]
-    if None in left or None in right:
-        sums = [p if q is None else q for p, q in zip(left, right)]
-        both = [
-            k for k, (p, q) in enumerate(zip(left, right))
-            if p is not None and q is not None
-        ]
-        for k, point in zip(both, _add_affine([(left[k], right[k]) for k in both])):
-            sums[k] = point
-    else:
-        sums = _add_affine(list(zip(left, right)))
-    out = [sums[c * size : (c + 1) * size] for c in range(pairs)]
-    if len(columns) % 2:
-        out.append(columns[-1])
-    return out
-
-
-def _add_pairs(points: List[Point]) -> List[Point]:
-    """Adjacent pairs of affine points added, sharing one field inversion.
-
-    A pair that cancels to infinity is left out, and an odd last point
-    carries over, so the list's sum is unchanged.
-    """
-    sums = _add_affine(list(zip(points[0::2], points[1::2])))
-    out = [point for point in sums if point is not None]
-    if len(points) % 2:
-        out.append(points[-1])
-    return out
 
 
 # A level of pairwise affine additions costs one field inversion, about
@@ -358,7 +328,7 @@ def _jac_sum(points: List[Point]):
     while a level holds at least _MIN_AFFINE_PAIRS pairs, then added one at
     a time in Jacobian coordinates."""
     while len(points) >= 2 * _MIN_AFFINE_PAIRS:
-        points = _add_pairs(points)
+        [points] = _halve([points])
     acc = _JINF
     for point in points:
         acc = _jac_add_mixed(acc, point)

@@ -84,10 +84,17 @@ def _check_keys(mapping: dict, allowed: set, where: str) -> None:
         raise ScenarioError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
 
 
+def _integer(value) -> int:
+    """value if YAML read it as an integer; a bool, float or string is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"not an integer: {value!r}")
+    return value
+
+
 def _pair(value, where: str) -> Tuple[int, int]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ScenarioError(f"{where} must be a [low, high] pair")
-    return int(value[0]), int(value[1])
+    return _integer(value[0]), _integer(value[1])
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -97,8 +104,9 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError(f"not valid YAML: {exc}") from None
     if not isinstance(data, dict):
         raise ScenarioError("scenario must be a mapping")
-    # A KeyError, TypeError or ValueError below means a malformed value; it
-    # is reported against the section being read when it was raised.
+    # A KeyError, TypeError, ValueError or OverflowError (a huge integer as
+    # drop_probability) below means a malformed value; it is reported
+    # against the section being read when it was raised.
     where = "scenario"
     try:
         _check_keys(data, _TOP_KEYS, where)
@@ -106,7 +114,7 @@ def parse_scenario(text: str) -> Scenario:
             if key not in data:
                 raise ScenarioError(f"missing required key {key!r}")
 
-        n = int(data["nodes"])
+        n = _integer(data["nodes"])
         try:
             check_cluster_size(n)
         except CryptoError as exc:
@@ -119,24 +127,24 @@ def parse_scenario(text: str) -> Scenario:
                 data.get("election_timeout_ms", NodeConfig.election_timeout_range_ms),
                 "election_timeout_ms",
             ),
-            heartbeat_interval_ms=int(
+            heartbeat_interval_ms=_integer(
                 data.get("heartbeat_interval_ms", NodeConfig.heartbeat_interval_ms)
             ),
             proof_policy=ProofPolicy(
-                ttl_ms=int(data.get("proof_ttl_ms", ProofPolicy.ttl_ms)),
-                max_clock_skew_ms=int(
+                ttl_ms=_integer(data.get("proof_ttl_ms", ProofPolicy.ttl_ms)),
+                max_clock_skew_ms=_integer(
                     data.get("max_clock_skew_ms", ProofPolicy.max_clock_skew_ms)
                 ),
             ),
             scheme=_SCHEMES[scheme_name],
         )
-        seed = int(data["seed"])
-        duration_ms = int(data["duration_ms"])
+        seed = _integer(data["seed"])
+        duration_ms = _integer(data["duration_ms"])
         if duration_ms <= 0:
             raise ScenarioError("duration_ms must be positive")
         preferred = data.get("preferred_first_candidate")
         if preferred is not None:
-            preferred = int(preferred)
+            preferred = _integer(preferred)
             if not 0 <= preferred < n:
                 raise ScenarioError("preferred_first_candidate out of range")
         latency = _pair(data.get("latency_ms", [5, 25]), "latency_ms")
@@ -154,9 +162,9 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioError("partition entries must be mappings")
             _check_keys(raw, _PARTITION_KEYS, where)
             groups = tuple(
-                tuple(int(m) for m in group) for group in raw.get("groups", [])
+                tuple(_integer(m) for m in group) for group in raw.get("groups", [])
             )
-            part = Partition(int(raw["start_ms"]), int(raw["end_ms"]), groups)
+            part = Partition(_integer(raw["start_ms"]), _integer(raw["end_ms"]), groups)
             if part.start_ms >= part.end_ms:
                 raise ScenarioError(f"{where}: start_ms must precede end_ms")
             members = [m for g in groups for m in g]
@@ -177,11 +185,11 @@ def parse_scenario(text: str) -> Scenario:
             if behavior not in _BEHAVIORS:
                 raise ScenarioError(f"unknown adversary behavior {behavior!r}")
             spec = AdversarySpec(
-                node=int(raw["node"]),
+                node=_integer(raw["node"]),
                 behavior=behavior,
-                term=int(raw["term"]) if "term" in raw else None,
+                term=_integer(raw["term"]) if "term" in raw else None,
                 replay_after_ms=(
-                    int(raw["replay_after_ms"]) if "replay_after_ms" in raw else None
+                    _integer(raw["replay_after_ms"]) if "replay_after_ms" in raw else None
                 ),
             )
             if not 0 <= spec.node < n:
@@ -198,7 +206,7 @@ def parse_scenario(text: str) -> Scenario:
         raise
     except KeyError as exc:
         raise ScenarioError(f"{where}: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"{where}: {exc}") from None
 
     return Scenario(

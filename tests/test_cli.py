@@ -1,6 +1,7 @@
 """CLI surface: exit codes, machine output, and golden pinning."""
 
 import filecmp
+import pathlib
 import random
 import time
 
@@ -221,6 +222,15 @@ class TestRun:
         assert code == 2
         assert stderr.startswith("error:")
         assert "Traceback" not in stderr
+
+    @pytest.mark.parametrize("argv", [["run"], ["check", "--seeds", "1"]])
+    def test_infinite_duration_is_usage_error(self, tmp_path, capsys, argv):
+        # int(.inf) raises OverflowError, which no ValueError handler sees.
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("nodes: 3\nseed: 1\nduration_ms: .inf\n")
+        code, stdout, stderr = run_cli(capsys, *argv, str(bad))
+        assert (code, stdout) == (2, "")
+        assert stderr == "error: scenario: not an integer: inf\n"
 
     @pytest.mark.parametrize("argv", [["run"], ["check", "--seeds", "1"]])
     @pytest.mark.parametrize("duration", ["0", "-5"])
@@ -445,6 +455,20 @@ class TestVerify:
         assert code == 2
         assert stdout == ""
         assert "error: bad keyset:" in stderr
+
+    def test_keyset_with_a_bool_node_id_is_usage_error(self, keyset, tmp_path, capsys):
+        # bool is an int subclass: node 1 written as true would make the
+        # keyring's ids (0, True, 2).
+        doc = yaml.safe_load(pathlib.Path(keyset).read_text())
+        doc["keys"][1]["node"] = True
+        keys = tmp_path / "bool.yaml"
+        keys.write_text(yaml.safe_dump(doc))
+        code, stdout, stderr = run_cli(
+            capsys, "verify", "--proof", self._proof_hex(keyset), "--keys", str(keys),
+            "--now", "50000",
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr == "error: bad keyset: node must be of type int: True\n"
 
     @pytest.mark.parametrize("loader", ["platform", "SafeLoader"])
     def test_keyset_that_is_not_yaml_is_usage_error(

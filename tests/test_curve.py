@@ -108,7 +108,7 @@ def test_affine_sums_match_the_fold(monkeypatch):
     groups = [
         pts[:32],
         pts[:25],  # odd: the last point carries over each level
-        [pts[0]] * 40,  # doublings at two affine levels
+        [pts[0]] * 40,  # doublings at five of its six levels
         [pts[1]] * 23 + pts[2:5],
         pts[:10] + [pts[30], neg(pts[30])] + pts[10:22],  # one pair cancels
         # Each quad's two pair sums cancel at the second level, so the
@@ -123,15 +123,15 @@ def test_affine_sums_match_the_fold(monkeypatch):
         [],
     ]
     levels = []
-    add_pairs = curve._add_pairs
+    add_affine = curve._add_affine
     monkeypatch.setattr(
-        curve, "_add_pairs",
-        lambda points: levels.append(len(points)) or add_pairs(points),
+        curve, "_add_affine",
+        lambda pairs: levels.append(len(pairs)) or add_affine(pairs),
     )
     assert curve.affine_sums(groups) == [fold(group) for group in groups]
-    # An affine level ran in each of the eight groups of 24 or more points,
-    # and a second one in the two of 40 or more.
-    assert len(levels) == 10
+    # The groups are halved together, one inversion per level, until the
+    # longest, of 40 points, holds one: 40, 20, 10, 5, 3, 2, 1.
+    assert len(levels) == 6
 
 
 KEY2 = curve.scalar_mult_base(0xBEEF)
@@ -204,7 +204,7 @@ def test_sum_table_matches_the_fold(keys, k):
 
 def test_sum_tables_of_two_sizes_fill_together():
     # The two tables' slots are summed in the same levels, the smaller
-    # table's columns padded with infinity.
+    # table's groups done a level before the larger's.
     small, large = curve.SumTable(KEYS[:2]), curve.SumTable(KEYS[2:])
     for k in (2**5 + 1, 0xDEADBEEF, curve.N - 1):
         total = fold([naive_mult(k, key) for key in KEYS[:2]] + [

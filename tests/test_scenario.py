@@ -2,9 +2,10 @@
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from mokka import scenario, wire
-from mokka.scenario import ScenarioError, load_scenario, parse_scenario
+from mokka.scenario import Scenario, ScenarioError, load_scenario, parse_scenario
 
 from conftest import SCENARIO_DIR
 
@@ -113,6 +114,9 @@ def test_latency_and_drop_validation():
         parse_scenario(MINIMAL + "latency_ms: [10]\n")
     with pytest.raises(ScenarioError, match="drop_probability"):
         parse_scenario(MINIMAL + "drop_probability: 1.0\n")
+    # An integer past float's range: float() raises OverflowError.
+    with pytest.raises(ScenarioError, match="^scenario: int too large"):
+        parse_scenario(MINIMAL + f"drop_probability: {2**1100}\n")
 
 
 @pytest.mark.parametrize("text, named", [
@@ -129,6 +133,83 @@ def test_latency_and_drop_validation():
 def test_malformed_value_is_scenario_error(text, named):
     with pytest.raises(ScenarioError, match=named):
         parse_scenario(text)
+
+
+@pytest.mark.parametrize("value", [".inf", "-.inf", ".nan", "3.7", "true", "'3'"])
+@pytest.mark.parametrize("template, good, where", [
+    (MINIMAL.replace("nodes: 3", "nodes: @"), 3, "scenario"),
+    (MINIMAL.replace("seed: 1", "seed: @"), 1, "scenario"),
+    (MINIMAL.replace("duration_ms: 2000", "duration_ms: @"), 2000, "scenario"),
+    (MINIMAL + "heartbeat_interval_ms: @\n", 60, "scenario"),
+    (MINIMAL + "proof_ttl_ms: @\n", 1000, "scenario"),
+    (MINIMAL + "max_clock_skew_ms: @\n", 100, "scenario"),
+    (MINIMAL + "preferred_first_candidate: @\n", 2, "scenario"),
+    (MINIMAL + "latency_ms: [5, @]\n", 7, "scenario"),
+    (MINIMAL + "election_timeout_ms: [@, 300]\n", 150, "scenario"),
+    (MINIMAL + "partitions: [{start_ms: @, end_ms: 500, groups: [[0, 1], [2]]}]\n",
+     100, r"partitions\[0\]"),
+    (MINIMAL + "partitions: [{start_ms: 100, end_ms: @, groups: [[0, 1], [2]]}]\n",
+     500, r"partitions\[0\]"),
+    (MINIMAL + "partitions: [{start_ms: 100, end_ms: 500, groups: [[0, @], [2]]}]\n",
+     1, r"partitions\[0\]"),
+    (MINIMAL + "adversaries: [{node: @, behavior: fake_leader, term: 9}]\n",
+     1, r"adversaries\[0\]"),
+    (MINIMAL + "adversaries: [{node: 1, behavior: fake_leader, term: @}]\n",
+     9, r"adversaries\[0\]"),
+    (MINIMAL + "adversaries: [{node: 1, behavior: proof_replay, replay_after_ms: @}]\n",
+     300, r"adversaries\[0\]"),
+], ids=[
+    "nodes", "seed", "duration_ms", "heartbeat_interval_ms", "proof_ttl_ms",
+    "max_clock_skew_ms", "preferred_first_candidate", "latency_ms",
+    "election_timeout_ms", "start_ms", "end_ms", "groups", "node", "term",
+    "replay_after_ms",
+])
+def test_integer_field_takes_only_a_yaml_integer(template, good, where, value):
+    # "@" stands for the field. A float such as .inf (which int() cannot
+    # convert) or 3.7 (which it truncates), a bool and a string are each
+    # refused where they stand.
+    assert isinstance(parse_scenario(template.replace("@", str(good))), Scenario)
+    with pytest.raises(ScenarioError, match=f"^{where}: not an integer: "):
+        parse_scenario(template.replace("@", value))
+
+
+BASE = {
+    "name": "any", "nodes": 3, "seed": 1, "duration_ms": 2000,
+    "partitions": [{"start_ms": 100, "end_ms": 500, "groups": [[0, 1], [2]]}],
+    "adversaries": [{"node": 2, "behavior": "fake_leader", "term": 9}],
+}
+SCALARS = st.one_of(
+    # The values most likely to slip past int() and float(), drawn often.
+    st.sampled_from([float("inf"), float("-inf"), float("nan"), 3.7, 2**64, 2**1100]),
+    st.integers(),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.text("ab1.:-", max_size=4),
+    st.lists(st.integers(-2, 3) | st.none(), max_size=3),
+)
+PLACES = st.one_of(
+    st.tuples(st.none(), st.sampled_from(sorted(scenario._TOP_KEYS))),
+    st.tuples(st.just("partitions"), st.sampled_from(sorted(scenario._PARTITION_KEYS))),
+    st.tuples(st.just("adversaries"), st.sampled_from(sorted(scenario._ADVERSARY_KEYS))),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(PLACES, SCALARS)
+def test_any_scalar_anywhere_parses_or_is_a_scenario_error(place, value):
+    # One key of a valid scenario (top level, its partition or its
+    # adversary) takes any YAML scalar: the parse yields a Scenario or
+    # refuses the file with a ScenarioError, never another exception.
+    section, key = place
+    doc = {**BASE, "partitions": [dict(BASE["partitions"][0])],
+           "adversaries": [dict(BASE["adversaries"][0])]}
+    (doc if section is None else doc[section][0])[key] = value
+    try:
+        parsed = parse_scenario(yaml.safe_dump(doc))
+    except ScenarioError:
+        return
+    assert isinstance(parsed, Scenario)
 
 
 class TestPartitions:
