@@ -6,7 +6,8 @@ Three families live here:
   challenge binds the aggregate key and the message but not the nonce
   point, which is what lets followers sign without a nonce-exchange
   round — see README for the security caveat); the keyring holds node
-  keys only, and a combo's aggregate key is summed on its first use,
+  keys only, and a combo's aggregate key is summed on its first use; it
+  also owns the tables of its keys and combos, each built on first use,
 * Shamir secret sharing over the curve's scalar field,
 * deterministic ECDSA with public-key recovery, used to authenticate
   secret shares; a share signature is verified against the expected
@@ -21,6 +22,7 @@ deterministically so two runs produce bit-identical signatures.
 import hashlib
 import random
 from dataclasses import dataclass, field
+from collections import OrderedDict
 from collections.abc import Mapping
 from functools import lru_cache
 from itertools import combinations
@@ -38,6 +40,14 @@ MAX_NODES = 64
 # candidate, C(n - 2, n//2 - 1) of them: 6,435 at n = 17, and each further
 # two nodes multiply that by about four.
 MAX_KEYRING_NODES = 17
+# A keyring keeps the summed tables of the SUM_TABLES combos checked last.
+# Each is at most the size of a key table (about 0.26 MB), so a keyring
+# holds at most n key tables and SUM_TABLES summed ones: about 21 MB at
+# n = 17, for each of the keyrings ``cluster`` keeps. A summed slot costs
+# the check that fills it no more additions than the keys' own entries
+# would, so not even combos that evict each other make a check add more
+# than it would over the key tables.
+SUM_TABLES = 64
 
 
 class CryptoError(ValueError):
@@ -113,6 +123,7 @@ class _Combos(Mapping):
         self._nodes = ComboId.of(keyring.sorted_ids).mask
         # Keyed by mask: an int hashes and compares without a Python call.
         self._sums: Dict[int, Optional[Point]] = {}
+        self._tables: OrderedDict[int, curve.SumTable] = OrderedDict()
 
     def __contains__(self, combo) -> bool:
         mask = combo.mask if isinstance(combo, ComboId) else 0
@@ -134,6 +145,16 @@ class _Combos(Mapping):
     def __len__(self) -> int:
         return comb(len(self._keyring.sorted_ids), self._keyring.quorum_size)
 
+    def table(self, combo: ComboId) -> curve.SumTable:
+        """combo's SumTable over its members' key tables; the last SUM_TABLES kept."""
+        table = self._tables.pop(combo.mask, None)
+        if table is None:
+            table = curve.SumTable(tuple(map(self._keyring.table, combo.members())))
+        self._tables[combo.mask] = table
+        if len(self._tables) > SUM_TABLES:
+            self._tables.popitem(last=False)
+        return table
+
 
 @dataclass(frozen=True)
 class ClusterKeyring:
@@ -145,6 +166,7 @@ class ClusterKeyring:
     _key_of: Dict[NodeId, Point] = field(init=False, repr=False, compare=False)
     _id_of: Dict[Point, NodeId] = field(init=False, repr=False, compare=False)
     _ordinal_of: Dict[NodeId, int] = field(init=False, repr=False, compare=False)
+    _tables: Dict[NodeId, curve.FixedBase] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sorted_ids = tuple(sorted(node_id for node_id, _ in self.node_keys))
@@ -154,6 +176,7 @@ class ClusterKeyring:
             # The first node holding a key names it, as a scan would.
             "_id_of": {pub: node_id for node_id, pub in reversed(self.node_keys)},
             "_ordinal_of": {node_id: i for i, node_id in enumerate(sorted_ids, 1)},
+            "_tables": {},
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -164,6 +187,12 @@ class ClusterKeyring:
             return self._key_of[node]
         except KeyError:
             raise CryptoError(f"unknown node {node}") from None
+
+    def table(self, node: NodeId) -> curve.FixedBase:
+        """The fixed-base table of node's key, built on first use and kept."""
+        if node not in self._tables:
+            self._tables[node] = curve.FixedBase(self.public_key(node), curve.KEY_WINDOW)
+        return self._tables[node]
 
     def node_for_key(self, public: Point) -> Optional[NodeId]:
         """The node whose public key this is, or None for an outsider."""
@@ -263,21 +292,15 @@ def schnorr_partial_sign(
     return PartialSignature(signer, combo, nonce_point, s)
 
 
-def _schnorr_holds(
-    keyring: ClusterKeyring, signers: Iterable[NodeId], e: int, big_r, s: int
-) -> bool:
-    """s*G == R + e*(X_1 + ... + X_k) for the signers' keys X_i, checked as
-    s*G - e*(X_1 + ... + X_k) == R in one fixed-base sum. As the signers
-    share e, their keys make one term: on the key's ``curve.key_table``,
-    or for k >= 2 on the keys' ``curve.sum_table``, whose entries are sums
-    of the keys' entries, so e costs one entry per digit, not k. Tables
-    exist only for node keys and their sums, whatever combos a message
-    names. big_r is R as an affine point or as (x, y parity); None, the
+def _schnorr_holds(table, e: int, big_r, s: int) -> bool:
+    """s*G == R + e*X for the key X of table, checked as s*G - e*X == R in
+    one fixed-base sum. table is a signer's key table for a partial, or for
+    an aggregate X = X_1 + ... + X_q its combo's summed table, whose
+    entries are sums of the keys' entries, so e costs one entry per digit,
+    not q. big_r is R as an affine point or as (x, y parity); None, the
     point at infinity, has no x and never holds."""
     if big_r is None:
         return False
-    keys = tuple(keyring.public_key(node) for node in signers)
-    table = curve.key_table(keys[0]) if len(keys) == 1 else curve.sum_table(keys)
     x, y = big_r
     return curve.sum_names(x, bool(y & 1), [(s, curve.BASE), (curve.N - e, table)])
 
@@ -288,7 +311,7 @@ def schnorr_partial_verify(
     try:
         e = schnorr_challenge(keyring, psig.combo, message)
         return _schnorr_holds(
-            keyring, (psig.signer,), e, psig.nonce_point, psig.s_value
+            keyring.table(psig.signer), e, psig.nonce_point, psig.s_value
         )
     except CryptoError:
         return False
@@ -317,7 +340,7 @@ def schnorr_verify(
     if s % curve.N == 0 or combo not in keyring.combos:
         return False
     e = schnorr_challenge(keyring, combo, message)
-    return _schnorr_holds(keyring, combo.members(), e, big_r, s)
+    return _schnorr_holds(keyring.combos.table(combo), e, big_r, s)
 
 
 # --- Shamir secret sharing ---------------------------------------------------
@@ -428,18 +451,21 @@ def recover_pubkey(message: bytes, sig: RecoverableSignature) -> Point:
     return q
 
 
-def verify_recoverable(public: Point, message: bytes, sig: RecoverableSignature) -> bool:
-    """Whether recover_pubkey(message, sig) == public, without recovering.
+def verify_recoverable(
+    keyring: ClusterKeyring, signer: NodeId, message: bytes, sig: RecoverableSignature
+) -> bool:
+    """Whether recover_pubkey(message, sig) is signer's key, without
+    recovering; False for a signer the keyring does not hold.
 
     ECDSA verification (SEC 1 v2, 4.1.4) with the recovery hint bound in:
     Q = (z/s)*G + (r/s)*X must be the nonce point that (r, hint) names,
     i.e. x(Q) = r (+ N when hint >= 2) and y(Q) has the hint's parity.
     The nonce point is never lifted, and only a Q with the right x pays a
-    field inversion, for its parity. public must be a node key, since it
-    gets a cached fixed-base table.
+    field inversion, for its parity.
     """
     try:
         x = _nonce_x(sig)
+        table = keyring.table(signer)
     except CryptoError:
         return False
     s_inv = pow(sig.s, -1, curve.N)
@@ -447,5 +473,5 @@ def verify_recoverable(public: Point, message: bytes, sig: RecoverableSignature)
     return curve.sum_names(
         x,
         bool(sig.recovery_hint & 1),
-        [(z * s_inv, curve.BASE), (sig.r * s_inv, curve.key_table(public))],
+        [(z * s_inv, curve.BASE), (sig.r * s_inv, table)],
     )

@@ -1,26 +1,26 @@
 """secp256k1 group arithmetic over plain Python integers.
 
 Affine points are (x, y) integer tuples; ``None`` is the point at infinity.
-A multiple of a point with a fixed-base table -- the generator, or a
-long-lived key through ``key_table`` -- and any sum of such multiples is a
-sum of one table entry per signed window digit and needs no doublings;
-``sum_names`` checks such a sum against a point given as its x coordinate
-and y parity. ``sum_table`` stands for a sum of keys that share one scalar:
-each of its entries is the sum of the keys' entries for the same digit,
-summed the first time a check needs it and kept, so that k * (X_1 + ... +
-X_q) costs one entry per digit instead of q. Any other point goes through
-``scalar_mult``, which doubles and adds in 4-bit windows in Jacobian
-coordinates. Apart from ``point_add``, the simple reference, every affine
-addition goes through one batched kernel, ``_add_affine``, whose pairs
-share one field inversion (Montgomery's trick). Every batched sum is made
-of levels of ``_halve``, which adds adjacent points in many groups at once:
-``affine_sums`` halves until each group holds one point, ``_jac_sum`` takes
-its affine levels from it, and a check fills the table slots it finds
-unsummed with one ``affine_sums`` call. None of this is constant-time: the
-library targets simulation and desk-scale testing, not hostile production
-deployments."""
+A multiple of a point with a ``FixedBase`` table -- the generator, or a key
+whose holder built one -- and any sum of such multiples is a sum of one
+table entry per signed window digit and needs no doublings; ``sum_names``
+checks such a sum against a point given as its x coordinate and y parity.
+A ``SumTable`` stands for a sum of keys that share one scalar: each of its
+entries is the sum of the keys' entries for the same digit, summed the
+first time a check needs it and kept, so that k * (X_1 + ... + X_q) costs
+one entry per digit instead of q. This module keeps no table but the
+generator's: whoever holds a key builds and keeps its tables. Any other
+point goes through ``scalar_mult``, which doubles and adds in 4-bit
+windows in Jacobian coordinates. Apart from ``point_add``, the simple
+reference, every affine addition goes through one batched kernel,
+``_add_affine``, whose pairs share one field inversion (Montgomery's
+trick). Every batched sum is made of levels of ``_halve``, which adds
+adjacent points in many groups at once: ``affine_sums`` halves until each
+group holds one point, ``_jac_sum`` takes its affine levels from it, and a
+check fills the table slots it finds unsummed with one ``affine_sums``
+call. None of this is constant-time: the library targets simulation and
+desk-scale testing, not hostile production deployments."""
 
-import functools
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 Point = Tuple[int, int]
@@ -31,13 +31,8 @@ Point = Tuple[int, int]
 # 0.06 ms per key term but costs about 9 ms more per table, so it pays
 # only after some 150 uses of a table, more than a one-shot run of any
 # bundled scenario makes.
-# KEY_TABLE_CACHE bounds how many key tables live, and as many summed
-# tables, each at most a key table's size, so the two caches hold at most
-# about 34 MB: 64 is the most nodes a keyring holds, so the key tables of
-# one keyring never evict each other.
 BASE_WINDOW = 10
 KEY_WINDOW = 6
-KEY_TABLE_CACHE = 64
 
 # secp256k1 domain parameters (SEC2).
 P = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEFFFFFC2F
@@ -251,22 +246,19 @@ class FixedBase:
 
 class SumTable:
     """The entries of a FixedBase-style table for X_1 + ... + X_q, summed
-    from the key tables of the points X_i one slot at a time.
+    from the FixedBase tables of the points X_i, all of one window, one
+    slot at a time.
 
     Slot (i, j) is the sum of the keys' slots (i, j), or None until a
-    check first needs it. The points are kept rather than their tables, so
-    ``key_table``'s bound still holds every key table.
+    check first needs it.
     """
 
-    __slots__ = ("window", "rows", "points")
+    __slots__ = ("window", "rows", "keys")
 
-    def __init__(self, points: Tuple[Point, ...]):
-        self.window = KEY_WINDOW
-        self.points = points
-        self.rows = [
-            [None] * ((1 << (KEY_WINDOW - 1)) + 1)
-            for _ in range(256 // KEY_WINDOW + 1)
-        ]
+    def __init__(self, keys: Tuple[FixedBase, ...]):
+        self.window = keys[0].window
+        self.keys = keys
+        self.rows = [[None] * len(row) for row in keys[0].rows]
 
 
 def _entries(terms) -> List[Point]:
@@ -302,10 +294,8 @@ def _entries(terms) -> List[Point]:
             entries.append(entry)
     if unsummed:
         # A slot whose keys sum to infinity stays unsummed and leaves entries.
-        tables = {table for _, table, _, _, _ in unsummed}
-        key_rows = {table: [key_table(p).rows for p in table.points] for table in tables}
         sums = affine_sums(
-            [rows[i][j] for rows in key_rows[table]] for _, table, i, j, _ in unsummed
+            [key.rows[i][j] for key in table.keys] for _, table, i, j, _ in unsummed
         )
         for (pos, table, i, j, negated), entry in zip(unsummed, sums):
             if entry is not None:
@@ -341,31 +331,6 @@ BASE = FixedBase(G, BASE_WINDOW)
 def scalar_mult_base(k: int) -> Optional[Point]:
     """k * G via the generator's fixed-base table."""
     return BASE.mult(k)
-
-
-@functools.lru_cache(maxsize=KEY_TABLE_CACHE)
-def key_table(point: Point) -> FixedBase:
-    """The fixed-base table of a long-lived key, built on first use.
-
-    Tables are cached by point, at most KEY_TABLE_CACHE of them. Pass only
-    keys the program holds for the life of a cluster, a keyring's node
-    keys: a point taken from a message would let its sender fill the cache.
-    """
-    return FixedBase(point, KEY_WINDOW)
-
-
-@functools.lru_cache(maxsize=KEY_TABLE_CACHE)
-def sum_table(points: Tuple[Point, ...]) -> SumTable:
-    """The SumTable of a sum of long-lived keys, its slots summed as checks
-    need them.
-
-    Cached by the tuple of points, at most KEY_TABLE_CACHE of them, so
-    pass only keyring node keys, as for ``key_table``. A slot costs the
-    check that sums it no more additions than the keys' own entries would,
-    so not even sums that evict each other make a check add more than it
-    would over the keys' own tables.
-    """
-    return SumTable(points)
 
 
 def fixed_sum(terms) -> Optional[Point]:

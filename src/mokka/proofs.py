@@ -170,7 +170,7 @@ def _share_signed(
         return False
     share, sig = share_sig
     message = share_sign_message(share, vote.term, vote.timestamp_ms, vote.candidate)
-    return crypto.verify_recoverable(keyring.public_key(voter), message, sig)
+    return crypto.verify_recoverable(keyring, voter, message, sig)
 
 
 # --- The schemes ---------------------------------------------------------------

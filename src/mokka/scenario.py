@@ -84,11 +84,19 @@ def _check_keys(mapping: dict, allowed: set, where: str) -> None:
         raise ScenarioError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
 
 
-def _integer(value) -> int:
-    """value if YAML read it as an integer; a bool, float or string is a ValueError."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"not an integer: {value!r}")
+def _typed(value, types, what: str):
+    """value if YAML read it as one of types, not as a bool; else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f"not {what}: {value!r}")
     return value
+
+
+def _integer(value) -> int:
+    return _typed(value, int, "an integer")
+
+
+def _text(value) -> str:
+    return str(_typed(value, (str, int), "a string or an integer"))
 
 
 def _pair(value, where: str) -> Tuple[int, int]:
@@ -114,6 +122,7 @@ def parse_scenario(text: str) -> Scenario:
             if key not in data:
                 raise ScenarioError(f"missing required key {key!r}")
 
+        name = _text(data.get("name", "unnamed"))
         n = _integer(data["nodes"])
         try:
             check_cluster_size(n)
@@ -139,6 +148,7 @@ def parse_scenario(text: str) -> Scenario:
             scheme=_SCHEMES[scheme_name],
         )
         seed = _integer(data["seed"])
+        key_seed = _text(data.get("key_seed", seed))
         duration_ms = _integer(data["duration_ms"])
         if duration_ms <= 0:
             raise ScenarioError("duration_ms must be positive")
@@ -150,7 +160,8 @@ def parse_scenario(text: str) -> Scenario:
         latency = _pair(data.get("latency_ms", [5, 25]), "latency_ms")
         if not 0 <= latency[0] <= latency[1]:
             raise ScenarioError("latency_ms must satisfy 0 <= min <= max")
-        drop = float(data.get("drop_probability", 0.0))
+        drop = data.get("drop_probability", 0.0)
+        drop = float(_typed(drop, (int, float), "a number"))
         if not 0.0 <= drop < 1.0:
             raise ScenarioError("drop_probability must be in [0, 1)")
 
@@ -210,7 +221,7 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError(f"{where}: {exc}") from None
 
     return Scenario(
-        name=str(data.get("name", "unnamed")),
+        name=name,
         n=n,
         node_config=node_config,
         seed=seed,
@@ -220,10 +231,13 @@ def parse_scenario(text: str) -> Scenario:
         partitions=tuple(partitions),
         adversaries=tuple(adversaries),
         preferred_first_candidate=preferred,
-        key_seed=str(data.get("key_seed", seed)),
+        key_seed=key_seed,
     )
 
 
 def load_scenario(path: str) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+        try:
+            return parse_scenario(fh.read())
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(f"not UTF-8: {exc}") from None

@@ -2,7 +2,7 @@ import pathlib
 
 import pytest
 
-from mokka import crypto, curve
+from mokka import crypto
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
@@ -16,11 +16,11 @@ def make_cluster(n, seed="test"):
 def fresh_cluster_memo():
     """Forget every memoized cluster after each test, so that a cluster
     built under a patched keygen or build_keyring never reaches another
-    test, and every summed table, so that the additions a test counts do
+    test. A cluster's keyring holds its own key and summed tables, so they
+    go with it, and the additions a test counts on a cluster it makes do
     not depend on which tests ran before it."""
     yield
     crypto.cluster.cache_clear()
-    curve.sum_table.cache_clear()
 
 
 @pytest.fixture(scope="session")

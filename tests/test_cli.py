@@ -202,6 +202,29 @@ class TestRun:
         assert stdout == ""
         assert "not valid YAML" in stderr
 
+    @pytest.mark.parametrize("argv", [["run"], ["check", "--seeds", "1"]])
+    def test_scenario_that_is_not_utf8_is_usage_error(self, tmp_path, capsys, argv):
+        bad = tmp_path / "bad.yaml"
+        bad.write_bytes(b"name: \xff\nnodes: 3\nseed: 1\nduration_ms: 100\n")
+        code, stdout, stderr = run_cli(capsys, *argv, str(bad))
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("error: not UTF-8: ")
+        assert "Traceback" not in stderr
+
+    @pytest.mark.parametrize("line, message", [
+        ("drop_probability: false", "not a number: False"),
+        ("drop_probability: '0.5'", "not a number: '0.5'"),
+        ("name: [1, 2]", "not a string or an integer: [1, 2]"),
+    ])
+    def test_scalar_of_the_wrong_type_is_usage_error(
+        self, tmp_path, capsys, line, message
+    ):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(f"nodes: 3\nseed: 1\nduration_ms: 100\n{line}\n")
+        code, stdout, stderr = run_cli(capsys, "run", str(bad))
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: scenario: {message}\n"
+
     def test_missing_scenario_is_usage_error(self, capsys):
         code, _, stderr = run_cli(capsys, "run", "/nonexistent.yaml")
         assert code == 2

@@ -256,6 +256,26 @@ class TestBuildKeyring:
         keyring = crypto.build_keyring(keys)
         assert len(keyring.combos) == 24310
 
+    def test_keyrings_over_the_same_keys_share_no_table(self, cluster3):
+        _, keyring = cluster3
+        other = crypto.build_keyring(keyring.node_keys)
+        assert other == keyring
+        for node in keyring.sorted_ids:
+            assert keyring.table(node) is keyring.table(node)
+            assert other.table(node) is not keyring.table(node)
+            assert other.table(node).rows == keyring.table(node).rows
+        combo = crypto.ComboId.of([0, 2])
+        assert keyring.combos.table(combo) is keyring.combos.table(combo)
+        assert other.combos.table(combo) is not keyring.combos.table(combo)
+
+    def test_only_node_keys_get_tables(self, cluster3):
+        _, keyring = cluster3
+        with pytest.raises(crypto.CryptoError, match="unknown node"):
+            keyring.table(3)
+        with pytest.raises(crypto.CryptoError, match="unknown node"):
+            keyring.combos.table(crypto.ComboId.of([0, 3]))
+        assert 3 not in keyring._tables
+
     @settings(max_examples=5, deadline=None)
     @given(st.integers(min_value=3, max_value=7))
     def test_quorum_is_majority(self, n):

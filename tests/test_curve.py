@@ -41,6 +41,14 @@ def test_add_inverse_is_infinity():
 KEY = curve.scalar_mult_base(0xC0FFEE)  # a keyring-style point other than G
 
 
+def key_table(point):
+    """A key's fixed-base table, as a keyring builds it."""
+    return curve.FixedBase(point, curve.KEY_WINDOW)
+
+
+KEY_TABLE = key_table(KEY)
+
+
 def window_boundaries(*windows):
     """Scalars at signed-digit carry boundaries, applied as examples."""
     scalars = {0, 1, curve.N - 1, curve.N - 2**100}
@@ -60,10 +68,10 @@ def window_boundaries(*windows):
 @window_boundaries(curve.BASE_WINDOW, curve.KEY_WINDOW)
 def test_fast_paths_agree_with_each_other(k):
     assert curve.scalar_mult_base(k) == curve.scalar_mult(k, curve.G)
-    assert curve.key_table(KEY).mult(k) == curve.scalar_mult(k, KEY)
+    assert KEY_TABLE.mult(k) == curve.scalar_mult(k, KEY)
     # scalar_mult shares _multiples and _add_affine with the key table, so
     # also check the table against the independent point_add oracle.
-    assert curve.key_table(KEY).mult(k) == naive_mult(k, KEY)
+    assert KEY_TABLE.mult(k) == naive_mult(k, KEY)
 
 
 def fold(points):
@@ -84,8 +92,8 @@ def names(point, terms):
 
 
 def test_sum_equals_doubling_and_cancellation():
-    g_table = curve.key_table(curve.G)
-    neg_g_table = curve.key_table(curve.point_neg(curve.G))
+    g_table = key_table(curve.G)
+    neg_g_table = key_table(curve.point_neg(curve.G))
     # Second entry equals the running sum: the doubling case, in the
     # Jacobian finish (2 entries) and in the affine levels (24 entries).
     for copies in (1, 12):
@@ -135,6 +143,7 @@ def test_affine_sums_match_the_fold(monkeypatch):
 
 
 KEY2 = curve.scalar_mult_base(0xBEEF)
+KEY2_TABLE = key_table(KEY2)
 
 
 @settings(max_examples=10, deadline=None)
@@ -145,8 +154,8 @@ def test_fixed_sum_and_sum_names_match_the_fold(k):
     # with each table's scalar at or next to a signed-digit carry boundary.
     terms = [
         (k, curve.BASE),
-        (k, curve.key_table(KEY)),
-        (curve.N - k, curve.key_table(KEY2)),
+        (k, KEY_TABLE),
+        (curve.N - k, KEY2_TABLE),
     ]
     total = fold([
         curve.scalar_mult(k, curve.G),
@@ -165,6 +174,14 @@ def test_fixed_sum_and_sum_names_match_the_fold(k):
 KEYS = (KEY, KEY2) + tuple(
     curve.scalar_mult_base(k) for k in (0xFACE, 0xF00D, 0xD00D)
 )
+KEY_TABLES = {KEY: KEY_TABLE, KEY2: KEY2_TABLE} | {
+    point: key_table(point) for point in KEYS[2:] + (curve.point_neg(KEY),)
+}
+
+
+def sum_table(points):
+    """The SumTable of points, over each point's key table."""
+    return curve.SumTable(tuple(KEY_TABLES[point] for point in points))
 
 
 def filled(table):
@@ -186,7 +203,7 @@ def test_sum_table_matches_the_fold(keys, k):
         assert total == naive_mult(k, keys[2])
     # Each check runs first on empty slots: sum_names on one table,
     # fixed_sum on another.
-    by_names, by_sum = curve.SumTable(keys), curve.SumTable(keys)
+    by_names, by_sum = sum_table(keys), sum_table(keys)
     if total is not None:
         assert names(total, [(k, by_names)]) == (True, False)
     assert curve.fixed_sum([(k, by_sum)]) == total
@@ -205,7 +222,7 @@ def test_sum_table_matches_the_fold(keys, k):
 def test_sum_tables_of_two_sizes_fill_together():
     # The two tables' slots are summed in the same levels, the smaller
     # table's groups done a level before the larger's.
-    small, large = curve.SumTable(KEYS[:2]), curve.SumTable(KEYS[2:])
+    small, large = sum_table(KEYS[:2]), sum_table(KEYS[2:])
     for k in (2**5 + 1, 0xDEADBEEF, curve.N - 1):
         total = fold([naive_mult(k, key) for key in KEYS[:2]] + [
             naive_mult(curve.N - k, key) for key in KEYS[2:]
@@ -214,7 +231,7 @@ def test_sum_tables_of_two_sizes_fill_together():
 
 
 def test_sum_table_of_keys_that_cancel_stays_unsummed():
-    table = curve.SumTable((KEY, curve.point_neg(KEY)))
+    table = sum_table((KEY, curve.point_neg(KEY)))
     for k in (1, 2**5 + 1, curve.N - 1):
         assert curve.fixed_sum([(k, table)]) is None
         assert curve.fixed_sum([(k, curve.BASE), (k, table)]) == naive_mult(k, curve.G)
@@ -230,6 +247,12 @@ def test_distributivity(a, b):
     lhs = curve.scalar_mult_base((a + b) % curve.N)
     rhs = curve.point_add(curve.scalar_mult_base(a), curve.scalar_mult_base(b))
     assert lhs == rhs
+
+
+def test_curve_keeps_no_cache():
+    # Only the generator's table lives here; a key's belongs to its holder.
+    cached = [name for name, value in vars(curve).items() if hasattr(value, "cache_info")]
+    assert cached == []
 
 
 def test_results_are_on_curve():

@@ -467,10 +467,8 @@ def forged_proofs(keyring, count, seed):
 def test_forged_flood_keeps_key_tables_bounded(cluster5, monkeypatch):
     # Only the keyring's node keys get fixed-base tables, and only the
     # C(5, 3) combos summed tables.
-    _, keyring = cluster5
+    keyring = crypto.build_keyring(cluster5[1].node_keys)
     validator = proofs.ProofValidator(keyring, 0)
-    curve.key_table.cache_clear()
-    curve.sum_table.cache_clear()
     built = []
     fixed_base = curve.FixedBase
     monkeypatch.setattr(
@@ -479,26 +477,42 @@ def test_forged_flood_keeps_key_tables_bounded(cluster5, monkeypatch):
     )
     for forged in forged_proofs(keyring, 1000, seed=23):
         assert validator.validate(forged, VOTED) is ValidationResult.BAD_SIGNATURE
-    assert 0 < curve.key_table.cache_info().currsize <= len(keyring.node_keys)
-    assert 0 < curve.sum_table.cache_info().currsize <= len(keyring.combos) == 10
+    assert 0 < len(keyring._tables) <= len(keyring.node_keys)
+    assert 0 < len(keyring.combos._tables) <= len(keyring.combos) == 10
     assert len(built) == len(set(built))
     assert set(built) <= {public for _, public in keyring.node_keys}
 
 
+def test_forged_flood_over_every_combo_keeps_tables_bounded(monkeypatch):
+    # At n = 9 a flood over the 126 combos, more than the keyring keeps
+    # summed tables for, builds each node's key table exactly once.
+    _, keyring = make_cluster(9)
+    built = []
+    fixed_base = curve.FixedBase
+    monkeypatch.setattr(
+        curve, "FixedBase",
+        lambda point, window: built.append(point) or fixed_base(point, window),
+    )
+    for forged in forged_proofs(keyring, 1000, seed=37):
+        verdict = proofs.validate_proof(forged, keyring, POLICY, NOW)
+        assert verdict is ValidationResult.BAD_SIGNATURE
+        assert len(keyring.combos._tables) <= crypto.SUM_TABLES
+    assert sorted(built) == sorted(public for _, public in keyring.node_keys)
+    assert len(keyring.combos._tables) == crypto.SUM_TABLES < len(keyring.combos)
+
+
 def test_forged_flood_over_every_combo_costs_no_more_than_key_terms(monkeypatch):
     # At n = 9 a sender names the 126 combos in turn, twice, so that every
-    # check misses the summed-table cache. Each check must still make no
+    # check misses the keyring's summed tables. Each check must still make no
     # more additions (affine pairs plus Jacobian mixed additions) than the
     # same check summed over the signers' own key tables, but for the q - 1
     # affine pairs that sum a combo's aggregate key on its first check.
     # Each aggregate is summed exactly once over both passes.
     _, keyring = make_cluster(9)
     combos = sorted(keyring.combos)
-    assert len(combos) == 126 > curve.KEY_TABLE_CACHE
-    curve.key_table.cache_clear()
-    curve.sum_table.cache_clear()
-    for _, public in keyring.node_keys:
-        curve.key_table(public)
+    assert len(combos) == 126 > crypto.SUM_TABLES
+    for node in keyring.sorted_ids:
+        keyring.table(node)
     additions = []
     add_affine, jac_add_mixed, sum_names = (
         curve._add_affine, curve._jac_add_mixed, curve.sum_names
@@ -550,8 +564,8 @@ def test_forged_flood_over_every_combo_costs_no_more_than_key_terms(monkeypatch)
         )
         assert verdict is ValidationResult.BAD_SIGNATURE
         x, y_odd, [(s, base), (k, table)] = checks.pop()
-        assert table.points == tuple(keyring.public_key(i) for i in combo.members())
-        per_key = [(s, base)] + [(k, curve.key_table(p)) for p in table.points]
+        assert table.keys == tuple(keyring.table(i) for i in combo.members())
+        per_key = [(s, base)] + [(k, key) for key in table.keys]
         holds, cost_per_key = counted(lambda: sum_names(x, y_odd, per_key))
         assert not holds
         if i < len(combos):
@@ -562,8 +576,8 @@ def test_forged_flood_over_every_combo_costs_no_more_than_key_terms(monkeypatch)
         tuple(keyring.public_key(i) for i in combo.members()) for combo in combos
     ]
     assert sum_costs == [q - 1] * len(combos)
-    assert curve.sum_table.cache_info().currsize == curve.KEY_TABLE_CACHE
-    assert curve.key_table.cache_info().currsize == len(keyring.node_keys)
+    assert len(keyring.combos._tables) == crypto.SUM_TABLES
+    assert len(keyring._tables) == len(keyring.node_keys)
 
 
 def test_forged_flood_keeps_validator_cache_bounded(cluster5, monkeypatch):

@@ -13,6 +13,17 @@ def kp():
     return crypto.keygen(b"recoverable-signer")
 
 
+def keyring_of(publics):
+    """A keyring holding publics as nodes 0, 1, ..."""
+    return crypto.build_keyring(list(enumerate(publics)))
+
+
+@pytest.fixture(scope="module")
+def kp_keyring(kp):
+    """A keyring holding kp's key as node 0."""
+    return keyring_of([kp.public] + [key.public for key in KEYS[1:]])
+
+
 def test_recovery_round_trip(kp):
     sig = crypto.sign_recoverable(kp, b"hello")
     assert crypto.recover_pubkey(b"hello", sig) == kp.public
@@ -61,6 +72,7 @@ def test_round_trip_property(message, seed):
 
 
 KEYS = [crypto.keygen(b"recoverable-%d" % i) for i in range(3)]
+KEYRING = keyring_of([key.public for key in KEYS])
 
 # Signature variants, given the signature and a random scalar.
 TAMPER = {
@@ -95,27 +107,33 @@ def _recovers(public, message, sig):
 @example(b"m", 0, 1, "honest", 1)
 def test_verify_agrees_with_recovery(message, signer, offset, tamper, x):
     sig = TAMPER[tamper](crypto.sign_recoverable(KEYS[signer], message), x)
-    for key in (KEYS[signer], KEYS[(signer + offset) % len(KEYS)]):
-        assert crypto.verify_recoverable(key.public, message, sig) == _recovers(
-            key.public, message, sig
+    for node in (signer, (signer + offset) % len(KEYS)):
+        assert crypto.verify_recoverable(KEYRING, node, message, sig) == _recovers(
+            KEYS[node].public, message, sig
         )
     if tamper == "honest":
-        assert crypto.verify_recoverable(KEYS[signer].public, message, sig)
+        assert crypto.verify_recoverable(KEYRING, signer, message, sig)
 
 
-def test_nonce_x_past_the_field_rejected(kp):
+def test_unknown_signer_is_refused():
+    sig = crypto.sign_recoverable(KEYS[0], b"m")
+    assert crypto.verify_recoverable(KEYRING, 0, b"m", sig)
+    assert not crypto.verify_recoverable(KEYRING, len(KEYS), b"m", sig)
+
+
+def test_nonce_x_past_the_field_rejected(kp, kp_keyring):
     # hint >= 2 names x = r + N, which must stay below P.
     sig = crypto.sign_recoverable(kp, b"m")
     for r in (curve.P - curve.N, curve.N - 1):
         for hint in (2, 3):
             past = replace(sig, r=r, recovery_hint=hint)
-            assert not crypto.verify_recoverable(kp.public, b"m", past)
+            assert not crypto.verify_recoverable(kp_keyring, 0, b"m", past)
             with pytest.raises(crypto.CryptoError):
                 crypto.recover_pubkey(b"m", past)
 
 
 @pytest.mark.parametrize("tamper", ["hint^1", "N-s"])
-def test_negated_nonce_point_rejected(kp, tamper):
+def test_negated_nonce_point_rejected(kp, kp_keyring, tamper):
     # Q = (z/s)*G + (r/s)*X is the negation of the nonce point (r, hint)
     # names: same x, other parity.
     sig = TAMPER[tamper](crypto.sign_recoverable(kp, b"m"), None)
@@ -125,7 +143,7 @@ def test_negated_nonce_point_rejected(kp, tamper):
         curve.scalar_mult(sig.r * s_inv, kp.public),
     )
     assert q == curve.point_neg(crypto._nonce_point(sig))
-    assert not crypto.verify_recoverable(kp.public, b"m", sig)
+    assert not crypto.verify_recoverable(kp_keyring, 0, b"m", sig)
     assert not _recovers(kp.public, b"m", sig)
 
 
@@ -141,8 +159,9 @@ def test_nonce_x_above_the_group_order():
             x += 1
     sig = crypto.RecoverableSignature(x - curve.N, 12345, 2)
     public = crypto.recover_pubkey(b"m", sig)
-    assert crypto.verify_recoverable(public, b"m", sig)
+    keyring = keyring_of([public] + [key.public for key in KEYS[1:]])
+    assert crypto.verify_recoverable(keyring, 0, b"m", sig)
     for hint in (0, 1, 3):
         other = replace(sig, recovery_hint=hint)
-        assert not crypto.verify_recoverable(public, b"m", other)
+        assert not crypto.verify_recoverable(keyring, 0, b"m", other)
         assert not _recovers(public, b"m", other)

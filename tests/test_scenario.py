@@ -173,6 +173,25 @@ def test_integer_field_takes_only_a_yaml_integer(template, good, where, value):
         parse_scenario(template.replace("@", value))
 
 
+@pytest.mark.parametrize("value", ["false", "true", "'0.5'", "null", "[0.5]"])
+def test_drop_probability_takes_only_a_yaml_number(value):
+    for good, drop in (("0", 0.0), ("0.25", 0.25)):
+        sc = parse_scenario(MINIMAL + f"drop_probability: {good}\n")
+        assert sc.drop_probability == drop
+    with pytest.raises(ScenarioError, match="^scenario: not a number: "):
+        parse_scenario(MINIMAL + f"drop_probability: {value}\n")
+
+
+@pytest.mark.parametrize("value", ["[1, 2]", "{a: 1}", "true", "1.5", "null"])
+@pytest.mark.parametrize("key", ["name", "key_seed"])
+def test_text_field_takes_only_a_string_or_an_integer(key, value):
+    nameless = MINIMAL.replace("name: minimal\n", "")
+    for good, text in (("fixture", "fixture"), ("7", "7"), ("'0xff'", "0xff")):
+        assert getattr(parse_scenario(nameless + f"{key}: {good}\n"), key) == text
+    with pytest.raises(ScenarioError, match="^scenario: not a string or an integer: "):
+        parse_scenario(nameless + f"{key}: {value}\n")
+
+
 BASE = {
     "name": "any", "nodes": 3, "seed": 1, "duration_ms": 2000,
     "partitions": [{"start_ms": 100, "end_ms": 500, "groups": [[0, 1], [2]]}],
