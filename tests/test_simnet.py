@@ -9,7 +9,7 @@ from mokka import cli, crypto, curve, proofs, simnet, wire
 from mokka.core import (
     ArmElectionTimer, Heartbeat, RoleChanged, VoteRequest, VoteResponse,
 )
-from mokka.scenario import Partition, load_scenario
+from mokka.scenario import AdversarySpec, Partition, load_scenario
 from mokka.simnet import RunReport, TraceEvent, check_invariants, trace_lines
 
 from conftest import SCENARIO_DIR, scenario_path
@@ -475,6 +475,34 @@ PINNED_OUTPUTS = {
         "e604b4e6e02dd8350767c1744e41e386b716e8c63c0aa12afa862b1ef2d15493",
         "75f119689bf5a91905ec4bdadb887b8e7e33e0bbeef2b5280b2334745150fcf2",
     ),
+    "silent-node": (
+        "7f5028af92c9bb24e880989928233885f9a01145d6dda2320c78410f35dfd1b4",
+        "0ecccd5b4a75673bc4f55464f44a5bd80e8da48537abe2e94272fde158b1476a",
+    ),
+}
+
+# Adversary mixes no bundled file holds: (base scenario, adversaries, and
+# the sha256 of the trace and of the machine report at the base's seed).
+PINNED_MIXES = {
+    # Two fake leaders listed out of id order, beside a replayer and a
+    # double voter: the fake leaders' nonce points come from one shared
+    # stream in the order the scenario lists them.
+    "four-adversaries-n5": (
+        "happy-path-n5",
+        (AdversarySpec(4, "fake_leader", term=99),
+         AdversarySpec(2, "fake_leader", term=7),
+         AdversarySpec(1, "proof_replay", replay_after_ms=300),
+         AdversarySpec(3, "double_voter")),
+        "b6a89fa20f908ebcbb15345f5d41a331d4058dbc27060231fe337dcae9f2858d",
+        "9f85129012d53f463f0373c90d71396d44a1d22a6837ad274967e437bf007bb1",
+    ),
+    "partition-with-adversaries": (
+        "partition-3-2",
+        (AdversarySpec(4, "fake_leader", term=99),
+         AdversarySpec(1, "proof_replay", replay_after_ms=300)),
+        "908bf866615ae3d2349140f8b844c96e5fbcf737e97f04543f47ac23b4845768",
+        "4e75cd3cbfdf8dd551b1ce6a246f66acefa3fb2f37d62cc24f6db2179dff6482",
+    ),
 }
 
 # partition-3-2's (dual_max_ms, exceeded_ttl) at seeds 45..64.
@@ -513,3 +541,16 @@ class TestPinnedOutputs:
             summary = simnet.scripted_partition_leadership(trace, report)
             duals.append((summary.max_dual_ms, summary.exceeded_ttl))
         assert duals == PINNED_PARTITION_DUALS
+
+    @pytest.mark.parametrize("name", sorted(PINNED_MIXES))
+    def test_adversary_mix_bytes(self, name):
+        base, adversaries, trace_digest, report_digest = PINNED_MIXES[name]
+        sc = replace(load_scenario(scenario_path(base)), adversaries=adversaries)
+        trace, report = simnet.run(sc)
+        summary = simnet.scripted_partition_leadership(trace, report)
+        lines = cli._report_lines(sc.name, sc.seed, report, summary)
+        assert report.violations == []
+        assert (
+            hashlib.sha256(trace_lines(trace).encode()).hexdigest(),
+            hashlib.sha256("".join(f"{line}\n" for line in lines).encode()).hexdigest(),
+        ) == (trace_digest, report_digest)
