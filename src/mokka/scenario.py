@@ -11,6 +11,7 @@ from typing import Optional, Tuple
 import yaml
 
 from . import wire
+from .adversary import BEHAVIORS
 from .core import NodeConfig
 from .crypto import CryptoError, check_cluster_size
 from .proofs import ProofPolicy
@@ -41,7 +42,7 @@ class Partition:
 @dataclass(frozen=True)
 class AdversarySpec:
     node: int
-    behavior: str  # fake_leader | proof_replay | double_voter | silent
+    behavior: str  # a name in adversary.BEHAVIORS
     term: Optional[int] = None
     replay_after_ms: Optional[int] = None
 
@@ -66,7 +67,6 @@ class Scenario:
 
 
 _SCHEMES = {"schnorr": wire.SCHEME_SCHNORR, "sss": wire.SCHEME_SSS}
-_BEHAVIORS = ("fake_leader", "proof_replay", "double_voter", "silent")
 
 _TOP_KEYS = {
     "name", "nodes", "scheme", "seed", "duration_ms", "election_timeout_ms",
@@ -75,7 +75,6 @@ _TOP_KEYS = {
     "preferred_first_candidate", "key_seed",
 }
 _PARTITION_KEYS = {"start_ms", "end_ms", "groups"}
-_ADVERSARY_KEYS = {"node", "behavior", "term", "replay_after_ms"}
 
 
 def _check_keys(mapping: dict, allowed: set, where: str) -> None:
@@ -191,26 +190,21 @@ def parse_scenario(text: str) -> Scenario:
             where = f"adversaries[{i}]"
             if not isinstance(raw, dict):
                 raise ScenarioError("adversary entries must be mappings")
-            _check_keys(raw, _ADVERSARY_KEYS, where)
             behavior = raw.get("behavior")
-            if behavior not in _BEHAVIORS:
+            if not isinstance(behavior, str) or behavior not in BEHAVIORS:
                 raise ScenarioError(f"unknown adversary behavior {behavior!r}")
-            spec = AdversarySpec(
-                node=_integer(raw["node"]),
-                behavior=behavior,
-                term=_integer(raw["term"]) if "term" in raw else None,
-                replay_after_ms=(
-                    _integer(raw["replay_after_ms"]) if "replay_after_ms" in raw else None
-                ),
-            )
-            if not 0 <= spec.node < n:
+            keys = BEHAVIORS[behavior].KEYS
+            _check_keys(raw, {"node", "behavior", *keys}, where)
+            node = _integer(raw["node"])
+            if not 0 <= node < n:
                 raise ScenarioError(f"{where}: node out of range")
-            # An absent term reads as 0; a term travels in 8 bytes on the wire.
-            if behavior == "fake_leader" and not 0 < (spec.term or 0) < 1 << 64:
-                raise ScenarioError(f"{where}: fake_leader needs a term in [1, 2**64)")
-            if behavior == "proof_replay" and spec.replay_after_ms is None:
-                raise ScenarioError(f"{where}: proof_replay needs replay_after_ms")
-            adversaries.append(spec)
+            for key, allowed in keys.items():  # each stop is a power of two
+                if key not in raw or _integer(raw[key]) not in allowed:
+                    raise ScenarioError(
+                        f"{where}: {behavior} needs a {key} in [{allowed.start},"
+                        f" 2**{allowed.stop.bit_length() - 1})"
+                    )
+            adversaries.append(AdversarySpec(node, behavior, **{k: raw[k] for k in keys}))
         if len({a.node for a in adversaries}) != len(adversaries):
             raise ScenarioError("one adversary behavior per node")
     except ScenarioError:

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from . import core, crypto, curve, proofs, wire
+from . import adversary, core, crypto, proofs
 from .core import (
     ArmElectionTimer,
     ArmHeartbeatTimer,
@@ -27,7 +27,7 @@ from .core import (
     VoteRequest,
     VoteResponse,
 )
-from .scenario import AdversarySpec, Partition, Scenario
+from .scenario import Partition, Scenario
 
 
 class TraceEvent(NamedTuple):
@@ -85,43 +85,38 @@ class _Sim:
     def __init__(self, scenario: Scenario):
         self.sc = scenario
         self.net_rng = random.Random(f"{scenario.seed}:net")
-        self.adv_rng = random.Random(f"{scenario.seed}:adv")
+        adv_rng = random.Random(f"{scenario.seed}:adv")
         self.heap: List[tuple] = []
         self.seq = 0
         self.trace: List[TraceEvent] = []
         self.leaders_per_term: Dict[int, List[int]] = {}
         self.elections_started = 0
-        self.adversaries = {a.node: a for a in scenario.adversaries}
 
         keypairs, self.keyring = crypto.cluster(scenario.key_seed, scenario.n)
-        # A fake leader forges with its first combo (itself and its lowest-id
-        # peers) and one nonce point, and a fresh s.
-        self.forgery = {
-            a.node: (next(self.keyring.combos_containing({a.node})),
-                     curve.scalar_mult_base(1 + self.adv_rng.randrange(curve.N - 1)))
-            for a in scenario.adversaries if a.behavior == "fake_leader"
-        }
-        self.nodes: Dict[int, core.NodeState] = {}
-        self.egen = [0] * scenario.n
-        self.hgen = [0] * scenario.n
-        for i in range(scenario.n):
-            state, outputs = core.init(
+        inits = [
+            core.init(
                 i, keypairs[i], self.keyring, scenario.node_config,
                 random.Random(f"{scenario.seed}:node:{i}"),
             )
-            self.nodes[i] = state
+            for i in range(scenario.n)
+        ]
+        self.nodes = [adversary.Honest(state) for state, _ in inits]
+        # In scenario order: fake leaders draw their nonces from adv_rng.
+        for spec in scenario.adversaries:
+            behavior = adversary.BEHAVIORS[spec.behavior]
+            self.nodes[spec.node] = behavior(inits[spec.node][0], spec, adv_rng)
+        self.egen = [0] * scenario.n
+        self.hgen = [0] * scenario.n
+        for i, (_, outputs) in enumerate(inits):
             if scenario.preferred_first_candidate is not None:
                 outputs = self._bias_first_timer(i, outputs)
             self._apply_outputs(i, outputs, 0)
-        # Adversaries emit on the heartbeat cadence.
+        # Nodes that act on their own do so on the heartbeat cadence.
         interval = scenario.node_config.heartbeat_interval_ms
-        for node, spec in self.adversaries.items():
-            if spec.behavior in ("fake_leader", "proof_replay"):
-                t = interval
-                while t <= scenario.duration_ms:
-                    self._push(t, ("adv", node))
-                    t += interval
-        self.replay_captured: Dict[int, tuple] = {}  # node -> (proof, capture_ms)
+        for spec in scenario.adversaries:
+            if hasattr(self.nodes[spec.node], "tick"):
+                for t in range(interval, scenario.duration_ms + 1, interval):
+                    self._push(t, ("tick", spec.node))
 
     # -- plumbing -------------------------------------------------------------
 
@@ -155,24 +150,20 @@ class _Sim:
                         return dst not in group
         return False
 
-    def _dispatch(
-        self, packets: Sequence[Packet], time_ms: int, emitter: Optional[int] = None
-    ) -> None:
-        # emitter is who physically sends; it differs from packet.src only
+    def _dispatch(self, packets: Sequence[Packet], time_ms: int, sender: int) -> None:
+        # sender is who physically sends; it differs from packet.src only
         # when an adversary forges the envelope. The packets of a burst
         # share one body, whose trace text is rendered once.
+        copies_of = self.nodes[sender].copies
         body = None
         for packet in packets:
             if packet.body is not body:
                 body = packet.body
                 detail = _body_detail(body)
-            sender = packet.src if emitter is None else emitter
-            spec = self.adversaries.get(sender)
-            if spec is not None and spec.behavior == "silent":
+                copies = copies_of(body)
+            if not copies:
                 self._record(time_ms, "drop", sender, "silent " + detail, body)
                 continue
-            double = spec is not None and spec.behavior == "double_voter"
-            copies = 2 if double and isinstance(body, VoteResponse) else 1
             sent = f"{detail} to={packet.dst}"
             for _ in range(copies):
                 self._record(time_ms, "send", sender, sent, body)
@@ -186,12 +177,12 @@ class _Sim:
                     self._record(time_ms, "drop", sender, "loss " + sent, body)
                     continue
                 delay = self.net_rng.randint(*self.sc.latency_ms)
-                self._push(time_ms + delay, ("deliver", packet, detail))
+                self._push(time_ms + delay, ("deliver", packet.dst, packet, detail))
 
     def _apply_outputs(self, node: int, outputs: list, time_ms: int) -> None:
         for out in outputs:
             if isinstance(out, Send):
-                self._dispatch(out.packets, time_ms)
+                self._dispatch(out.packets, time_ms, node)
             elif isinstance(out, ArmElectionTimer):
                 self.egen[node] += 1
                 proof = out.proof
@@ -225,47 +216,6 @@ class _Sim:
                     time_ms, "diagnostic", node, f"{out.code} {out.detail}"
                 )
 
-    # -- adversary emissions --------------------------------------------------
-
-    def _fake_proof(self, spec: AdversarySpec, time_ms: int) -> proofs.VoteProof:
-        combo, big_r = self.forgery[spec.node]
-        return proofs.VoteProof(
-            wire.SCHEME_SCHNORR, spec.term, time_ms, spec.node,
-            proofs.SchnorrBody(combo, big_r, self.adv_rng.randrange(curve.N)),
-        )
-
-    def _adversary_emit(self, node: int, time_ms: int) -> None:
-        spec = self.adversaries[node]
-        peers = [peer for peer in range(self.sc.n) if peer != node]
-        if spec.behavior == "fake_leader":
-            body = Heartbeat(self._fake_proof(spec, time_ms))
-            self._dispatch([Packet(node, peer, body) for peer in peers], time_ms)
-        elif spec.behavior == "proof_replay":
-            captured = self.replay_captured.get(node)
-            if captured is None:
-                return
-            proof, capture_ms = captured
-            if time_ms < capture_ms + spec.replay_after_ms:
-                return
-            # Forged envelope: the replayer impersonates the proof's candidate.
-            body = Heartbeat(proof)
-            self._dispatch(
-                [Packet(proof.candidate, peer, body) for peer in peers],
-                time_ms, emitter=node,
-            )
-
-    def _maybe_capture(self, node: int, outputs: list, time_ms: int) -> None:
-        """A replayer keeps the first proof that its own node follows."""
-        proof = next(
-            (out.proof for out in outputs if isinstance(out, ArmElectionTimer)), None
-        )
-        if proof is not None and node not in self.replay_captured:
-            self.replay_captured[node] = (proof, time_ms)
-            self._record(
-                time_ms, "diagnostic", node,
-                f"proof-captured term={proof.term} proof_ts={proof.timestamp_ms}",
-            )
-
     # -- main loop ------------------------------------------------------------
 
     def run(self) -> Tuple[List[TraceEvent], RunReport]:
@@ -273,56 +223,39 @@ class _Sim:
             time_ms, _, item = heapq.heappop(self.heap)
             if time_ms > self.sc.duration_ms:
                 break
-            kind = item[0]
+            kind, node = item[0], item[1]
+            target = self.nodes[node]
             if kind == "deliver":
-                _, packet, detail = item
-                node = packet.dst
-                body = packet.body
+                packet = item[2]
                 self._record(
-                    time_ms, "deliver", node, f"{detail} from={packet.src}", body
+                    time_ms, "deliver", node, f"{item[3]} from={packet.src}",
+                    packet.body,
                 )
-                behavior = getattr(self.adversaries.get(node), "behavior", None)
-                # Fake leaders answer votes but never campaign or follow.
-                if behavior == "fake_leader" and not isinstance(body, VoteRequest):
-                    continue
-                _, outputs = core.step(
-                    self.nodes[node], PacketArrived(packet), time_ms
-                )
-                if behavior == "proof_replay":
-                    self._maybe_capture(node, outputs, time_ms)
-                self._apply_outputs(node, outputs, time_ms)
+                outputs = target.step(PacketArrived(packet), time_ms)
+            elif kind == "tick":
+                outputs = target.tick(time_ms)
             elif kind == "etimer":
-                node, gen = item[1], item[2]
-                if gen != self.egen[node]:
+                if item[2] != self.egen[node]:
                     continue
-                spec = self.adversaries.get(node)
-                if spec is not None and spec.behavior in (
-                    "fake_leader", "proof_replay"
-                ):
-                    continue  # lurking adversaries never start elections
-                _, outputs = core.step(self.nodes[node], ElectionTimeout(), time_ms)
-                self._apply_outputs(node, outputs, time_ms)
-            elif kind == "htimer":
-                node, gen = item[1], item[2]
-                if gen != self.hgen[node]:
+                outputs = target.step(ElectionTimeout(), time_ms)
+            else:
+                if item[2] != self.hgen[node]:
                     continue
-                _, outputs = core.step(self.nodes[node], HeartbeatTick(), time_ms)
-                self._apply_outputs(node, outputs, time_ms)
-            elif kind == "adv":
-                self._adversary_emit(item[1], time_ms)
+                outputs = target.step(HeartbeatTick(), time_ms)
+            self._apply_outputs(node, outputs, time_ms)
 
+        states = [node.state for node in self.nodes]
+        adversaries = {spec.node: spec.behavior for spec in self.sc.adversaries}
         report = RunReport(
             leaders_per_term=self.leaders_per_term,
             elections_started=self.elections_started,
             violations=[],
-            final_roles={i: self.nodes[i].role.name for i in range(self.sc.n)},
-            final_known_leader={
-                i: self.nodes[i].known_leader for i in range(self.sc.n)
-            },
+            final_roles={state.id: state.role.name for state in states},
+            final_known_leader={state.id: state.known_leader for state in states},
             honest_nodes=tuple(
-                i for i in range(self.sc.n) if i not in self.adversaries
+                i for i in range(self.sc.n) if i not in adversaries
             ),
-            adversaries={n: s.behavior for n, s in self.adversaries.items()},
+            adversaries=adversaries,
             quorum_size=self.keyring.quorum_size,
             proof_ttl_ms=self.sc.node_config.proof_policy.ttl_ms,
             heartbeat_interval_ms=self.sc.node_config.heartbeat_interval_ms,

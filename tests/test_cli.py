@@ -237,6 +237,16 @@ class TestRun:
         assert code == 2
         assert "unknown key" in stderr
 
+    def test_key_the_behavior_never_reads_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(
+            "nodes: 3\nseed: 1\nduration_ms: 100\n"
+            "adversaries:\n  - node: 2\n    behavior: silent\n    term: 5\n"
+        )
+        code, stdout, stderr = run_cli(capsys, "run", str(bad))
+        assert (code, stdout) == (2, "")
+        assert stderr == "error: unknown key(s) in adversaries[0]: term\n"
+
     @pytest.mark.parametrize("argv", [["run"], ["check", "--seeds", "1"]])
     def test_malformed_value_is_usage_error(self, tmp_path, capsys, argv):
         bad = tmp_path / "bad.yaml"

@@ -5,6 +5,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from mokka import scenario, wire
+from mokka.adversary import BEHAVIORS
 from mokka.scenario import Scenario, ScenarioError, load_scenario, parse_scenario
 
 from conftest import SCENARIO_DIR
@@ -207,10 +208,12 @@ SCALARS = st.one_of(
     st.text("ab1.:-", max_size=4),
     st.lists(st.integers(-2, 3) | st.none(), max_size=3),
 )
+# Every key an adversary entry may hold, under one behaviour or another.
+ADVERSARY_KEYS = {"node", "behavior"}.union(*(b.KEYS for b in BEHAVIORS.values()))
 PLACES = st.one_of(
     st.tuples(st.none(), st.sampled_from(sorted(scenario._TOP_KEYS))),
     st.tuples(st.just("partitions"), st.sampled_from(sorted(scenario._PARTITION_KEYS))),
-    st.tuples(st.just("adversaries"), st.sampled_from(sorted(scenario._ADVERSARY_KEYS))),
+    st.tuples(st.just("adversaries"), st.sampled_from(sorted(ADVERSARY_KEYS))),
 )
 
 
@@ -307,6 +310,29 @@ class TestAdversaries:
                 MINIMAL + "adversaries:\n  - node: 1\n    behavior: silent\n    delay: 5\n"
             )
 
+    @pytest.mark.parametrize("behavior, key, value", [
+        ("silent", "term", 5),
+        ("double_voter", "replay_after_ms", 7),
+        ("fake_leader", "replay_after_ms", 7),
+        ("proof_replay", "term", 5),
+    ])
+    def test_key_the_behavior_never_reads(self, behavior, key, value):
+        text = MINIMAL + f"adversaries:\n  - node: 1\n    behavior: {behavior}\n"
+        for own in BEHAVIORS[behavior].KEYS:
+            text += f"    {own}: 300\n"
+        parse_scenario(text)
+        with pytest.raises(
+            ScenarioError, match=rf"^unknown key\(s\) in adversaries\[0\]: {key}$"
+        ):
+            parse_scenario(text + f"    {key}: {value}\n")
+
+    @pytest.mark.parametrize("delay", [-500, -1, True, 2**64])
+    def test_replay_delay_out_of_range(self, delay):
+        text = MINIMAL + "adversaries:\n  - node: 1\n    behavior: proof_replay\n"
+        assert parse_scenario(text + "    replay_after_ms: 0\n").adversaries[0].replay_after_ms == 0
+        with pytest.raises(ScenarioError, match=r"^adversaries\[0\]: "):
+            parse_scenario(text + f"    replay_after_ms: {str(delay).lower()}\n")
+
 
 def test_preferred_candidate_range():
     assert parse_scenario(MINIMAL + "preferred_first_candidate: 2\n").preferred_first_candidate == 2
@@ -320,6 +346,15 @@ def test_all_bundled_scenarios_parse():
     for path in paths:
         sc = load_scenario(str(path))
         assert sc.n >= 3 and sc.duration_ms > 0
+
+
+def test_every_behavior_has_a_bundled_scenario():
+    used = {
+        spec.behavior
+        for path in SCENARIO_DIR.glob("*.yaml")
+        for spec in load_scenario(str(path)).adversaries
+    }
+    assert used == set(BEHAVIORS)
 
 
 def test_bundled_scenarios_load_alike_under_both_loaders(monkeypatch):

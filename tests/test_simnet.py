@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from mokka import cli, crypto, curve, proofs, simnet, wire
+from mokka import adversary, cli, crypto, curve, proofs, simnet, wire
 from mokka.core import (
     ArmElectionTimer, Heartbeat, RoleChanged, VoteRequest, VoteResponse,
 )
@@ -141,16 +141,17 @@ class TestAdversaries:
             curve, "scalar_mult_base", lambda k: mults.append(k) or mult(k)
         )
         forged = []
-        fake_proof = simnet._Sim._fake_proof
+        tick = adversary.FakeLeader.tick
 
-        def spy(sim, spec, time_ms):
+        def spy(node, now_ms):
             before = len(mults)
-            proof = fake_proof(sim, spec, time_ms)
+            outputs = tick(node, now_ms)
             assert len(mults) == before
-            forged.append(proof.encoded)
-            return proof
+            (burst,) = outputs
+            forged.append(burst.packets[0].body.proof.encoded)
+            return outputs
 
-        monkeypatch.setattr(simnet._Sim, "_fake_proof", spy)
+        monkeypatch.setattr(adversary.FakeLeader, "tick", spy)
         simnet.run(load_scenario(scenario_path("fake-leader")))
         assert len(forged) > 10
         assert len(set(forged)) == len(forged)
@@ -220,9 +221,6 @@ class TestAdversaries:
 
     def test_silent_node_tolerated(self):
         sc = load_scenario(scenario_path("happy-path-n5"))
-        from mokka.scenario import AdversarySpec
-        from dataclasses import replace
-
         sc = replace(sc, adversaries=(AdversarySpec(node=4, behavior="silent"),))
         _, report = simnet.run(sc)
         assert report.violations == []
