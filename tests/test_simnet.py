@@ -501,6 +501,14 @@ PINNED_MIXES = {
         "908bf866615ae3d2349140f8b844c96e5fbcf737e97f04543f47ac23b4845768",
         "4e75cd3cbfdf8dd551b1ce6a246f66acefa3fb2f37d62cc24f6db2179dff6482",
     ),
+    # A fake leader in a Shamir cluster: it forges Schnorr proofs, which
+    # every node refuses as bad_signature.
+    "fake-leader-n5-sss": (
+        "happy-path-n5-sss",
+        (AdversarySpec(4, "fake_leader", term=99),),
+        "acaf3b8a197ee62e1b5d93a55000dd801f1732bf66bae0637de664533d179860",
+        "8301496720b325c83dbedf3f02e415812ec952c5d209c45a7510f8f919b39f6c",
+    ),
 }
 
 # partition-3-2's (dual_max_ms, exceeded_ttl) at seeds 45..64.
