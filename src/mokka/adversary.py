@@ -39,7 +39,9 @@ class DoubleVoter(Honest):
 class FakeLeader(Honest):
     """Answers vote requests but never campaigns or follows. Each tick it
     sends a heartbeat under its term whose proof is forged over its first
-    combo (itself and its lowest-id peers): one nonce point, a fresh s."""
+    combo (itself and its lowest-id peers): one nonce point, a fresh s.
+    The proof is Schnorr whatever the cluster's scheme, so a Shamir cluster
+    refuses it without crypto (forgers in its scheme: ROADMAP items 1, 4)."""
 
     KEYS = {"term": range(1, 1 << 64)}  # a term travels in 8 bytes on the wire
 

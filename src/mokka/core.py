@@ -41,6 +41,9 @@ class Candidate:
     # grants lead the queue until one is replaced, so the build is not
     # retried before then.
     build_failure: Optional[str] = None
+    # Each voter's pending grant once it has passed grant_verifies, so that
+    # a challenger to that grant costs no further signature check.
+    verified: Dict[NodeId, VoteGrant] = field(default_factory=dict)
     name = "candidate"
 
 
@@ -180,7 +183,7 @@ def init(
     config: NodeConfig,
     rng: random.Random,
 ) -> Tuple[NodeState, List[Output]]:
-    if id not in keyring.node_ids():
+    if id not in keyring.sorted_ids:
         raise CoreError(f"node {id} not in keyring")
     state = NodeState(
         id=id,
@@ -277,6 +280,9 @@ def _on_vote_request(
     if skew > state.config.proof_policy.max_clock_skew_ms:
         outputs.append(Diagnostic("clock-skew", f"term={payload.term} skew={skew}"))
         return outputs
+    if payload.scheme != state.config.scheme:
+        # No node of this cluster asks for a vote in another scheme.
+        return outputs + [Diagnostic("malformed", f"vote-request: scheme {payload.scheme}")]
     try:
         grant = proofs.grant_vote(state.keypair, payload, state.keyring)
     except proofs.ProofError as exc:
@@ -304,15 +310,17 @@ def _held_grant_is_forged(state: NodeState, role: Candidate, grant: VoteGrant) -
 
     Pending grants are unchecked, so a forgery that arrives first would
     otherwise shut out the voter's real grant. The held grant is checked
-    only when a different, well-formed grant from the same voter arrives.
+    once, when a different, well-formed grant from the same voter arrives.
     """
     held = role.pending_grants[grant.voter]
-    return (
-        held is not None
-        and held != grant
-        and _grant_is_well_formed(state, role, grant)
-        and not proofs.grant_verifies(held, role.payloads[grant.voter], state.keyring)
-    )
+    if held is None or held == grant or role.verified.get(grant.voter) is held:
+        return False
+    if not _grant_is_well_formed(state, role, grant):
+        return False
+    if proofs.grant_verifies(held, role.payloads[grant.voter], state.keyring):
+        role.verified[grant.voter] = held
+        return False
+    return True
 
 
 def _on_vote_response(state: NodeState, grant: VoteGrant, now_ms: int) -> List[Output]:
@@ -363,9 +371,9 @@ def _on_vote_response(state: NodeState, grant: VoteGrant, now_ms: int) -> List[O
 
 
 def _on_heartbeat(state: NodeState, hb: Heartbeat, now_ms: int) -> List[Output]:
-    """Checks run cheapest first; only a fresh proof from another node
-    reaches the validator, whose own-vote refutation needs a term no
-    lower than this node's."""
+    """Checks run cheapest first; only a fresh proof from another node,
+    in this node's scheme, reaches the validator, whose own-vote
+    refutation needs a term no lower than this node's."""
     proof = hb.proof
     term, leader = proof.term, proof.candidate
     result = proofs.time_verdict(proof, state.config.proof_policy, now_ms)
@@ -375,7 +383,10 @@ def _on_heartbeat(state: NodeState, hb: Heartbeat, now_ms: int) -> List[Output]:
             return [Diagnostic("self-leader", f"term={term}")]
         if term < state.current_term:
             return [Diagnostic("stale-term", f"heartbeat term={term}")]
-        result = state.validator.validate(proof, state.voted_for)
+        # No node of this cluster signs a proof in another scheme.
+        result = ValidationResult.BAD_SIGNATURE
+        if proof.scheme == state.config.scheme:
+            result = state.validator.validate(proof, state.voted_for)
     if result is not ValidationResult.OK:
         return [Diagnostic(result.value, f"term={term} leader={leader}")]
     outputs: List[Output] = []

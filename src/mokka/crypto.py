@@ -198,9 +198,6 @@ class ClusterKeyring:
         """The node whose public key this is, or None for an outsider."""
         return self._id_of.get(public)
 
-    def node_ids(self) -> Tuple[NodeId, ...]:
-        return tuple(node_id for node_id, _ in self.node_keys)
-
     def ordinal(self, node: NodeId) -> int:
         """1-based share index for a node (position in sorted id order)."""
         try:

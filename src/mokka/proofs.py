@@ -202,7 +202,7 @@ class _Schnorr:
 
     def payloads(self, candidate, term, now_ms, keyring, rng):
         payload = VotePayload(wire.SCHEME_SCHNORR, term, now_ms, candidate)
-        return {node: payload for node in keyring.node_ids()}
+        return {node: payload for node in keyring.sorted_ids}
 
     def grant(self, voter_kp, voter, payload, keyring):
         message = _message(payload)
@@ -290,7 +290,7 @@ class _Sss:
     signed shares that restore the secret."""
 
     def payloads(self, candidate, term, now_ms, keyring, rng):
-        nodes = keyring.node_ids()
+        nodes = keyring.sorted_ids
         salt = rng.randbytes(32)
         secret = sss_secret(now_ms, salt, term)
         shares = crypto.sss_split(secret, len(nodes), keyring.quorum_size, rng)
@@ -324,8 +324,9 @@ class _Sss:
         share_sigs = {own.candidate: self._sign(candidate_kp, own)}
         for voter in members[1:]:
             share_sigs[voter] = by_voter[voter].share_sig
+        # The candidate's own signature, just made, needs no check.
         bad = [
-            voter for voter in members
+            voter for voter in members[1:]
             if not _share_signed(keyring, voter, share_sigs[voter], own)
         ]
         if bad:

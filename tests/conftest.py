@@ -33,6 +33,11 @@ def cluster5():
     return make_cluster(5)
 
 
+@pytest.fixture(scope="session")
+def cluster9():
+    return make_cluster(9)
+
+
 def scenario_path(name: str) -> str:
     return str(SCENARIO_DIR / f"{name}.yaml")
 

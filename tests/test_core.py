@@ -47,7 +47,7 @@ def deliver(state, packet, now_ms):
 def elect_leader(cluster, candidate=0, now_ms=1000, scheme=wire.SCHEME_SCHNORR):
     """Drive a full election by hand; returns (states, candidate outputs)."""
     keypairs, keyring = cluster
-    n = len(keyring.node_ids())
+    n = len(keyring.sorted_ids)
     states = {}
     for node in range(n):
         state, _ = make_node(node, cluster, scheme=scheme)
@@ -181,10 +181,13 @@ class TestElectionStart:
 
 
 class TestVoteRequest:
-    def _request(self, cluster, term=1, now=1000, candidate=0, voter=1):
+    def _request(
+        self, cluster, term=1, now=1000, candidate=0, voter=1,
+        scheme=wire.SCHEME_SCHNORR,
+    ):
         keypairs, keyring = cluster
         payloads = proofs.make_vote_payloads(
-            candidate, term, now, keyring, wire.SCHEME_SCHNORR, random.Random(0)
+            candidate, term, now, keyring, scheme, random.Random(0)
         )
         return Packet(candidate, voter, VoteRequest(payloads[voter]))
 
@@ -238,6 +241,20 @@ class TestVoteRequest:
         assert state.voted_for is None
         _, outs = deliver(state, pkt, 1000 + skew)
         assert any(isinstance(o, Send) for o in outs)
+
+    @pytest.mark.parametrize("scheme, sent, signer", [
+        # A Schnorr grant at n = 9 would sign C(7, 3) = 35 partials.
+        (wire.SCHEME_SSS, wire.SCHEME_SCHNORR, "schnorr_partial_sign"),
+        (wire.SCHEME_SCHNORR, wire.SCHEME_SSS, "sign_recoverable"),
+    ])
+    def test_request_in_another_scheme_signs_nothing(
+        self, cluster9, monkeypatch, scheme, sent, signer
+    ):
+        state, _ = make_node(1, cluster9, scheme=scheme)
+        calls = _count_calls(monkeypatch, signer)
+        _, outs = deliver(state, self._request(cluster9, scheme=sent), 1000)
+        assert outs == [Diagnostic("malformed", f"vote-request: scheme {sent}")]
+        assert calls == [] and state.voted_for is None
 
 
 class TestVoteResponse:
@@ -306,7 +323,7 @@ class TestVoteResponse:
     def _campaign(cluster, scheme=wire.SCHEME_SCHNORR):
         """Node 0 campaigns; returns the states and each voter's grant, in
         request order, not yet delivered."""
-        n = len(cluster[1].node_ids())
+        n = len(cluster[1].sorted_ids)
         states = {i: make_node(i, cluster, scheme=scheme)[0] for i in range(n)}
         _, outs = core.step(states[0], ElectionTimeout(), 1000)
         grants = []
@@ -382,6 +399,27 @@ class TestVoteResponse:
             assert set(proof.body.combo.members()) == {0, 1, 2}
         else:
             assert grants[0].share_sig in proof.body.entries
+
+    @pytest.mark.parametrize("scheme, checker, checks", [
+        # The held Schnorr grant's C(7, 3) partials, checked once, not
+        # once per challenger.
+        (wire.SCHEME_SCHNORR, "schnorr_partial_verify", 35),
+        (wire.SCHEME_SSS, "verify_recoverable", 1),
+    ])
+    def test_held_grant_is_checked_once_per_voter(
+        self, cluster9, monkeypatch, scheme, checker, checks
+    ):
+        states, grants = self._campaign(cluster9, scheme)
+        candidate = states[0]
+        assert self._respond(candidate, grants[0]) == []
+        calls = _count_calls(monkeypatch, checker)
+        forged = grants[0]
+        for _ in range(3):
+            forged = self._forge(forged)
+            outs = self._respond(candidate, forged)
+            assert outs == [Diagnostic("duplicate-grant", "term=1 voter=1")]
+        assert len(calls) == checks
+        assert candidate.role.pending_grants[1] is grants[0]
 
     def test_repeated_real_grant_is_a_duplicate(self, cluster5, monkeypatch):
         # A resent copy of the pending grant costs no signature check.
@@ -642,6 +680,28 @@ class TestHeartbeat:
         assert only(outs, Diagnostic).code == "expired"
         assert isinstance(leader.role, Leader)
 
+    @pytest.mark.parametrize("scheme", [wire.SCHEME_SCHNORR, wire.SCHEME_SSS])
+    def test_proof_in_another_scheme_is_refused_without_crypto(
+        self, cluster3, cluster5, monkeypatch, scheme
+    ):
+        # A Shamir leader's valid proof reaches a Schnorr node; a Schnorr
+        # forgery reaches a Shamir node outside its combo, which has no
+        # vote record to refute it from.
+        if scheme == wire.SCHEME_SCHNORR:
+            cluster, receiver, checker = cluster5, 4, "verify_recoverable"
+            _, outs = elect_leader(cluster5, scheme=wire.SCHEME_SSS)
+            hb = only(outs, Send).packets[0].body
+        else:
+            cluster, receiver, checker = cluster3, 1, "schnorr_verify"
+            hb = _forged_schnorr_heartbeat(cluster3[1], random.Random(7), now=1000)
+        node, _ = make_node(receiver, cluster, scheme=scheme)
+        calls = _count_calls(monkeypatch, checker)
+        term, leader = hb.proof.term, hb.proof.candidate
+        _, outs = core.step(node, PacketArrived(Packet(leader, receiver, hb)), 1000)
+        assert outs == [Diagnostic("bad_signature", f"term={term} leader={leader}")]
+        assert calls == [] and not node.validator._cache
+        assert node.known_leader is None
+
 
 class TestOwnVoteRefutation:
     """A proof that claims this node's signature for a vote the node never
@@ -738,7 +798,7 @@ class TestOwnVoteRefutation:
     ):
         calls = _count_calls(monkeypatch, "verify_recoverable")
         hb = self._sss_heartbeat(indices, random.Random(4))
-        node, _ = make_node(0, cluster3)
+        node, _ = make_node(0, cluster3, scheme=wire.SCHEME_SSS)
         _, outs = core.step(node, PacketArrived(Packet(2, 0, hb)), 1000)
         assert outs == [Diagnostic(code, "term=99 leader=2")]
         assert len(calls) == checks

@@ -99,7 +99,6 @@ class TestBuildKeyring:
         keys = [(i, kp.public) for i, kp in kps.items()]
         keyring = crypto.build_keyring(keys)
         assert keyring.sorted_ids == (2, 7, 40)
-        assert keyring.node_ids() == (7, 2, 40)
         for i, kp in kps.items():
             assert keyring.public_key(i) == kp.public
             assert keyring.node_for_key(kp.public) == i

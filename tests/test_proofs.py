@@ -230,6 +230,37 @@ class TestBuildProof:
             proofs.build_proof(keypairs[1], payloads[1], grants, keyring)
         assert err.value.voters == (3,)
 
+    @pytest.mark.parametrize("bad", [(), (3,)])
+    def test_sss_build_checks_the_voters_share_signatures_only(
+        self, cluster5, monkeypatch, bad
+    ):
+        # The candidate's own share signature is made here, not checked:
+        # q - 1 checks for a quorum of q.
+        keypairs, keyring = cluster5
+        payloads = proofs.make_vote_payloads(
+            1, 1, NOW, keyring, wire.SCHEME_SSS, random.Random(11)
+        )
+        grants = []
+        for v in (0, 3):
+            grant = proofs.grant_vote(keypairs[v], payloads[v], keyring)
+            if v in bad:
+                share, sig = grant.share_sig
+                grant = replace(grant, share_sig=(share, replace(sig, s=sig.s + 1)))
+            grants.append(grant)
+        checked = []
+        verify = crypto.verify_recoverable
+        monkeypatch.setattr(
+            crypto, "verify_recoverable",
+            lambda ring, voter, *rest: checked.append(voter) or verify(ring, voter, *rest),
+        )
+        if bad:
+            with pytest.raises(proofs.BadGrants) as err:
+                proofs.build_proof(keypairs[1], payloads[1], grants, keyring)
+            assert err.value.voters == bad
+        else:
+            proofs.build_proof(keypairs[1], payloads[1], grants, keyring)
+        assert checked == [0, 3]
+
     @pytest.mark.parametrize("scheme", [wire.SCHEME_SCHNORR, wire.SCHEME_SSS])
     def test_candidate_payload_signs_only_the_chosen_combo(
         self, cluster5, scheme, monkeypatch
@@ -363,7 +394,7 @@ class TestValidateProof:
         _, proof = build(keypairs, keyring, 1, [0, 3, 4], wire.SCHEME_SSS)
         share, _ = proof.body.entries[1]
         owner = keyring.node_for_ordinal(share.index)
-        signer = next(n for n in keyring.node_ids() if n not in (owner, 1))
+        signer = next(n for n in keyring.sorted_ids if n not in (owner, 1))
         message = proofs.share_sign_message(share, proof.term, proof.timestamp_ms, 1)
         sig = crypto.sign_recoverable(keypairs[signer], message)
         assert crypto.recover_pubkey(message, sig) == keyring.public_key(signer)

@@ -156,6 +156,26 @@ class TestAdversaries:
         assert len(forged) > 10
         assert len(set(forged)) == len(forged)
 
+    def test_fake_leader_in_a_shamir_cluster_costs_no_schnorr_check(
+        self, monkeypatch
+    ):
+        # Its Schnorr forgeries are refused as another scheme's proofs,
+        # also by the nodes outside the forged combo.
+        calls = []
+        verify = crypto.schnorr_verify
+        monkeypatch.setattr(
+            crypto, "schnorr_verify", lambda *args: calls.append(args) or verify(*args)
+        )
+        base, adversaries, _, _ = PINNED_MIXES["fake-leader-n5-sss"]
+        sc = replace(load_scenario(scenario_path(base)), adversaries=adversaries)
+        trace, report = simnet.run(sc)
+        assert report.violations == []
+        assert calls == []
+        assert any(
+            ev.kind == "diagnostic" and ev.detail.startswith("bad_signature")
+            for ev in trace
+        )
+
     def test_double_voter_flagged_but_harmless(self):
         trace, report = simnet.run(load_scenario(scenario_path("double-voter")))
         assert report.violations == []
