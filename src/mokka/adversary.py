@@ -43,7 +43,7 @@ class FakeLeader(Honest):
     The proof is Schnorr whatever the cluster's scheme, so a Shamir cluster
     refuses it without crypto (forgers in its scheme: ROADMAP items 1, 4)."""
 
-    KEYS = {"term": range(1, 1 << 64)}  # a term travels in 8 bytes on the wire
+    KEYS = {"term": range(1, wire.MAX_TERM + 1)}
 
     def __init__(self, state, spec, rng):
         super().__init__(state)

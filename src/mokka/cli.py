@@ -16,7 +16,7 @@ Exit codes: 0 success / proof ok, 1 invariant or validation failure,
 import argparse
 import sys
 from dataclasses import replace
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import yaml
 
@@ -24,24 +24,8 @@ from . import crypto, proofs, simnet, wire
 from .scenario import ScenarioError, load_scenario, load_yaml
 
 
-def _write_keyset(n: int, seed: str, out_path: str) -> None:
-    keypairs, keyring = crypto.cluster(seed, n)
-    doc = {
-        "nodes": n,
-        "seed": seed,
-        "quorum": keyring.quorum_size,
-        "keys": [
-            {
-                "node": i,
-                "secret": wire.encode_scalar(kp.secret).hex(),
-                "public": wire.encode_point(kp.public).hex(),
-            }
-            for i, kp in enumerate(keypairs)
-        ],
-    }
-    text = yaml.safe_dump(doc, sort_keys=False)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+class UsageError(Exception):
+    """Bad input that the CLI refuses with its message and exit code 2."""
 
 
 def _field(entry: dict, name: str, kind: type):
@@ -75,154 +59,126 @@ def load_keyset(path: str) -> crypto.ClusterKeyring:
     ])
 
 
-def _report_lines(scenario_name, seed, report, summary) -> List[str]:
-    lines = [
-        f"scenario\t{scenario_name}",
-        f"seed\t{seed}",
-        f"violations\t{len(report.violations)}",
-        f"elections\t{report.elections_started}",
-        "leaders_per_term\t" + ",".join(
+Rows = List[Tuple[str, object]]
+
+
+def _render(rows: Rows, machine: bool) -> str:
+    """One line per row, its key and value joined by a tab for machines
+    and by ": " for people."""
+    sep = "\t" if machine else ": "
+    return "".join(f"{key}{sep}{value}\n" for key, value in rows)
+
+
+def _run_rows(scenario_name, seed, report, summary) -> Rows:
+    rows: Rows = [
+        ("scenario", scenario_name),
+        ("seed", seed),
+        ("violations", len(report.violations)),
+        ("elections", report.elections_started),
+        ("leaders_per_term", ",".join(
             f"{term}:{'|'.join(str(n) for n in nodes)}"
             for term, nodes in sorted(report.leaders_per_term.items())
-        ),
-        "final_roles\t" + ",".join(
+        )),
+        ("final_roles", ",".join(
             f"{node}:{role}" for node, role in sorted(report.final_roles.items())
-        ),
+        )),
     ]
     if report.partitions:
-        lines.append(f"dual_max_ms\t{summary.max_dual_ms}")
-        lines.append(f"dual_exceeded_ttl\t{int(summary.exceeded_ttl)}")
-    for violation in report.violations:
-        lines.append(f"violation\t{violation}")
-    return lines
+        rows.append(("dual_max_ms", summary.max_dual_ms))
+        rows.append(("dual_exceeded_ttl", int(summary.exceeded_ttl)))
+    return rows + [("violation", violation) for violation in report.violations]
 
 
-def _print_report(scenario_name, seed, report, summary, machine: bool) -> None:
-    if machine:
-        for line in _report_lines(scenario_name, seed, report, summary):
-            print(line)
-        return
-    print(f"scenario {scenario_name} (seed {seed})")
-    print(f"  elections started: {report.elections_started}")
-    for term, nodes in sorted(report.leaders_per_term.items()):
-        print(f"  term {term}: leader(s) {nodes}")
-    print(f"  final roles: {report.final_roles}")
-    if report.partitions:
-        print(
-            f"  longest dual-leadership interval: {summary.max_dual_ms} ms"
-            f" (over limit: {summary.exceeded_ttl})"
-        )
-    if report.violations:
-        print(f"  VIOLATIONS ({len(report.violations)}):")
-        for violation in report.violations:
-            print(f"    {violation}")
-    else:
-        print("  no violations")
+def _check_rows(scenario, seeds: int) -> Rows:
+    """Run one scenario under `seeds` consecutive seeds and total the runs."""
+    violations = elections = leader_changes = 0
+    failed_seeds = []
+    for seed in range(scenario.seed, scenario.seed + seeds):
+        _, report = simnet.run(scenario.with_seed(seed))
+        violations += len(report.violations)
+        elections += report.elections_started
+        leader_changes += sum(len(nodes) for nodes in report.leaders_per_term.values())
+        if report.violations:
+            failed_seeds.append(seed)
+    return [
+        ("scenario", scenario.name),
+        ("seeds", seeds),
+        ("violations", violations),
+        ("elections", elections),
+        ("leader_changes", leader_changes),
+        ("failed_seeds", ",".join(str(s) for s in failed_seeds)),
+    ]
 
 
 def _cmd_keys(args) -> int:
     try:
-        crypto.check_cluster_size(args.nodes)
+        keypairs, keyring = crypto.cluster(args.seed, args.nodes)
     except crypto.CryptoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _write_keyset(args.nodes, args.seed, args.out)
+        raise UsageError(str(exc)) from None
+    doc = {
+        "nodes": args.nodes,
+        "seed": args.seed,
+        "quorum": keyring.quorum_size,
+        "keys": [
+            {"node": i, "secret": wire.encode_scalar(kp.secret).hex(),
+             "public": wire.encode_point(kp.public).hex()}
+            for i, kp in enumerate(keypairs)
+        ],
+    }
+    with open(args.out, "w", encoding="utf-8") as fh:
+        yaml.safe_dump(doc, fh, sort_keys=False)
     print(f"wrote keyset for {args.nodes} nodes to {args.out}")
     return 0
 
 
 def _cmd_run(args) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    scenario = load_scenario(args.scenario)
     trace, report = simnet.run(scenario)
     summary = simnet.scripted_partition_leadership(trace, report)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write(simnet.trace_lines(trace))
-    _print_report(scenario.name, scenario.seed, report, summary, args.machine)
+    rows = _run_rows(scenario.name, scenario.seed, report, summary)
+    print(_render(rows, args.machine), end="")
     return 1 if report.violations else 0
 
 
 def _cmd_check(args) -> int:
     if args.seeds < 1:
-        print("error: --seeds must be >= 1", file=sys.stderr)
-        return 2
+        raise UsageError("--seeds must be >= 1")
     if args.drop is not None and not 0.0 <= args.drop < 1.0:
-        print("error: --drop must be in [0, 1)", file=sys.stderr)
-        return 2
-    try:
-        scenarios = [load_scenario(path) for path in args.scenarios]
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError("--drop must be in [0, 1)")
+    scenarios = [load_scenario(path) for path in args.scenarios]
     if args.drop is not None:
         scenarios = [replace(sc, drop_probability=args.drop) for sc in scenarios]
-    violations = sum(
-        _check_scenario(scenario, args.seeds, args.machine) for scenario in scenarios
-    )
+    violations = 0
+    for scenario in scenarios:
+        rows = _check_rows(scenario, args.seeds)
+        print(_render(rows, args.machine), end="")
+        violations += dict(rows)["violations"]
     return 1 if violations else 0
-
-
-def _check_scenario(scenario, seeds: int, machine: bool) -> int:
-    """Run one scenario under `seeds` consecutive seeds, print its block,
-    and return the number of violations."""
-    total_violations = 0
-    total_elections = 0
-    leader_changes = 0
-    failed_seeds = []
-    for offset in range(seeds):
-        seed = scenario.seed + offset
-        _, report = simnet.run(scenario.with_seed(seed))
-        total_violations += len(report.violations)
-        total_elections += report.elections_started
-        leader_changes += sum(
-            len(nodes) for nodes in report.leaders_per_term.values()
-        )
-        if report.violations:
-            failed_seeds.append(seed)
-    if machine:
-        print(f"scenario\t{scenario.name}")
-        print(f"seeds\t{seeds}")
-        print(f"violations\t{total_violations}")
-        print(f"elections\t{total_elections}")
-        print(f"leader_changes\t{leader_changes}")
-        print("failed_seeds\t" + ",".join(str(s) for s in failed_seeds))
-    else:
-        print(f"scenario {scenario.name}: {seeds} seeds")
-        print(f"  total elections: {total_elections}")
-        print(f"  total leader changes: {leader_changes}")
-        print(f"  violations: {total_violations} (seeds: {failed_seeds or 'none'})")
-    return total_violations
 
 
 def _cmd_verify(args) -> int:
     try:
         policy = proofs.ProofPolicy(ttl_ms=args.ttl, max_clock_skew_ms=args.skew)
     except ValueError:
-        print("error: --ttl must be > 0 and --skew >= 0", file=sys.stderr)
-        return 2
+        raise UsageError("--ttl must be > 0 and --skew >= 0") from None
     try:
         blob = bytes.fromhex(args.proof)
     except ValueError:
-        print("error: proof is not valid hex", file=sys.stderr)
-        return 2
+        raise UsageError("proof is not valid hex") from None
     try:
         keyring = load_keyset(args.keys)
     except (OSError, ValueError, KeyError) as exc:
-        print(f"error: bad keyset: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"bad keyset: {exc}") from None
     try:
         proof = proofs.decode_proof(blob)
         result = proofs.validate_proof(proof, keyring, policy, args.now)
     except wire.MalformedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(str(exc)) from None
     except crypto.CryptoError as exc:  # keys that cancel in the proof's combo
-        print(f"error: bad keyset: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"bad keyset: {exc}") from None
     print(result.value)
     return 0 if result is proofs.ValidationResult.OK else 1
 
@@ -268,11 +224,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:  # a file that cannot be read or written
+    except (UsageError, ScenarioError, OSError) as exc:
+        # OSError: a file that cannot be read or written.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -237,12 +237,21 @@ def _peers(state: NodeState) -> List[NodeId]:
     return [n for n in state.keyring.sorted_ids if n != state.id]
 
 
+def _is_peer(state: NodeState, node: NodeId) -> bool:
+    """Whether node is another member of this node's cluster: the only
+    nodes it votes for, and the only voters it counts."""
+    return node != state.id and node in state.keyring.sorted_ids
+
+
 def _heartbeat_burst(state: NodeState, proof: VoteProof) -> Send:
     body = Heartbeat(proof)
     return Send(tuple(Packet(state.id, peer, body) for peer in _peers(state)))
 
 
 def _start_election(state: NodeState, now_ms: int) -> List[Output]:
+    if state.current_term == wire.MAX_TERM:
+        # No later term fits on the wire: the node stops campaigning.
+        return [Diagnostic("term-exhausted", f"term={state.current_term}")]
     state.current_term += 1
     term = state.current_term
     payloads = proofs.make_vote_payloads(
@@ -283,6 +292,10 @@ def _on_vote_request(
     if payload.scheme != state.config.scheme:
         # No node of this cluster asks for a vote in another scheme.
         return outputs + [Diagnostic("malformed", f"vote-request: scheme {payload.scheme}")]
+    if not _is_peer(state, payload.candidate):
+        return outputs + [
+            Diagnostic("malformed", f"vote-request: candidate {payload.candidate}")
+        ]
     try:
         grant = proofs.grant_vote(state.keypair, payload, state.keyring)
     except proofs.ProofError as exc:
@@ -300,9 +313,9 @@ def _grant_is_well_formed(state: NodeState, role: Candidate, grant: VoteGrant) -
     """The checks that cost no signature work. Signatures are checked by
     ``proofs.build_proof`` for the grants that enter the proof, and by
     ``_held_grant_is_forged`` when a voter's grant arrives twice."""
-    if grant.voter not in state.keyring.sorted_ids or grant.voter == state.id:
-        return False
-    return proofs.grant_is_well_formed(grant, role.payloads[grant.voter])
+    return _is_peer(state, grant.voter) and proofs.grant_is_well_formed(
+        grant, role.payloads[grant.voter]
+    )
 
 
 def _held_grant_is_forged(state: NodeState, role: Candidate, grant: VoteGrant) -> bool:

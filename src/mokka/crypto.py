@@ -258,7 +258,9 @@ def build_keyring(keys: Sequence[Tuple[NodeId, Point]]) -> ClusterKeyring:
 @lru_cache(maxsize=8)
 def cluster(key_seed: str, n: int) -> Tuple[Tuple[KeyPair, ...], ClusterKeyring]:
     """Nodes 0..n-1's keypairs from key_seed and their keyring, derived once per
-    process: both are immutable, so every run on these keys shares them."""
+    process: both are immutable, so every run on these keys shares them.
+    The cluster's size is checked before any key is derived."""
+    check_cluster_size(n)
     keypairs = tuple(keygen(f"{key_seed}-node-{i}".encode()) for i in range(n))
     return keypairs, build_keyring([(i, kp.public) for i, kp in enumerate(keypairs)])
 

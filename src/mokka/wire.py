@@ -15,6 +15,7 @@ SCHEME_SCHNORR = 1
 SCHEME_SSS = 2
 
 VOTE_MESSAGE_LEN = 1 + 8 + 8 + 2
+MAX_TERM = 2**64 - 1  # the largest term the vote message's 8 bytes hold
 
 
 class MalformedError(ValueError):

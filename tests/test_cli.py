@@ -20,6 +20,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_usage_error(code, stdout, stderr):
+    """Exit 2, nothing on stdout, and one error on stderr: its first line
+    is the only one that starts with "error: ". A YAML parser's message
+    may run on over further lines of its own."""
+    assert (code, stdout) == (2, "")
+    lines = stderr.splitlines()
+    assert stderr.endswith("\n") and lines[0].startswith("error: ")
+    assert not any(line.startswith(("error:", "Traceback")) for line in lines[1:])
+
+
 class TestKeys:
     def test_generates_loadable_keyset(self, tmp_path, capsys):
         out = tmp_path / "keys.yaml"
@@ -48,10 +58,11 @@ class TestKeys:
         assert filecmp.cmp(a, b, shallow=False)
 
     def test_too_few_nodes_is_usage_error(self, tmp_path, capsys):
-        code, _, stderr = run_cli(
+        code, stdout, stderr = run_cli(
             capsys, "keys", "--nodes", "2", "--seed", "x",
             "--out", str(tmp_path / "k.yaml"),
         )
+        assert_usage_error(code, stdout, stderr)
         assert code == 2
         assert "at least 3" in stderr
 
@@ -59,9 +70,10 @@ class TestKeys:
         out = tmp_path / "k.yaml"
         keygens = []
         monkeypatch.setattr(cli.crypto, "keygen", lambda seed: keygens.append(seed))
-        code, _, stderr = run_cli(
+        code, stdout, stderr = run_cli(
             capsys, "keys", "--nodes", "65", "--seed", "x", "--out", str(out)
         )
+        assert_usage_error(code, stdout, stderr)
         assert code == 2
         assert "at most 64" in stderr
         assert keygens == [] and not out.exists()
@@ -72,18 +84,20 @@ class TestKeys:
         out = tmp_path / "k.yaml"
         keygens = []
         monkeypatch.setattr(cli.crypto, "keygen", lambda seed: keygens.append(seed))
-        code, _, stderr = run_cli(
+        code, stdout, stderr = run_cli(
             capsys, "keys", "--nodes", "18", "--seed", "x", "--out", str(out)
         )
+        assert_usage_error(code, stdout, stderr)
         assert code == 2
         assert stderr.startswith("error:") and "at most 17" in stderr
         assert keygens == [] and not out.exists()
 
     def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "missing" / "k.yaml"
-        code, _, stderr = run_cli(
+        code, stdout, stderr = run_cli(
             capsys, "keys", "--nodes", "3", "--seed", "x", "--out", str(out)
         )
+        assert_usage_error(code, stdout, stderr)
         assert code == 2
         assert stderr.startswith("error:") and str(out) in stderr
 
@@ -136,6 +150,7 @@ class TestKeys:
             code, stdout, stderr = run_cli(capsys, *verify)
             assert (code, stdout) in ((2, ""), (1, "bad_signature\n"))
             if code == 2:
+                assert_usage_error(code, stdout, stderr)
                 assert "bad keyset" in stderr
         # A keyset written with the stored aggregates of earlier versions
         # loads to the same keyring, whatever that section holds.
@@ -183,9 +198,10 @@ class TestRun:
 
     def test_unwritable_trace_is_usage_error(self, tmp_path, capsys):
         trace = tmp_path / "missing" / "out.trace"
-        code, _, stderr = run_cli(
+        code, stdout, stderr = run_cli(
             capsys, "run", scenario_path("happy-path-n3"), "--trace", str(trace)
         )
+        assert_usage_error(code, stdout, stderr)
         assert code == 2
         assert stderr.startswith("error:") and str(trace) in stderr
 
@@ -198,6 +214,7 @@ class TestRun:
         bad = tmp_path / "bad.yaml"
         bad.write_text("nodes: [3\nseed: 1\n")
         code, stdout, stderr = run_cli(capsys, "run", str(bad))
+        assert_usage_error(code, stdout, stderr)
         assert code == 2
         assert stdout == ""
         assert "not valid YAML" in stderr
@@ -207,6 +224,7 @@ class TestRun:
         bad = tmp_path / "bad.yaml"
         bad.write_bytes(b"name: \xff\nnodes: 3\nseed: 1\nduration_ms: 100\n")
         code, stdout, stderr = run_cli(capsys, *argv, str(bad))
+        assert_usage_error(code, stdout, stderr)
         assert (code, stdout) == (2, "")
         assert stderr.startswith("error: not UTF-8: ")
         assert "Traceback" not in stderr
@@ -222,18 +240,21 @@ class TestRun:
         bad = tmp_path / "bad.yaml"
         bad.write_text(f"nodes: 3\nseed: 1\nduration_ms: 100\n{line}\n")
         code, stdout, stderr = run_cli(capsys, "run", str(bad))
+        assert_usage_error(code, stdout, stderr)
         assert (code, stdout) == (2, "")
         assert stderr == f"error: scenario: {message}\n"
 
     def test_missing_scenario_is_usage_error(self, capsys):
-        code, _, stderr = run_cli(capsys, "run", "/nonexistent.yaml")
+        code, stdout, stderr = run_cli(capsys, "run", "/nonexistent.yaml")
+        assert_usage_error(code, stdout, stderr)
         assert code == 2
         assert "error" in stderr
 
     def test_bad_scenario_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text("nodes: 3\nseed: 1\nduration_ms: 100\nbogus_key: 1\n")
-        code, _, stderr = run_cli(capsys, "run", str(bad))
+        code, stdout, stderr = run_cli(capsys, "run", str(bad))
+        assert_usage_error(code, stdout, stderr)
         assert code == 2
         assert "unknown key" in stderr
 
@@ -244,6 +265,7 @@ class TestRun:
             "adversaries:\n  - node: 2\n    behavior: silent\n    term: 5\n"
         )
         code, stdout, stderr = run_cli(capsys, "run", str(bad))
+        assert_usage_error(code, stdout, stderr)
         assert (code, stdout) == (2, "")
         assert stderr == "error: unknown key(s) in adversaries[0]: term\n"
 
@@ -251,7 +273,8 @@ class TestRun:
     def test_malformed_value_is_usage_error(self, tmp_path, capsys, argv):
         bad = tmp_path / "bad.yaml"
         bad.write_text("nodes: 3\nseed: 1\nduration_ms: 100\npartitions: 7\n")
-        code, _, stderr = run_cli(capsys, *argv, str(bad))
+        code, stdout, stderr = run_cli(capsys, *argv, str(bad))
+        assert_usage_error(code, stdout, stderr)
         assert code == 2
         assert stderr.startswith("error:")
         assert "Traceback" not in stderr
@@ -262,6 +285,7 @@ class TestRun:
         bad = tmp_path / "bad.yaml"
         bad.write_text("nodes: 3\nseed: 1\nduration_ms: .inf\n")
         code, stdout, stderr = run_cli(capsys, *argv, str(bad))
+        assert_usage_error(code, stdout, stderr)
         assert (code, stdout) == (2, "")
         assert stderr == "error: scenario: not an integer: inf\n"
 
@@ -273,6 +297,7 @@ class TestRun:
         bad = tmp_path / "bad.yaml"
         bad.write_text(f"nodes: 3\nseed: 1\nduration_ms: {duration}\n")
         code, stdout, stderr = run_cli(capsys, *argv, str(bad))
+        assert_usage_error(code, stdout, stderr)
         assert code == 2
         assert stdout == ""
         assert stderr.startswith("error:") and "duration_ms" in stderr
@@ -282,7 +307,8 @@ class TestRun:
         big.write_text("nodes: 65\nseed: 1\nduration_ms: 100\n")
         keygens = []
         monkeypatch.setattr(cli.crypto, "keygen", lambda seed: keygens.append(seed))
-        code, _, stderr = run_cli(capsys, "run", str(big))
+        code, stdout, stderr = run_cli(capsys, "run", str(big))
+        assert_usage_error(code, stdout, stderr)
         assert code == 2
         assert "too large" in stderr
         assert keygens == []
@@ -295,6 +321,7 @@ class TestRun:
         keygens = []
         monkeypatch.setattr(cli.crypto, "keygen", lambda seed: keygens.append(seed))
         code, stdout, stderr = run_cli(capsys, "run", str(big))
+        assert_usage_error(code, stdout, stderr)
         assert code == 2
         assert stdout == ""
         assert stderr.startswith("error:") and "at most 17" in stderr
@@ -311,10 +338,20 @@ class TestRun:
         assert code == 1
         assert "election-safety" in stdout
 
+    @pytest.mark.parametrize("argv", [
+        ["run", scenario_path("partition-3-2")],
+        ["check", scenario_path("happy-path-n3"), scenario_path("fake-leader"),
+         "--seeds", "2"],
+    ], ids=["run", "check"])
+    def test_human_report_shows_the_machine_rows(self, capsys, argv):
+        code, machine, _ = run_cli(capsys, *argv, "--machine")
+        assert code == 0
+        assert run_cli(capsys, *argv) == (0, machine.replace("\t", ": "), "")
+
     def test_human_output(self, capsys):
         code, stdout, _ = run_cli(capsys, "run", scenario_path("happy-path-n3"))
         assert code == 0
-        assert "no violations" in stdout
+        assert "violations: 0\n" in stdout.splitlines(keepends=True)
 
 
 class TestCheck:
@@ -333,9 +370,10 @@ class TestCheck:
         assert fields["failed_seeds"] == ""
 
     def test_zero_seeds_is_usage_error(self, capsys):
-        code, _, stderr = run_cli(
+        code, stdout, stderr = run_cli(
             capsys, "check", scenario_path("happy-path-n3"), "--seeds", "0"
         )
+        assert_usage_error(code, stdout, stderr)
         assert code == 2
         assert "--seeds" in stderr
 
@@ -360,6 +398,7 @@ class TestCheck:
         code, stdout, stderr = run_cli(
             capsys, "check", scenario_path("happy-path-n3"), str(bad), "--seeds", "1"
         )
+        assert_usage_error(code, stdout, stderr)
         assert code == 2
         assert stdout == ""
         assert "unknown key" in stderr
@@ -379,6 +418,7 @@ class TestCheck:
             capsys, "check", scenario_path("happy-path-n3"), "--seeds", "1",
             "--drop", drop,
         )
+        assert_usage_error(code, stdout, stderr)
         assert code == 2
         assert stdout == ""
         assert "--drop" in stderr
@@ -445,24 +485,27 @@ class TestVerify:
         assert stdout.strip() == "bad_signature"
 
     def test_bad_hex_is_usage_error(self, keyset, capsys):
-        code, _, stderr = run_cli(
+        code, stdout, stderr = run_cli(
             capsys, "verify", "--proof", "zz", "--keys", keyset, "--now", "0"
         )
+        assert_usage_error(code, stdout, stderr)
         assert code == 2
         assert "hex" in stderr
 
     def test_truncated_blob_is_usage_error(self, keyset, capsys):
         hexblob = self._proof_hex(keyset)
-        code, _, stderr = run_cli(
+        code, stdout, stderr = run_cli(
             capsys, "verify", "--proof", hexblob[:-2], "--keys", keyset,
             "--now", "50000",
         )
+        assert_usage_error(code, stdout, stderr)
         assert code == 2
         assert "malformed" in stderr
-        code, _, stderr = run_cli(
+        code, stdout, stderr = run_cli(
             capsys, "verify", "--proof", "03" + hexblob[2:], "--keys", keyset,
             "--now", "50000",
         )
+        assert_usage_error(code, stdout, stderr)
         assert code == 2
         assert "malformed" in stderr
 
@@ -472,6 +515,7 @@ class TestVerify:
             capsys, "verify", "--proof", self._proof_hex(keyset), "--keys", keyset,
             "--now", "50000", flag, value,
         )
+        assert_usage_error(code, stdout, stderr)
         assert code == 2
         assert stdout == ""
         assert "error:" in stderr and flag in stderr
@@ -485,6 +529,7 @@ class TestVerify:
         code, stdout, stderr = run_cli(
             capsys, "verify", "--proof", "00", "--keys", str(keys), "--now", "0"
         )
+        assert_usage_error(code, stdout, stderr)
         assert code == 2
         assert stdout == ""
         assert "error: bad keyset:" in stderr
@@ -500,6 +545,7 @@ class TestVerify:
             capsys, "verify", "--proof", self._proof_hex(keyset), "--keys", str(keys),
             "--now", "50000",
         )
+        assert_usage_error(code, stdout, stderr)
         assert (code, stdout) == (2, "")
         assert stderr == "error: bad keyset: node must be of type int: True\n"
 
@@ -514,6 +560,7 @@ class TestVerify:
         code, stdout, stderr = run_cli(
             capsys, "verify", "--proof", "00", "--keys", str(keys), "--now", "0"
         )
+        assert_usage_error(code, stdout, stderr)
         assert code == 2
         assert stdout == ""
         assert "error: bad keyset: not YAML" in stderr
@@ -529,6 +576,7 @@ class TestVerify:
         code, stdout, stderr = run_cli(
             capsys, "verify", "--proof", "00", "--keys", str(keys), "--now", "0"
         )
+        assert_usage_error(code, stdout, stderr)
         assert code == 2
         assert stdout == ""
         assert "error: bad keyset:" in stderr and "at most 17" in stderr
@@ -550,6 +598,7 @@ class TestVerify:
             capsys, "verify", "--proof", proofs.encode_proof(proof).hex(),
             "--keys", str(keys), "--now", "0",
         )
+        assert_usage_error(code, stdout, stderr)
         assert code == 2
         assert stdout == ""
         assert "bad keyset" in stderr and "infinity" in stderr

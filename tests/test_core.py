@@ -179,6 +179,25 @@ class TestElectionStart:
         assert outs == []
         assert isinstance(leader.role, Leader)
 
+    def test_no_election_past_the_largest_wire_term(self, cluster3):
+        # Node 1 grants a vote at the largest term the wire holds; its next
+        # timeout must not send a request that no peer can encode a vote for.
+        _, keyring = cluster3
+        states = {i: make_node(i, cluster3)[0] for i in range(3)}
+        payloads = proofs.make_vote_payloads(
+            2, wire.MAX_TERM, 1000, keyring, wire.SCHEME_SCHNORR, random.Random(0)
+        )
+        _, outs = deliver(states[1], Packet(2, 1, VoteRequest(payloads[1])), 1000)
+        assert only(outs, Send).packets[0].dst == 2
+        _, outs = core.step(states[1], ElectionTimeout(), 1300)
+        for out in outs:
+            for packet in getattr(out, "packets", ()):
+                deliver(states[packet.dst], packet, 1300)
+        assert outs == [Diagnostic("term-exhausted", f"term={wire.MAX_TERM}")]
+        assert states[1].current_term == wire.MAX_TERM
+        assert states[1].voted_for == (wire.MAX_TERM, 2)
+        assert isinstance(states[1].role, Follower)
+
 
 class TestVoteRequest:
     def _request(
@@ -255,6 +274,27 @@ class TestVoteRequest:
         _, outs = deliver(state, self._request(cluster9, scheme=sent), 1000)
         assert outs == [Diagnostic("malformed", f"vote-request: scheme {sent}")]
         assert calls == [] and state.voted_for is None
+
+    @pytest.mark.parametrize("scheme, signer", [
+        # A Schnorr grant at n = 9 signs 35 partials, or 70 for itself.
+        (wire.SCHEME_SCHNORR, "schnorr_partial_sign"),
+        (wire.SCHEME_SSS, "sign_recoverable"),
+    ])
+    @pytest.mark.parametrize("candidate", [1, 99], ids=["receiver", "outsider"])
+    def test_request_for_a_candidate_that_is_no_peer_signs_nothing(
+        self, cluster9, monkeypatch, scheme, signer, candidate
+    ):
+        state, _ = make_node(1, cluster9, scheme=scheme)
+        real = self._request(cluster9, scheme=scheme)
+        payload = replace(real.body.payload, candidate=candidate)
+        calls = _count_calls(monkeypatch, signer)
+        _, outs = deliver(state, replace(real, body=VoteRequest(payload)), 1000)
+        assert outs == [Diagnostic("malformed", f"vote-request: candidate {candidate}")]
+        assert calls == [] and state.voted_for is None
+        # The vote is not burnt: the real candidate's request is granted.
+        _, outs = deliver(state, real, 1000)
+        assert only(outs, Send).packets[0].dst == 0
+        assert state.voted_for == (1, 0)
 
 
 class TestVoteResponse:

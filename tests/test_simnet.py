@@ -574,9 +574,9 @@ class TestPinnedOutputs:
         sc = replace(load_scenario(scenario_path(base)), adversaries=adversaries)
         trace, report = simnet.run(sc)
         summary = simnet.scripted_partition_leadership(trace, report)
-        lines = cli._report_lines(sc.name, sc.seed, report, summary)
+        rows = cli._run_rows(sc.name, sc.seed, report, summary)
         assert report.violations == []
         assert (
             hashlib.sha256(trace_lines(trace).encode()).hexdigest(),
-            hashlib.sha256("".join(f"{line}\n" for line in lines).encode()).hexdigest(),
+            hashlib.sha256(cli._render(rows, machine=True).encode()).hexdigest(),
         ) == (trace_digest, report_digest)
