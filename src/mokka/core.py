@@ -272,35 +272,31 @@ def _start_election(state: NodeState, now_ms: int) -> List[Output]:
 def _on_vote_request(
     state: NodeState, src: NodeId, payload: VotePayload, now_ms: int
 ) -> List[Output]:
+    # Every check that can refuse the request runs before the node adopts
+    # its term, so a refused request changes nothing.
     if payload.term < state.current_term:
         return [Diagnostic("stale-term", f"vote-request term={payload.term}")]
+    if state.voted_for is not None and state.voted_for[0] == payload.term:
+        voted = state.voted_for[1]
+        return [Diagnostic("already-voted", f"term={payload.term} for={voted}")]
+    skew = abs(payload.timestamp_ms - now_ms)
+    if skew > state.config.proof_policy.max_clock_skew_ms:
+        return [Diagnostic("clock-skew", f"term={payload.term} skew={skew}")]
+    if payload.scheme != state.config.scheme:
+        # No node of this cluster asks for a vote in another scheme.
+        return [Diagnostic("malformed", f"vote-request: scheme {payload.scheme}")]
+    if not _is_peer(state, payload.candidate):
+        return [Diagnostic("malformed", f"vote-request: candidate {payload.candidate}")]
+    try:
+        grant = proofs.grant_vote(state.keypair, payload, state.keyring)
+    except proofs.ProofError as exc:
+        return [Diagnostic("malformed", f"vote-request: {exc}")]
     outputs: List[Output] = []
     if payload.term > state.current_term:
         state.current_term = payload.term
         if not isinstance(state.role, Follower):
             state.role = Follower()
             outputs.append(RoleChanged("follower", payload.term))
-    if state.voted_for is not None and state.voted_for[0] == payload.term:
-        outputs.append(
-            Diagnostic("already-voted", f"term={payload.term} for={state.voted_for[1]}")
-        )
-        return outputs
-    skew = abs(payload.timestamp_ms - now_ms)
-    if skew > state.config.proof_policy.max_clock_skew_ms:
-        outputs.append(Diagnostic("clock-skew", f"term={payload.term} skew={skew}"))
-        return outputs
-    if payload.scheme != state.config.scheme:
-        # No node of this cluster asks for a vote in another scheme.
-        return outputs + [Diagnostic("malformed", f"vote-request: scheme {payload.scheme}")]
-    if not _is_peer(state, payload.candidate):
-        return outputs + [
-            Diagnostic("malformed", f"vote-request: candidate {payload.candidate}")
-        ]
-    try:
-        grant = proofs.grant_vote(state.keypair, payload, state.keyring)
-    except proofs.ProofError as exc:
-        outputs.append(Diagnostic("malformed", f"vote-request: {exc}"))
-        return outputs
     state.voted_for = (payload.term, payload.candidate)
     outputs.append(
         Send((Packet(state.id, payload.candidate, VoteResponse(grant)),))

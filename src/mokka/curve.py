@@ -11,14 +11,20 @@ first time a check needs it and kept, so that k * (X_1 + ... + X_q) costs
 one entry per digit instead of q. This module keeps no table but the
 generator's: whoever holds a key builds and keeps its tables. Any other
 point goes through ``scalar_mult``, which doubles and adds in 4-bit
-windows in Jacobian coordinates. Apart from ``point_add``, the simple
-reference, every affine addition goes through one batched kernel,
-``_add_affine``, whose pairs share one field inversion (Montgomery's
-trick). Every batched sum is made of levels of ``_halve``, which adds
-adjacent points in many groups at once: ``affine_sums`` halves until each
-group holds one point, ``_jac_sum`` takes its affine levels from it, and a
-check fills the table slots it finds unsummed with one ``affine_sums``
-call. None of this is constant-time: the library targets simulation and
+windows in Jacobian coordinates. Every field inversion goes through
+``_batch_invert``, which shares one inversion among many values
+(Montgomery's trick), and apart from ``point_add``, the simple reference,
+every affine addition goes through one batched kernel, ``_add_affine``.
+Every batched sum is made of levels of ``_halve``, which adds adjacent
+points in many groups at once: ``affine_sums`` halves until each group
+holds one point, and ``_jac_sums`` halves the table entries of many sums
+together before it finishes each in Jacobian coordinates. So the several
+sums of one protocol step -- a grant's nonce points, a proof's share
+checks -- share their inversions: ``fixed_sums`` makes all its sums affine
+with one, and ``sums_named`` pays one for the parities of the sums whose
+x matches. ``fixed_sum`` and ``sum_names`` are their one-sum case. A check
+fills the table slots it finds unsummed with one ``affine_sums`` call.
+None of this is constant-time: the library targets simulation and
 desk-scale testing, not hostile production deployments."""
 
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -68,9 +74,9 @@ def point_add(p1: Optional[Point], p2: Optional[Point]) -> Optional[Point]:
     if x1 == x2 and (y1 + y2) % P == 0:
         return None
     if p1 == p2:
-        lam = (3 * x1 * x1) * pow(2 * y1, -1, P) % P
+        lam = (3 * x1 * x1) * _batch_invert([2 * y1])[0] % P
     else:
-        lam = (y2 - y1) * pow(x2 - x1, -1, P) % P
+        lam = (y2 - y1) * _batch_invert([x2 - x1])[0] % P
     x3 = (lam * lam - x1 - x2) % P
     return (x3, (lam * (x1 - x3) - y1) % P)
 
@@ -124,7 +130,10 @@ def _jac_to_affine_all(pts) -> List[Optional[Point]]:
 
 
 def _batch_invert(values):
-    """Inverses of nonzero field elements, sharing one field inversion."""
+    """Inverses of nonzero field elements, sharing one field inversion;
+    none for no values."""
+    if not values:
+        return []
     prefix = []
     acc = 1
     for v in values:
@@ -261,68 +270,76 @@ class SumTable:
         self.rows = [[None] * len(row) for row in keys[0].rows]
 
 
-def _entries(terms) -> List[Point]:
-    """The signed-digit table entries whose sum is k * base summed over
-    (k, table) terms: one entry per nonzero window digit of each k. The
-    SumTable slots the digits need and nobody has summed yet are summed
-    first, all together."""
-    entries = []
-    unsummed = []  # (position in entries, table, row, slot, negated)
-    for k, table in terms:
-        k %= N
-        w = table.window
-        full = 1 << w
-        half = full >> 1
-        for i, row in enumerate(table.rows):
-            if not k:
-                break
-            digit = k & (full - 1)
-            k >>= w
-            if digit > half:  # the signed digit digit - 2^w; carry into k
-                k += 1
-                entry = row[full - digit]
-                if entry is None:
-                    unsummed.append((len(entries), table, i, full - digit, True))
+def _entries(sums) -> List[List[Point]]:
+    """For each sum of k * base over (k, table) terms, the signed-digit
+    table entries whose sum it is: one entry per nonzero window digit of
+    each k. The SumTable slots the digits of all the sums need and nobody
+    has summed yet are summed first, all together."""
+    groups = []
+    unsummed = []  # (entries, position in them, table, row, slot, negated)
+    for terms in sums:
+        entries = []
+        for k, table in terms:
+            k %= N
+            w = table.window
+            full = 1 << w
+            half = full >> 1
+            for i, row in enumerate(table.rows):
+                if not k:
+                    break
+                digit = k & (full - 1)
+                k >>= w
+                if digit > half:  # the signed digit digit - 2^w; carry into k
+                    k += 1
+                    j, negated = full - digit, True
+                elif digit:
+                    j, negated = digit, False
                 else:
-                    entry = (entry[0], P - entry[1])
-            elif digit:
-                entry = row[digit]
+                    continue
+                entry = row[j]
                 if entry is None:
-                    unsummed.append((len(entries), table, i, digit, False))
-            else:
-                continue
-            entries.append(entry)
+                    unsummed.append((entries, len(entries), table, i, j, negated))
+                elif negated:
+                    entry = (entry[0], P - entry[1])
+                entries.append(entry)
+        groups.append(entries)
     if unsummed:
         # A slot whose keys sum to infinity stays unsummed and leaves entries.
-        sums = affine_sums(
-            [key.rows[i][j] for key in table.keys] for _, table, i, j, _ in unsummed
+        filled = affine_sums(
+            [key.rows[i][j] for key in table.keys] for _, _, table, i, j, _ in unsummed
         )
-        for (pos, table, i, j, negated), entry in zip(unsummed, sums):
+        for (entries, pos, table, i, j, negated), entry in zip(unsummed, filled):
             if entry is not None:
                 table.rows[i][j] = entry
                 entries[pos] = (entry[0], P - entry[1]) if negated else entry
-        if None in sums:
-            entries = [entry for entry in entries if entry is not None]
-    return entries
+        if None in filled:
+            groups = [[entry for entry in group if entry is not None] for group in groups]
+    return groups
 
 
 # A level of pairwise affine additions costs one field inversion, about
-# 20 us with plain ints (2-core x86_64 VM, Python 3.11), and saves about
-# 2 us per pair against Jacobian mixed additions (about 4 us a pair against
-# 6 us an addition), so it pays only from about ten pairs on.
+# 19 us with plain ints (2-core x86_64 VM, Python 3.11), and saves about
+# 1.5 us per pair against Jacobian mixed additions (about 4 us a pair against
+# 5.5 us an addition), so it pays only from some ten to a dozen pairs on;
+# grants and share checks timed with 6, 14 or 20 pairs ran no faster than
+# with ten. The pairs of all the sums in one batch count together.
 _MIN_AFFINE_PAIRS = 10
 
 
-def _jac_sum(points: List[Point]):
-    """Jacobian sum of affine points: halved level by level in affine pairs
-    while a level holds at least _MIN_AFFINE_PAIRS pairs, then added one at
-    a time in Jacobian coordinates."""
-    while len(points) >= 2 * _MIN_AFFINE_PAIRS:
-        [points] = _halve([points])
-    acc = _JINF
-    for point in points:
-        acc = _jac_add_mixed(acc, point)
-    return acc
+def _jac_sums(groups: List[List[Point]]) -> list:
+    """The Jacobian sum of each group of affine points: the groups halved
+    together, one level of affine pairs at a time, while the level holds at
+    least _MIN_AFFINE_PAIRS pairs, then each group's points added one at a
+    time in Jacobian coordinates."""
+    while sum(len(group) // 2 for group in groups) >= _MIN_AFFINE_PAIRS:
+        groups = _halve(groups)
+    sums = []
+    for points in groups:
+        acc = _JINF
+        for point in points:
+            acc = _jac_add_mixed(acc, point)
+        sums.append(acc)
+    return sums
 
 
 BASE = FixedBase(G, BASE_WINDOW)
@@ -333,25 +350,43 @@ def scalar_mult_base(k: int) -> Optional[Point]:
     return BASE.mult(k)
 
 
+def fixed_sums(sums) -> List[Optional[Point]]:
+    """For each list of (k, FixedBase or SumTable) terms, the affine sum of
+    k * base over it; all the sums share their inversions."""
+    return _jac_to_affine_all(_jac_sums(_entries(sums)))
+
+
 def fixed_sum(terms) -> Optional[Point]:
     """The affine sum of k * base over (k, FixedBase or SumTable) terms."""
-    return _jac_to_affine_all([_jac_sum(_entries(terms))])[0]
+    return fixed_sums([terms])[0]
+
+
+def sums_named(claims) -> List[bool]:
+    """For each (x, y_odd, terms) claim, whether the sum of k * base over
+    its (k, FixedBase or SumTable) terms is the point with x coordinate x
+    and y parity y_odd.
+
+    x is compared in Jacobian coordinates, X == x * Z^2, so a sum that
+    misses it costs no inversion; the sums that match share one for their
+    parities, and all the sums share their levels of affine pairs.
+    """
+    claims = list(claims)
+    live = [i for i, (x, _, _) in enumerate(claims) if 0 <= x < P]
+    matches = []  # (claim index, Y, Z^3) of each sum whose x matches
+    for i, (X, Y, Z) in zip(live, _jac_sums(_entries([claims[i][2] for i in live]))):
+        ZZ = Z * Z % P
+        if Z and X == claims[i][0] * ZZ % P:
+            matches.append((i, Y, ZZ * Z % P))
+    named = [False] * len(claims)
+    for (i, Y, _), inv in zip(matches, _batch_invert([z for _, _, z in matches])):
+        named[i] = bool(Y * inv % P & 1) == claims[i][1]
+    return named
 
 
 def sum_names(x: int, y_odd: bool, terms) -> bool:
     """Whether the sum of k * base over (k, FixedBase or SumTable) terms is
-    the point with x coordinate x and y parity y_odd.
-
-    x is compared in Jacobian coordinates, X == x * Z^2, so a sum that
-    misses it costs no inversion; only a match pays one for the parity.
-    """
-    if not 0 <= x < P:
-        return False
-    X, Y, Z = _jac_sum(_entries(terms))
-    ZZ = Z * Z % P
-    if not Z or X != x * ZZ % P:
-        return False
-    return bool(Y * pow(ZZ * Z, -1, P) % P & 1) == y_odd
+    the point with x coordinate x and y parity y_odd (see ``sums_named``)."""
+    return sums_named([(x, y_odd, terms)])[0]
 
 
 def lift_x(x: int, y_odd: bool) -> Point:

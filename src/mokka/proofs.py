@@ -14,7 +14,7 @@ import functools
 import random
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import hashlib
 
@@ -159,18 +159,20 @@ def _message(vote: Union[VotePayload, VoteProof]) -> bytes:
     return wire.vote_message(vote.scheme, vote.term, vote.timestamp_ms, vote.candidate)
 
 
-def _share_signed(
+def _shares_signed(
     keyring: ClusterKeyring,
-    voter: NodeId,
-    share_sig: Optional[Tuple[SssShare, RecoverableSignature]],
+    signed: Sequence[Tuple[NodeId, Optional[Tuple[SssShare, RecoverableSignature]]]],
     vote: Union[VotePayload, VoteProof],
-) -> bool:
-    """Whether share_sig is voter's signature over its share of vote."""
-    if share_sig is None:
-        return False
-    share, sig = share_sig
-    message = share_sign_message(share, vote.term, vote.timestamp_ms, vote.candidate)
-    return crypto.verify_recoverable(keyring, voter, message, sig)
+) -> List[bool]:
+    """For each (voter, share_sig), whether share_sig is voter's signature
+    over its share of vote; all are checked in one batch."""
+    present = [(voter, share_sig) for voter, share_sig in signed if share_sig is not None]
+    checks = [
+        (voter, share_sign_message(share, vote.term, vote.timestamp_ms, vote.candidate), sig)
+        for voter, (share, sig) in present
+    ]
+    verified = iter(crypto.verify_recoverables(keyring, checks))
+    return [share_sig is not None and next(verified) for _, share_sig in signed]
 
 
 # --- The schemes ---------------------------------------------------------------
@@ -205,12 +207,10 @@ class _Schnorr:
         return {node: payload for node in keyring.sorted_ids}
 
     def grant(self, voter_kp, voter, payload, keyring):
+        combos = list(keyring.combos_containing({voter, payload.candidate}))
         message = _message(payload)
-        partials = tuple(
-            crypto.schnorr_partial_sign(voter_kp, keyring, combo, message)
-            for combo in keyring.combos_containing({voter, payload.candidate})
-        )
-        return VoteGrant(voter, payload.term, partials=partials)
+        partials = crypto.schnorr_sign_partials(voter_kp, keyring, combos, message)
+        return VoteGrant(voter, payload.term, partials=tuple(partials))
 
     def well_formed(self, grant, payload):
         return bool(grant.partials) and all(
@@ -218,11 +218,8 @@ class _Schnorr:
         )
 
     def verifies(self, grant, payload, keyring):
-        message = _message(payload)
-        return bool(grant.partials) and all(
-            psig.signer == grant.voter
-            and crypto.schnorr_partial_verify(keyring, psig, message)
-            for psig in grant.partials
+        return self.well_formed(grant, payload) and all(
+            crypto.schnorr_verify_partials(keyring, grant.partials, _message(payload))
         )
 
     def assemble(self, candidate_kp, own, members, by_voter, keyring):
@@ -243,11 +240,9 @@ class _Schnorr:
             big_r, s = crypto.schnorr_aggregate(list(chosen.values()))
             if crypto.schnorr_verify(keyring, combo, message, big_r, s):
                 return SchnorrBody(combo, big_r, s)
-        bad = [
-            voter for voter in members
-            if voter not in chosen
-            or not crypto.schnorr_partial_verify(keyring, chosen[voter], message)
-        ]
+        verified = crypto.schnorr_verify_partials(keyring, list(chosen.values()), message)
+        held = dict(zip(chosen, verified))
+        bad = [voter for voter in members if not held.get(voter, False)]
         if bad:
             raise BadGrants(bad)
         raise ProofError("aggregate signature does not verify")
@@ -318,38 +313,43 @@ class _Sss:
         return grant.share_sig is not None and grant.share_sig[0] == payload.share
 
     def verifies(self, grant, payload, keyring):
-        return _share_signed(keyring, grant.voter, grant.share_sig, payload)
+        return _shares_signed(keyring, [(grant.voter, grant.share_sig)], payload)[0]
 
     def assemble(self, candidate_kp, own, members, by_voter, keyring):
-        share_sigs = {own.candidate: self._sign(candidate_kp, own)}
-        for voter in members[1:]:
-            share_sigs[voter] = by_voter[voter].share_sig
+        own_sig = self._sign(candidate_kp, own)
         # The candidate's own signature, just made, needs no check.
-        bad = [
-            voter for voter in members[1:]
-            if not _share_signed(keyring, voter, share_sigs[voter], own)
-        ]
+        voters = [(voter, by_voter[voter].share_sig) for voter in members[1:]]
+        verified = _shares_signed(keyring, voters, own)
+        bad = [voter for (voter, _), ok in zip(voters, verified) if not ok]
         if bad:
             raise BadGrants(bad)
-        return SssBody(own.salt, tuple(share_sigs[voter] for voter in members))
+        return SssBody(own.salt, (own_sig, *(share_sig for _, share_sig in voters)))
 
     def check(self, proof, keyring):
         body = proof.body
         q = keyring.quorum_size
         if len(body.entries) < q:
             return ValidationResult.BAD_SECRET
-        voters = set()
-        for entry in body.entries:
-            # A share's index names its voter, who alone may vouch for it.
+        # The first entry that fails decides. A share's index names its
+        # voter, who alone may vouch for it: the first entry whose index
+        # names no node or a voter named before is found without crypto,
+        # and the signatures before it are checked in one batch.
+        voters = []
+        verdict = None
+        for share, _ in body.entries:
             try:
-                voter = keyring.node_for_ordinal(entry[0].index)
+                voter = keyring.node_for_ordinal(share.index)
             except crypto.CryptoError:
-                return ValidationResult.UNKNOWN_VOTER
+                verdict = ValidationResult.UNKNOWN_VOTER
+                break
             if voter in voters:
-                return ValidationResult.BAD_SIGNATURE
-            if not _share_signed(keyring, voter, entry, proof):
-                return ValidationResult.BAD_SIGNATURE
-            voters.add(voter)
+                verdict = ValidationResult.BAD_SIGNATURE
+                break
+            voters.append(voter)
+        if not all(_shares_signed(keyring, list(zip(voters, body.entries)), proof)):
+            return ValidationResult.BAD_SIGNATURE
+        if verdict is not None:
+            return verdict
         if proof.candidate not in voters:
             return ValidationResult.BAD_SIGNATURE
         expected = sss_secret(proof.timestamp_ms, body.salt, proof.term)

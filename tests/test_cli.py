@@ -69,7 +69,7 @@ class TestKeys:
     def test_too_many_nodes_is_usage_error(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "k.yaml"
         keygens = []
-        monkeypatch.setattr(cli.crypto, "keygen", lambda seed: keygens.append(seed))
+        monkeypatch.setattr(cli.crypto, "keygens", lambda seeds: keygens.extend(seeds))
         code, stdout, stderr = run_cli(
             capsys, "keys", "--nodes", "65", "--seed", "x", "--out", str(out)
         )
@@ -83,7 +83,7 @@ class TestKeys:
     ):
         out = tmp_path / "k.yaml"
         keygens = []
-        monkeypatch.setattr(cli.crypto, "keygen", lambda seed: keygens.append(seed))
+        monkeypatch.setattr(cli.crypto, "keygens", lambda seeds: keygens.extend(seeds))
         code, stdout, stderr = run_cli(
             capsys, "keys", "--nodes", "18", "--seed", "x", "--out", str(out)
         )
@@ -306,7 +306,7 @@ class TestRun:
         big = tmp_path / "big.yaml"
         big.write_text("nodes: 65\nseed: 1\nduration_ms: 100\n")
         keygens = []
-        monkeypatch.setattr(cli.crypto, "keygen", lambda seed: keygens.append(seed))
+        monkeypatch.setattr(cli.crypto, "keygens", lambda seeds: keygens.extend(seeds))
         code, stdout, stderr = run_cli(capsys, "run", str(big))
         assert_usage_error(code, stdout, stderr)
         assert code == 2
@@ -319,7 +319,7 @@ class TestRun:
         big = tmp_path / "big.yaml"
         big.write_text("nodes: 18\nseed: 1\nduration_ms: 100\n")
         keygens = []
-        monkeypatch.setattr(cli.crypto, "keygen", lambda seed: keygens.append(seed))
+        monkeypatch.setattr(cli.crypto, "keygens", lambda seeds: keygens.extend(seeds))
         code, stdout, stderr = run_cli(capsys, "run", str(big))
         assert_usage_error(code, stdout, stderr)
         assert code == 2

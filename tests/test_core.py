@@ -68,13 +68,26 @@ def elect_leader(cluster, candidate=0, now_ms=1000, scheme=wire.SCHEME_SCHNORR):
     return states, final_outs
 
 
+# The crypto functions that sign or check in batches: each one's batched
+# form, which it calls, and the position of the batch's argument that lists
+# the items signed or checked.
+_BATCHED = {
+    "schnorr_partial_sign": ("schnorr_sign_partials", 2),
+    "schnorr_partial_verify": ("schnorr_verify_partials", 1),
+    "verify_recoverable": ("verify_recoverables", 1),
+}
+
+
 def _count_calls(monkeypatch, name):
-    """Record each call of crypto.<name> made from here on."""
+    """Record each signature crypto.<name> makes or checks from here on:
+    each call's arguments or, for a function with a batched form, each item
+    of every batch, which counts the single calls too."""
+    name, batch = _BATCHED.get(name, (name, None))
     calls = []
     original = getattr(proofs.crypto, name)
 
     def counting(*args):
-        calls.append(args)
+        calls.extend([args] if batch is None else args[batch])
         return original(*args)
 
     monkeypatch.setattr(proofs.crypto, name, counting)
@@ -295,6 +308,28 @@ class TestVoteRequest:
         _, outs = deliver(state, real, 1000)
         assert only(outs, Send).packets[0].dst == 0
         assert state.voted_for == (1, 0)
+
+    @pytest.mark.parametrize("change, refusal", [
+        ({"candidate": 99}, Diagnostic("malformed", "vote-request: candidate 99")),
+        (
+            {"scheme": wire.SCHEME_SSS},
+            Diagnostic("malformed", f"vote-request: scheme {wire.SCHEME_SSS}"),
+        ),
+        ({"timestamp_ms": 1551}, Diagnostic("clock-skew", "term=5 skew=501")),
+    ], ids=["candidate", "scheme", "clock-skew"])
+    def test_refused_request_leaves_the_leader_as_it_was(self, cluster3, change, refusal):
+        # Every refusal is decided before the request's higher term is
+        # adopted: the leader keeps its term, role and vote record.
+        states, _ = elect_leader(cluster3)
+        leader = states[0]
+        before = (leader.current_term, leader.role, leader.known_leader, leader.voted_for)
+        assert isinstance(leader.role, Leader) and before[0] == 1
+        real = self._request(cluster3, term=5, now=1050, candidate=1, voter=0)
+        payload = replace(real.body.payload, **change)
+        _, outs = deliver(leader, replace(real, body=VoteRequest(payload)), 1050)
+        assert outs == [refusal]
+        after = (leader.current_term, leader.role, leader.known_leader, leader.voted_for)
+        assert after == before and leader.role is before[1]
 
 
 class TestVoteResponse:
@@ -553,19 +588,19 @@ class TestVoteResponse:
     @staticmethod
     def _count_schnorr_calls(monkeypatch, signer_key):
         calls = {"sign": 0, "verify": 0}
-        sign = proofs.crypto.schnorr_partial_sign
-        verify = proofs.crypto.schnorr_partial_verify
+        sign = proofs.crypto.schnorr_sign_partials
+        verify = proofs.crypto.schnorr_verify_partials
 
-        def counting_sign(kp, *args):
-            calls["sign"] += kp.public == signer_key
-            return sign(kp, *args)
+        def counting_sign(kp, ring, combos, message):
+            calls["sign"] += len(combos) if kp.public == signer_key else 0
+            return sign(kp, ring, combos, message)
 
-        def counting_verify(*args):
-            calls["verify"] += 1
-            return verify(*args)
+        def counting_verify(ring, psigs, message):
+            calls["verify"] += len(psigs)
+            return verify(ring, psigs, message)
 
-        monkeypatch.setattr(proofs.crypto, "schnorr_partial_sign", counting_sign)
-        monkeypatch.setattr(proofs.crypto, "schnorr_partial_verify", counting_verify)
+        monkeypatch.setattr(proofs.crypto, "schnorr_sign_partials", counting_sign)
+        monkeypatch.setattr(proofs.crypto, "schnorr_verify_partials", counting_verify)
         return calls
 
     def test_election_without_quorum_signs_and_verifies_nothing(
@@ -829,7 +864,7 @@ class TestOwnVoteRefutation:
 
     @pytest.mark.parametrize("indices, code, checks", [
         ((3, 1), "bad_signature", 0),   # names node 0, the receiver
-        ((3, 2), "bad_signature", 1),   # receiver not named: checked
+        ((3, 2), "bad_signature", 2),   # receiver not named: both checked
         ((1,), "bad_secret", 0),        # fewer than q entries
         ((7, 1), "unknown_voter", 0),   # an index no node holds
     ])

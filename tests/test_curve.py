@@ -171,6 +171,64 @@ def test_fixed_sum_and_sum_names_match_the_fold(k):
     assert names(curve.G, cancelled) == (False, False)
 
 
+def test_batched_sums_match_the_sums_one_at_a_time(monkeypatch):
+    G, NEG_G = curve.G, curve.point_neg(curve.G)
+    g, neg_g, base = (G, key_table(G)), (NEG_G, key_table(NEG_G)), (G, curve.BASE)
+    key, key2 = (KEY, KEY_TABLE), (KEY2, KEY2_TABLE)
+    # Each sum as (k, (point, its table)) terms.
+    spelled = [
+        [],  # no entries: infinity
+        [(1, base)],  # one entry, carried over every affine level
+        [(1, base), (1, neg_g)],  # cancels (summed alone, in the Jacobian finish)
+        [(1, base), (1, neg_g)] * 12,  # cancels in the affine levels
+        [(1, base), (1, g)] * 12,  # doubling pairs
+        # Digits above half take negated entries; the groups differ in length.
+        [(curve.N - 1, base), (curve.N - 2**100, key)],
+        [(0xDEADBEEF, key), (2**5 + 1, key2)],
+        [(curve.N - 2**100, key2)],
+    ]
+    sums = [[(k, table) for k, (_, table) in terms] for terms in spelled]
+    totals = [fold(naive_mult(k, point) for k, (point, _) in terms) for terms in spelled]
+    assert totals[0] is totals[2] is totals[3] is None
+    inversions, levels = [], []
+    batch_invert, add_affine = curve._batch_invert, curve._add_affine
+    monkeypatch.setattr(
+        curve, "_batch_invert",
+        lambda values: inversions.append(len(values)) or batch_invert(values),
+    )
+    monkeypatch.setattr(
+        curve, "_add_affine",
+        lambda pairs: levels.append(len(pairs)) or add_affine(pairs),
+    )
+    assert [curve.fixed_sum(terms) for terms in sums] == totals
+    alone = len(inversions)
+    inversions.clear(), levels.clear()
+    assert curve.fixed_sums(sums) == totals
+    # One inversion per level of affine pairs, each level of at least
+    # _MIN_AFFINE_PAIRS pairs over all the sums, and one to make all affine.
+    assert levels and min(levels) >= curve._MIN_AFFINE_PAIRS
+    assert inversions == levels + [sum(total is not None for total in totals)]
+    assert len(inversions) < alone
+
+    claims, named, x_matches = [], [], 0
+    for terms, total in zip(sums, totals):
+        x, y = total or G
+        for claim_x, y_odd in (
+            (x, bool(y & 1)),  # the sum's own point, if it is not infinity
+            (x, not y & 1),  # the wrong parity
+            ((x + 1) % curve.P, bool(y & 1)),  # the wrong x
+            (x + curve.P, bool(y & 1)),  # x out of range, the same x mod P
+        ):
+            claims.append((claim_x, y_odd, terms))
+            named.append(total is not None and (claim_x, y_odd) == (x, bool(y & 1)))
+        x_matches += 2 * (total is not None)
+    assert [curve.sum_names(*claim) for claim in claims] == named
+    inversions.clear()
+    assert curve.sums_named(claims) == named
+    # Only the sums whose x matches pay toward the parities' one inversion.
+    assert inversions[-1] == x_matches
+
+
 KEYS = (KEY, KEY2) + tuple(
     curve.scalar_mult_base(k) for k in (0xFACE, 0xF00D, 0xD00D)
 )

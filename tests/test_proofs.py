@@ -248,10 +248,11 @@ class TestBuildProof:
                 grant = replace(grant, share_sig=(share, replace(sig, s=sig.s + 1)))
             grants.append(grant)
         checked = []
-        verify = crypto.verify_recoverable
+        verify = crypto.verify_recoverables
         monkeypatch.setattr(
-            crypto, "verify_recoverable",
-            lambda ring, voter, *rest: checked.append(voter) or verify(ring, voter, *rest),
+            crypto, "verify_recoverables",
+            lambda ring, checks: checked.extend(voter for voter, _, _ in checks)
+            or verify(ring, checks),
         )
         if bad:
             with pytest.raises(proofs.BadGrants) as err:
@@ -278,13 +279,13 @@ class TestBuildProof:
         ]
         own = proofs.grant_vote(keypairs[1], payloads[1], keyring)
         signed = []
-        sign = crypto.schnorr_partial_sign
+        sign = crypto.schnorr_sign_partials
 
-        def counting_sign(kp, ring, combo, message):
-            signed.append(combo)
-            return sign(kp, ring, combo, message)
+        def counting_sign(kp, ring, combos, message):
+            signed.extend(combos)
+            return sign(kp, ring, combos, message)
 
-        monkeypatch.setattr(crypto, "schnorr_partial_sign", counting_sign)
+        monkeypatch.setattr(crypto, "schnorr_sign_partials", counting_sign)
         lazy = proofs.build_proof(keypairs[1], payloads[1], grants, keyring)
         chosen = [own, grants[0], grants[1]]  # candidate 1, voters 4 and 0
         if scheme == wire.SCHEME_SCHNORR:
@@ -410,6 +411,29 @@ class TestValidateProof:
         assert proofs.validate_proof(
             bad, keyring, POLICY, NOW
         ) is ValidationResult.BAD_SIGNATURE
+
+    @pytest.mark.parametrize("layout, verdict", [
+        ("B U 2", ValidationResult.BAD_SIGNATURE),    # bad signature, then unknown index
+        ("U B 2", ValidationResult.UNKNOWN_VOTER),    # unknown index first
+        ("0 1 1 U", ValidationResult.BAD_SIGNATURE),  # duplicate index, then unknown
+        ("0 U 1 1", ValidationResult.UNKNOWN_VOTER),  # unknown index, then duplicate
+    ])
+    def test_sss_first_failing_entry_decides(self, cluster5, layout, verdict):
+        # B is entry 0 with a broken signature, U is entry 1 with an index no
+        # node holds, and a digit is that entry of the built proof.
+        keypairs, keyring = cluster5
+        _, proof = build(keypairs, keyring, 1, [0, 3, 4], wire.SCHEME_SSS)
+        entries = proof.body.entries
+        (share0, sig0), (share1, sig1) = entries[:2]
+        made = {
+            "B": (share0, replace(sig0, s=(sig0.s + 1) % curve.N)),
+            "U": (replace(share1, index=6), sig1),
+        }
+        body = replace(proof.body, entries=tuple(
+            made[key] if key in made else entries[int(key)] for key in layout.split()
+        ))
+        bad = replace(proof, body=body)
+        assert proofs.validate_proof(bad, keyring, POLICY, NOW) is verdict
 
     def test_scheme_parity_on_time_classification(self, cluster5):
         keypairs, keyring = cluster5
@@ -545,8 +569,8 @@ def test_forged_flood_over_every_combo_costs_no_more_than_key_terms(monkeypatch)
     for node in keyring.sorted_ids:
         keyring.table(node)
     additions = []
-    add_affine, jac_add_mixed, sum_names = (
-        curve._add_affine, curve._jac_add_mixed, curve.sum_names
+    add_affine, jac_add_mixed, sums_named = (
+        curve._add_affine, curve._jac_add_mixed, curve.sums_named
     )
     monkeypatch.setattr(
         curve, "_add_affine",
@@ -571,15 +595,16 @@ def test_forged_flood_over_every_combo_costs_no_more_than_key_terms(monkeypatch)
         sum_costs.append(sum(additions) - before)
         return result
 
-    def recording_names(x, y_odd, terms):
-        checks.append((x, y_odd, terms))
+    def recording_names(claims):
+        claims = list(claims)
+        checks.extend(claims)
         in_check.append(True)
-        holds = sum_names(x, y_odd, terms)
+        named = sums_named(claims)
         in_check.pop()
-        return holds
+        return named
 
     monkeypatch.setattr(curve, "affine_sums", recording_sums)
-    monkeypatch.setattr(curve, "sum_names", recording_names)
+    monkeypatch.setattr(curve, "sums_named", recording_names)
 
     def counted(check):
         before = sum(additions)
@@ -597,7 +622,7 @@ def test_forged_flood_over_every_combo_costs_no_more_than_key_terms(monkeypatch)
         x, y_odd, [(s, base), (k, table)] = checks.pop()
         assert table.keys == tuple(keyring.table(i) for i in combo.members())
         per_key = [(s, base)] + [(k, key) for key in table.keys]
-        holds, cost_per_key = counted(lambda: sum_names(x, y_odd, per_key))
+        [holds], cost_per_key = counted(lambda: sums_named([(x, y_odd, per_key)]))
         assert not holds
         if i < len(combos):
             assert cost <= cost_per_key + q - 1
@@ -609,6 +634,64 @@ def test_forged_flood_over_every_combo_costs_no_more_than_key_terms(monkeypatch)
     assert sum_costs == [q - 1] * len(combos)
     assert len(keyring.combos._tables) == crypto.SUM_TABLES
     assert len(keyring._tables) == len(keyring.node_keys)
+
+
+class TestFieldInversions:
+    """The field inversions of one warm protocol step: tables built and
+    aggregate keys summed. Every inversion goes through curve._batch_invert,
+    and a call given values pays one. Unlike timings on a shared host, the
+    counts repeat exactly."""
+
+    @staticmethod
+    def _inversions(monkeypatch, step):
+        sizes = []
+        batch_invert = curve._batch_invert
+        monkeypatch.setattr(
+            curve, "_batch_invert",
+            lambda values: sizes.append(len(values)) or batch_invert(values),
+        )
+        result = step()
+        return result, sum(1 for size in sizes if size)
+
+    def test_grant_sums_its_nonce_points_together(self, monkeypatch):
+        # C(3, 1) = 3 nonce points of 26 entries each: two levels of affine
+        # pairs and one inversion to make all three affine (one at a time,
+        # each point cost two).
+        keypairs, keyring = make_cluster(5, seed="inversions")
+        payloads = proofs.make_vote_payloads(
+            1, 1, NOW, keyring, wire.SCHEME_SCHNORR, random.Random(0)
+        )
+        proofs.grant_vote(keypairs[0], payloads[0], keyring)
+        grant, inversions = self._inversions(
+            monkeypatch, lambda: proofs.grant_vote(keypairs[0], payloads[0], keyring)
+        )
+        assert len(grant.partials) == 3
+        assert inversions == 3
+
+    def test_shamir_check_sums_its_share_checks_together(self, monkeypatch):
+        # q = 5 share checks of 26 + 43 entries: five levels of affine pairs
+        # and one inversion for the five parities (one at a time, 15).
+        keypairs, keyring = make_cluster(9, seed="inversions")
+        _, proof = build(keypairs, keyring, 0, [1, 2, 3, 4], wire.SCHEME_SSS)
+        assert proofs.validate_proof(proof, keyring, POLICY, NOW) is ValidationResult.OK
+        verdict, inversions = self._inversions(
+            monkeypatch, lambda: proofs.validate_proof(proof, keyring, POLICY, NOW)
+        )
+        assert verdict is ValidationResult.OK
+        assert inversions == 6
+
+    def test_failing_schnorr_check_pays_no_parity(self, monkeypatch):
+        # One sum of 26 + 43 entries: two levels of affine pairs, and no
+        # inversion for a parity, as the sum misses the nonce point's x.
+        keypairs, keyring = make_cluster(5, seed="inversions")
+        _, proof = build(keypairs, keyring, 1, [0, 3], wire.SCHEME_SCHNORR)
+        assert proofs.validate_proof(proof, keyring, POLICY, NOW) is ValidationResult.OK
+        bad = replace(proof, body=replace(proof.body, s_value=proof.body.s_value + 1))
+        verdict, inversions = self._inversions(
+            monkeypatch, lambda: proofs.validate_proof(bad, keyring, POLICY, NOW)
+        )
+        assert verdict is ValidationResult.BAD_SIGNATURE
+        assert inversions == 2
 
 
 def test_forged_flood_keeps_validator_cache_bounded(cluster5, monkeypatch):

@@ -250,9 +250,9 @@ class TestAdversaries:
 class TestClusterMemo:
     def test_run_seeds_share_one_cluster(self, monkeypatch):
         seeds = []
-        keygen = crypto.keygen
+        keygens = crypto.keygens
         monkeypatch.setattr(
-            crypto, "keygen", lambda seed: seeds.append(seed) or keygen(seed)
+            crypto, "keygens", lambda batch: seeds.extend(batch) or keygens(batch)
         )
         sc = replace(
             load_scenario(scenario_path("happy-path-n3")), key_seed="memo-runs"
