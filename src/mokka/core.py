@@ -50,6 +50,8 @@ class Candidate:
 @dataclass
 class Leader:
     proof: VoteProof
+    # The heartbeat of proof to every peer, built once and sent each tick.
+    burst: "Send"
     name = "leader"
 
 
@@ -370,11 +372,11 @@ def _on_vote_response(state: NodeState, grant: VoteGrant, now_ms: int) -> List[O
     except proofs.ProofError as exc:
         role.build_failure = str(exc)
         return outputs + [Diagnostic("bad-grant", role.build_failure)]
-    state.role = Leader(proof)
+    state.role = Leader(proof, _heartbeat_burst(state, proof))
     state.known_leader = state.id
     return outputs + [
         RoleChanged("leader", state.current_term, proof),
-        _heartbeat_burst(state, proof),
+        state.role.burst,
         ArmHeartbeatTimer(state.config.heartbeat_interval_ms),
     ]
 
@@ -422,6 +424,6 @@ def _on_heartbeat_tick(state: NodeState, now_ms: int) -> List[Output]:
             _arm_election(state, "stepdown"),
         ]
     return [
-        _heartbeat_burst(state, role.proof),
+        role.burst,
         ArmHeartbeatTimer(state.config.heartbeat_interval_ms),
     ]

@@ -47,8 +47,8 @@ MAX_NODES = 64
 # already summed, on a 2-core x86_64 VM with Python 3.11.
 MAX_KEYRING_NODES = 17
 # A keyring keeps the summed tables of the SUM_TABLES combos checked last.
-# Each is at most the size of a key table (about 0.26 MB), so a keyring
-# holds at most n key tables and SUM_TABLES summed ones: about 21 MB at
+# Each is at most the size of a key table (about 0.23 MB), so a keyring
+# holds at most n key tables and SUM_TABLES summed ones: about 19 MB at
 # n = 17, for each of the keyrings ``cluster`` keeps. A summed slot costs
 # the check that fills it no more additions than the keys' own entries
 # would, so not even combos that evict each other make a check add more
@@ -408,7 +408,7 @@ def sss_restore(shares: Sequence[SssShare], q: int) -> int:
     if len(set(indices)) != len(indices):
         raise CryptoError("duplicate share index")
     chosen = sorted(shares, key=lambda s: s.index)[:q]
-    secret = 0
+    nums, dens = [], []
     for share in chosen:
         num, den = 1, 1
         for other in chosen:
@@ -416,10 +416,15 @@ def sss_restore(shares: Sequence[SssShare], q: int) -> int:
                 continue
             num = num * other.index % curve.N
             den = den * (other.index - share.index) % curve.N
-        if den == 0:
-            raise CryptoError("duplicate share index")
-        lam = num * pow(den, -1, curve.N) % curve.N
-        secret = (secret + share.value * lam) % curve.N
+        nums.append(num)
+        dens.append(den)
+    # Indices equal mod N give a zero denominator, which would leave the
+    # whole batch without an inverse.
+    if 0 in dens:
+        raise CryptoError("duplicate share index")
+    secret = 0
+    for share, num, den_inv in zip(chosen, nums, curve.batch_invert(dens, curve.N)):
+        secret = (secret + share.value * num * den_inv) % curve.N
     return secret
 
 
@@ -494,7 +499,8 @@ def verify_recoverables(
 ) -> List[bool]:
     """For each (signer, message, sig) check, whether recover_pubkey(message,
     sig) is signer's key, without recovering; False for a signer the
-    keyring does not hold. All the checks' sums share their inversions.
+    keyring does not hold. All the checks' sums share their inversions,
+    and their s values one inversion modulo N.
 
     ECDSA verification (SEC 1 v2, 4.1.4) with the recovery hint bound in:
     Q = (z/s)*G + (r/s)*X must be the nonce point that (r, hint) names,
@@ -502,19 +508,20 @@ def verify_recoverables(
     The nonce point is never lifted, and only a Q with the right x pays
     toward a field inversion, for its parity.
     """
-    claims = []
+    claims = []  # (x, signer's table, message, sig), None where none can hold
     for signer, message, sig in checks:
         try:
-            x = _nonce_x(sig)
-            table = keyring.table(signer)
+            claims.append((_nonce_x(sig), keyring.table(signer), message, sig))
         except CryptoError:
             claims.append(None)
-            continue
-        s_inv = pow(sig.s, -1, curve.N)
-        z = _message_digest(message)
-        terms = [(z * s_inv, curve.BASE), (sig.r * s_inv, table)]
-        claims.append((x, bool(sig.recovery_hint & 1), terms))
-    named = iter(curve.sums_named(filter(None, claims)))
+    kept = list(filter(None, claims))
+    s_invs = curve.batch_invert([sig.s for *_, sig in kept], curve.N)
+    named = iter(curve.sums_named(
+        (x, bool(sig.recovery_hint & 1), [
+            (_message_digest(message) * s_inv, curve.BASE), (sig.r * s_inv, table),
+        ])
+        for (x, table, message, sig), s_inv in zip(kept, s_invs)
+    ))
     return [claim is not None and next(named) for claim in claims]
 
 

@@ -2,43 +2,49 @@
 
 Affine points are (x, y) integer tuples; ``None`` is the point at infinity.
 A multiple of a point with a ``FixedBase`` table -- the generator, or a key
-whose holder built one -- and any sum of such multiples is a sum of one
-table entry per signed window digit and needs no doublings; ``sum_names``
-checks such a sum against a point given as its x coordinate and y parity.
-A ``SumTable`` stands for a sum of keys that share one scalar: each of its
-entries is the sum of the keys' entries for the same digit, summed the
-first time a check needs it and kept, so that k * (X_1 + ... + X_q) costs
-one entry per digit instead of q. This module keeps no table but the
-generator's: whoever holds a key builds and keeps its tables. Any other
-point goes through ``scalar_mult``, which doubles and adds in 4-bit
-windows in Jacobian coordinates. Every field inversion goes through
-``_batch_invert``, which shares one inversion among many values
-(Montgomery's trick), and apart from ``point_add``, the simple reference,
-every affine addition goes through one batched kernel, ``_add_affine``.
-Every batched sum is made of levels of ``_halve``, which adds adjacent
-points in many groups at once: ``affine_sums`` halves until each group
-holds one point, and ``_jac_sums`` halves the table entries of many sums
-together before it finishes each in Jacobian coordinates. So the several
-sums of one protocol step -- a grant's nonce points, a proof's share
-checks -- share their inversions: ``fixed_sums`` makes all its sums affine
-with one, and ``sums_named`` pays one for the parities of the sums whose
-x matches. ``fixed_sum`` and ``sum_names`` are their one-sum case. A check
-fills the table slots it finds unsummed with one ``affine_sums`` call.
-None of this is constant-time: the library targets simulation and
-desk-scale testing, not hostile production deployments."""
+whose holder built one -- and any sum of such multiples is a sum of table
+entries and needs no doublings. Each scalar k is first split as
+k1 + k2 * LAMBDA (mod N) with halves below 2^128 (``split_scalar``, the
+GLV endomorphism), so a table only covers 128-bit halves: one entry per
+signed window digit of each half. The k2 halves' entries are summed
+apart and mapped by phi(x, y) = (BETA * x, y) = LAMBDA * (x, y), one
+field multiplication per sum. ``sum_names`` checks such a sum against a point given as its x
+coordinate and y parity. A ``SumTable`` stands for a sum of keys that
+share one scalar: each of its entries is the sum of the keys' entries for
+the same digit, summed the first time a check needs it and kept, so that
+k * (X_1 + ... + X_q) costs one entry per digit instead of q. This module
+keeps no table but the generator's: whoever holds a key builds and keeps
+its tables. Any other point goes through ``scalar_mult``, which doubles and
+adds in 4-bit windows in Jacobian coordinates. Every inversion, in the
+field or modulo N, goes through ``batch_invert``, which shares one
+inversion among many values (Montgomery's trick), and apart from
+``point_add``, the simple reference, every affine addition goes through
+one batched kernel, ``_add_affine``. Every batched sum is made of levels
+of ``_halve``, which adds adjacent points in many groups at once:
+``affine_sums`` halves until each group holds one point, and ``_jac_sums``
+halves the table entries of many sums together before it finishes each in
+Jacobian coordinates. So the several sums of one protocol step -- a
+grant's nonce points, a proof's share checks -- share their inversions:
+``fixed_sums`` makes all its sums affine with one, and ``sums_named`` pays
+one for the parities of the sums whose x matches. ``fixed_sum`` and
+``sum_names`` are their one-sum case. A check fills the table slots it
+finds unsummed with one ``affine_sums`` call. None of this is
+constant-time: the library targets simulation and desk-scale testing, not
+hostile production deployments."""
 
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 Point = Tuple[int, int]
 
-# Signed-digit window widths of the fixed-base tables. The generator's
-# table (26 rows of 512 entries) is built at import; a key's (43 rows of
-# 32, about 0.26 MB) on its first use. An 8-bit key window saves about
-# 0.06 ms per key term but costs about 9 ms more per table, so it pays
-# only after some 150 uses of a table, more than a one-shot run of any
-# bundled scenario makes.
+# Signed-digit window widths of the fixed-base tables, whose rows cover
+# the 128-bit halves of split_scalar. The generator's table (13 rows of
+# 512 entries, about 1.2 MB) is built at import; a key's (19 rows of 64,
+# about 0.23 MB) on its first use. An 8-bit key window saves about 0.017
+# ms per key term but costs about 3.3 ms more per table, so it pays only
+# after some 190 uses of a table, more than a one-shot run of any bundled
+# scenario makes.
 BASE_WINDOW = 10
-KEY_WINDOW = 6
+KEY_WINDOW = 7
 
 # secp256k1 domain parameters (SEC2).
 P = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEFFFFFC2F
@@ -47,6 +53,35 @@ G: Point = (
     0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798,
     0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8,
 )
+
+# The GLV endomorphism (Gallant, Lambert, Vanstone, CRYPTO 2001):
+# phi(x, y) = (BETA * x, y) is LAMBDA * (x, y) for every point.
+LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
+BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
+# A lattice basis (A1, -B1), (A2, B2) of the pairs (a, b) with
+# a + b * LAMBDA = 0 (mod N), the one libsecp256k1's scalar_split_lambda
+# uses; A1 * B2 + A2 * B1 = N.
+_A1 = 0x3086D221A7D46BCDE86C90E49284EB15
+_B1 = 0xE4437ED6010E88286F547FA90ABFE4C3
+_A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
+_B2 = _A1
+# The bound on the halves of split_scalar: (k, 0) = x1 * (A1, -B1) +
+# x2 * (A2, B2) with x1 = k*B2/N and x2 = k*B1/N, and rounding x1 and x2
+# to c1 and c2 leaves (k1, k2) = (k, 0) - c1 * (A1, -B1) - c2 * (A2, B2)
+# = e1 * (A1, -B1) + e2 * (A2, B2) with |e1|, |e2| <= 1/2. So
+# |k1| <= (A1 + A2)/2 and |k2| <= (B1 + B2)/2, both below 2^HALF_BITS.
+# A half's signed w-bit digits fill HALF_BITS // w rows; the bits above
+# them, fewer than w, plus the carry of the digit below, come to at most
+# 2^(w-1), one digit of one more row.
+HALF_BITS = 128
+
+
+def split_scalar(k: int) -> Tuple[int, int]:
+    """(k1, k2) with k1 + k2 * LAMBDA = k (mod N), both below 2^HALF_BITS
+    in magnitude: k's coordinates in the basis above, rounded."""
+    c1 = (k * _B2 + N // 2) // N
+    c2 = (k * _B1 + N // 2) // N
+    return k - c1 * _A1 - c2 * _A2, c1 * _B1 - c2 * _B2
 
 
 def is_on_curve(point: Optional[Point]) -> bool:
@@ -74,9 +109,9 @@ def point_add(p1: Optional[Point], p2: Optional[Point]) -> Optional[Point]:
     if x1 == x2 and (y1 + y2) % P == 0:
         return None
     if p1 == p2:
-        lam = (3 * x1 * x1) * _batch_invert([2 * y1])[0] % P
+        lam = (3 * x1 * x1) * batch_invert([2 * y1])[0] % P
     else:
-        lam = (y2 - y1) * _batch_invert([x2 - x1])[0] % P
+        lam = (y2 - y1) * batch_invert([x2 - x1])[0] % P
     x3 = (lam * lam - x1 - x2) % P
     return (x3, (lam * (x1 - x3) - y1) % P)
 
@@ -117,7 +152,7 @@ def _jac_add_mixed(pt, aff):
 def _jac_to_affine_all(pts) -> List[Optional[Point]]:
     """Each Jacobian point made affine, None for infinity, all sharing one
     field inversion."""
-    zinvs = iter(_batch_invert([Z for _, _, Z in pts if Z]))
+    zinvs = iter(batch_invert([Z for _, _, Z in pts if Z]))
     out = []
     for X, Y, Z in pts:
         if not Z:
@@ -129,21 +164,21 @@ def _jac_to_affine_all(pts) -> List[Optional[Point]]:
     return out
 
 
-def _batch_invert(values):
-    """Inverses of nonzero field elements, sharing one field inversion;
-    none for no values."""
+def batch_invert(values, modulus: int = P) -> List[int]:
+    """Inverses of values nonzero modulo modulus, the field's P unless
+    given, sharing one modular inversion; none for no values."""
     if not values:
         return []
     prefix = []
     acc = 1
     for v in values:
         prefix.append(acc)
-        acc = acc * v % P
-    inv = pow(acc, -1, P)
+        acc = acc * v % modulus
+    inv = pow(acc, -1, modulus)
     out = [None] * len(values)
     for i in range(len(values) - 1, -1, -1):
-        out[i] = inv * prefix[i] % P
-        inv = inv * values[i] % P
+        out[i] = inv * prefix[i] % modulus
+        inv = inv * values[i] % modulus
     return out
 
 
@@ -153,7 +188,7 @@ def _add_affine(pairs):
     # Equal x: a doubling (2y), or a cancellation whose inverse goes unused.
     dens = [q[0] - p[0] or 2 * p[1] for p, q in pairs]
     out = []
-    for ((x1, y1), (x2, y2)), inv in zip(pairs, _batch_invert(dens)):
+    for ((x1, y1), (x2, y2)), inv in zip(pairs, batch_invert(dens)):
         if x1 != x2:
             lam = (y2 - y1) * inv % P
         elif y1 == y2:
@@ -229,7 +264,8 @@ class FixedBase:
     """Precomputed multiples of one point, for multiplication without doublings.
 
     ``k * point`` is summed from one table entry per signed ``window``-bit
-    digit of k. Row i holds ``j * 2^(window*i) * point`` for
+    digit of each half of ``split_scalar(k)``, the k2 half's sum mapped by
+    phi. Row i holds ``j * 2^(window*i) * point`` for
     j = 1 .. 2^(window-1); index 0 is unused. Entries are affine.
     """
 
@@ -241,7 +277,7 @@ class FixedBase:
         # then one shared inversion to make them affine.
         acc = (point[0], point[1], 1)
         bases = [acc]
-        for _ in range(256 // window):
+        for _ in range(HALF_BITS // window):
             for _ in range(window):
                 acc = _jac_double(acc)
             bases.append(acc)
@@ -271,46 +307,56 @@ class SumTable:
 
 
 def _entries(sums) -> List[List[Point]]:
-    """For each sum of k * base over (k, table) terms, the signed-digit
-    table entries whose sum it is: one entry per nonzero window digit of
-    each k. The SumTable slots the digits of all the sums need and nobody
-    has summed yet are summed first, all together."""
+    """For each sum of k * base over (k, table) terms, two groups of
+    signed-digit table entries: one entry per nonzero window digit of each
+    half of k's split, the k1 halves' entries in the first group and the k2
+    halves' in the second, whose sum phi maps (see ``_jac_sums``). The
+    SumTable slots the digits of all the sums need and nobody has summed
+    yet are summed first, all together, each once for all the entries it
+    serves."""
     groups = []
-    unsummed = []  # (entries, position in them, table, row, slot, negated)
+    unsummed = {}  # (table, row, slot) -> [(entries, position in them, negated)]
     for terms in sums:
-        entries = []
+        halves = ([], [])
         for k, table in terms:
-            k %= N
             w = table.window
             full = 1 << w
             half = full >> 1
-            for i, row in enumerate(table.rows):
-                if not k:
-                    break
-                digit = k & (full - 1)
-                k >>= w
-                if digit > half:  # the signed digit digit - 2^w; carry into k
-                    k += 1
-                    j, negated = full - digit, True
-                elif digit:
-                    j, negated = digit, False
-                else:
-                    continue
-                entry = row[j]
-                if entry is None:
-                    unsummed.append((entries, len(entries), table, i, j, negated))
-                elif negated:
-                    entry = (entry[0], P - entry[1])
-                entries.append(entry)
-        groups.append(entries)
+            for m, entries in zip(split_scalar(k % N), halves):
+                flip = m < 0
+                if flip:
+                    m = -m
+                for i, row in enumerate(table.rows):
+                    if not m:
+                        break
+                    digit = m & (full - 1)
+                    m >>= w
+                    if digit > half:  # the signed digit digit - 2^w; carry into m
+                        m += 1
+                        j, negated = full - digit, not flip
+                    elif digit:
+                        j, negated = digit, flip
+                    else:
+                        continue
+                    entry = row[j]
+                    if entry is None:
+                        unsummed.setdefault((table, i, j), []).append(
+                            (entries, len(entries), negated)
+                        )
+                    elif negated:
+                        entry = (entry[0], P - entry[1])
+                    entries.append(entry)
+        groups.extend(halves)
     if unsummed:
         # A slot whose keys sum to infinity stays unsummed and leaves entries.
         filled = affine_sums(
-            [key.rows[i][j] for key in table.keys] for _, _, table, i, j, _ in unsummed
+            [key.rows[i][j] for key in table.keys] for table, i, j in unsummed
         )
-        for (entries, pos, table, i, j, negated), entry in zip(unsummed, filled):
-            if entry is not None:
-                table.rows[i][j] = entry
+        for ((table, i, j), uses), entry in zip(unsummed.items(), filled):
+            if entry is None:
+                continue
+            table.rows[i][j] = entry
+            for entries, pos, negated in uses:
                 entries[pos] = (entry[0], P - entry[1]) if negated else entry
         if None in filled:
             groups = [[entry for entry in group if entry is not None] for group in groups]
@@ -327,15 +373,20 @@ _MIN_AFFINE_PAIRS = 10
 
 
 def _jac_sums(groups: List[List[Point]]) -> list:
-    """The Jacobian sum of each group of affine points: the groups halved
-    together, one level of affine pairs at a time, while the level holds at
-    least _MIN_AFFINE_PAIRS pairs, then each group's points added one at a
-    time in Jacobian coordinates."""
+    """The Jacobian sum of each pair of groups of affine points, the first
+    group plus phi of the second: all the groups halved together, one
+    level of affine pairs at a time, while the level holds at least
+    _MIN_AFFINE_PAIRS pairs, then each pair's points added one at a time
+    in Jacobian coordinates, the second group's first, so that phi maps
+    their partial sum once: phi(X, Y, Z) = (BETA * X, Y, Z)."""
     while sum(len(group) // 2 for group in groups) >= _MIN_AFFINE_PAIRS:
         groups = _halve(groups)
     sums = []
-    for points in groups:
+    for points, lam_points in zip(groups[0::2], groups[1::2]):
         acc = _JINF
+        for point in lam_points:
+            acc = _jac_add_mixed(acc, point)
+        acc = (acc[0] * BETA % P, acc[1], acc[2])
         for point in points:
             acc = _jac_add_mixed(acc, point)
         sums.append(acc)
@@ -378,7 +429,7 @@ def sums_named(claims) -> List[bool]:
         if Z and X == claims[i][0] * ZZ % P:
             matches.append((i, Y, ZZ * Z % P))
     named = [False] * len(claims)
-    for (i, Y, _), inv in zip(matches, _batch_invert([z for _, _, z in matches])):
+    for (i, Y, _), inv in zip(matches, batch_invert([z for _, _, z in matches])):
         named[i] = bool(Y * inv % P & 1) == claims[i][1]
     return named
 

@@ -889,6 +889,18 @@ class TestLeaderTick:
         only(outs, ArmHeartbeatTimer)
         assert isinstance(leader.role, Leader)
 
+    def test_every_tick_sends_the_burst_built_at_election(self, cluster3):
+        states, outs = elect_leader(cluster3)
+        leader = states[0]
+        elected = only(outs, Send)
+        assert elected is leader.role.burst
+        assert [(p.dst, p.body) for p in elected.packets] == [
+            (1, Heartbeat(leader.role.proof)), (2, Heartbeat(leader.role.proof)),
+        ]
+        for now_ms in (1050, 1100):
+            _, outs = core.step(leader, HeartbeatTick(), now_ms)
+            assert only(outs, Send) is elected
+
     def test_leader_steps_down_after_ttl(self, cluster3):
         states, _ = elect_leader(cluster3)
         leader = states[0]

@@ -1,6 +1,7 @@
 """Group arithmetic, checked against a naively written affine oracle."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -49,11 +50,41 @@ def key_table(point):
 KEY_TABLE = key_table(KEY)
 
 
-def window_boundaries(*windows):
-    """Scalars at signed-digit carry boundaries, applied as examples."""
-    scalars = {0, 1, curve.N - 1, curve.N - 2**100}
+def from_halves(k1, k2):
+    """The scalar k1 + k2 * LAMBDA (mod N)."""
+    return (k1 + k2 * curve.LAMBDA) % curve.N
+
+
+# The split's rounding leaves (k1, k2) = e1 * (A1, -B1) + e2 * (A2, B2)
+# with |e1|, |e2| <= 1/2; its corners, e1, e2 = +-(1/2 - 2^-64), hold the
+# largest halves it returns.
+_E = Fraction(1, 2) - Fraction(1, 2**64)
+BOUND_EXTREMES = [
+    (round(e1 * curve._A1 + e2 * curve._A2), round(-e1 * curve._B1 + e2 * curve._B2))
+    for e1 in (_E, -_E)
+    for e2 in (_E, -_E)
+]
+
+
+def boundary_halves(*windows):
+    """Pairs of split halves at signed-digit carry boundaries of the
+    windows, and at the split's bound: each half 0, +-2^(w-1), +-(2^w - 1)
+    or +-(2^(w*r) - 1), whose carry runs into the last of a table's
+    r + 1 rows, alone, as the other half, or opposite its negation."""
+    halves = {0}
     for w in windows:
-        scalars |= {2 ** (w - 1), 2 ** (w - 1) + 1, 2**w - 1, 2**w}
+        r = curve.HALF_BITS // w
+        for h in (2 ** (w - 1), 2**w - 1, 2 ** (w * r) - 1):
+            halves |= {h, -h}
+    pairs = {(h, 0) for h in halves} | {(0, h) for h in halves} | {(h, -h) for h in halves}
+    return sorted(pairs | set(BOUND_EXTREMES))
+
+
+def split_boundaries(*windows):
+    """The scalars of boundary_halves, with LAMBDA, N - LAMBDA and N - 1,
+    applied as examples."""
+    scalars = {from_halves(*pair) for pair in boundary_halves(*windows)}
+    scalars |= {curve.LAMBDA, curve.N - curve.LAMBDA, curve.N - 1}
 
     def apply(test):
         for k in sorted(scalars):
@@ -63,15 +94,64 @@ def window_boundaries(*windows):
     return apply
 
 
+def test_boundary_scalars_split_into_their_halves():
+    # Otherwise the examples built from them would miss the boundaries.
+    for k1, k2 in boundary_halves(curve.BASE_WINDOW, curve.KEY_WINDOW):
+        assert curve.split_scalar(from_halves(k1, k2)) == (k1, k2)
+    # The extremes reach the bound's top bit, which the last row covers.
+    top = max(abs(h) for pair in BOUND_EXTREMES for h in pair)
+    assert top.bit_length() == curve.HALF_BITS
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=curve.N - 1))
+@split_boundaries(curve.BASE_WINDOW, curve.KEY_WINDOW)
+def test_split_halves_sum_to_k_within_the_bound(k):
+    k1, k2 = curve.split_scalar(k)
+    assert (k1 + k2 * curve.LAMBDA - k) % curve.N == 0
+    assert abs(k1) <= (curve._A1 + curve._A2) // 2 < 2**curve.HALF_BITS
+    assert abs(k2) <= (curve._B1 + curve._B2) // 2 < 2**curve.HALF_BITS
+
+
+def test_beta_maps_a_point_to_its_lambda_multiple():
+    for point in (curve.G, KEY):
+        x, y = point
+        assert naive_mult(curve.LAMBDA, point) == (curve.BETA * x % curve.P, y)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=1, max_value=curve.N - 1))
-@window_boundaries(curve.BASE_WINDOW, curve.KEY_WINDOW)
+@split_boundaries(curve.BASE_WINDOW, curve.KEY_WINDOW)
 def test_fast_paths_agree_with_each_other(k):
-    assert curve.scalar_mult_base(k) == curve.scalar_mult(k, curve.G)
+    expected = naive_mult(k, curve.G)
+    assert curve.scalar_mult_base(k) == expected
+    assert curve.scalar_mult(k, curve.G) == expected
     assert KEY_TABLE.mult(k) == curve.scalar_mult(k, KEY)
     # scalar_mult shares _multiples and _add_affine with the key table, so
     # also check the table against the independent point_add oracle.
     assert KEY_TABLE.mult(k) == naive_mult(k, KEY)
+
+
+def test_table_build_costs(monkeypatch):
+    # Cold costs, which warm runs never see: the affine pairs and doublings
+    # spent building the generator's table (at import) and a key's (on its
+    # first use), and the entries each stores. Window 10 gives 13 rows of
+    # 2^9 entries, each row 2^9 - 1 pairs; window 7 gives 19 rows of 2^6.
+    pairs, doublings = [], []
+    add_affine, jac_double = curve._add_affine, curve._jac_double
+    monkeypatch.setattr(
+        curve, "_add_affine", lambda p: pairs.append(len(p)) or add_affine(p)
+    )
+    monkeypatch.setattr(
+        curve, "_jac_double", lambda pt: doublings.append(1) or jac_double(pt)
+    )
+    costs = []
+    for point, window in ((curve.G, curve.BASE_WINDOW), (KEY, curve.KEY_WINDOW)):
+        pairs.clear(), doublings.clear()
+        table = curve.FixedBase(point, window)
+        entries = sum(entry is not None for row in table.rows for entry in row)
+        costs.append((len(table.rows), entries, sum(pairs), len(doublings)))
+    assert costs == [(13, 6_656, 6_643, 120), (19, 1_216, 1_197, 126)]
 
 
 def fold(points):
@@ -148,10 +228,10 @@ KEY2_TABLE = key_table(KEY2)
 
 @settings(max_examples=10, deadline=None)
 @given(st.integers(min_value=1, max_value=curve.N - 1))
-@window_boundaries(curve.BASE_WINDOW, curve.KEY_WINDOW)
+@split_boundaries(curve.BASE_WINDOW, curve.KEY_WINDOW)
 def test_fixed_sum_and_sum_names_match_the_fold(k):
     # The shape of a Schnorr check over two signers, s*G - e*X_1 - e*X_2,
-    # with each table's scalar at or next to a signed-digit carry boundary.
+    # with the halves of each table's scalar at signed-digit carry boundaries.
     terms = [
         (k, curve.BASE),
         (k, KEY_TABLE),
@@ -186,15 +266,20 @@ def test_batched_sums_match_the_sums_one_at_a_time(monkeypatch):
         [(curve.N - 1, base), (curve.N - 2**100, key)],
         [(0xDEADBEEF, key), (2**5 + 1, key2)],
         [(curve.N - 2**100, key2)],
+        # Halves (0, 1) and (0, -1): entries of the k2 group, one negated.
+        [(curve.LAMBDA, key), (curve.N - curve.LAMBDA, key2), (curve.LAMBDA, base)],
+        # The k2 group cancels to infinity before phi maps it.
+        [(curve.LAMBDA, key), (curve.N - curve.LAMBDA, key), (1, base)],
     ]
     sums = [[(k, table) for k, (_, table) in terms] for terms in spelled]
     totals = [fold(naive_mult(k, point) for k, (point, _) in terms) for terms in spelled]
     assert totals[0] is totals[2] is totals[3] is None
     inversions, levels = [], []
-    batch_invert, add_affine = curve._batch_invert, curve._add_affine
+    batch_invert, add_affine = curve.batch_invert, curve._add_affine
     monkeypatch.setattr(
-        curve, "_batch_invert",
-        lambda values: inversions.append(len(values)) or batch_invert(values),
+        curve, "batch_invert",
+        lambda values, modulus=curve.P: inversions.append(len(values))
+        or batch_invert(values, modulus),
     )
     monkeypatch.setattr(
         curve, "_add_affine",
@@ -248,14 +333,15 @@ def filled(table):
 
 @settings(max_examples=3, deadline=None)
 @given(st.integers(min_value=1, max_value=curve.N - 1))
-@window_boundaries(curve.KEY_WINDOW)
+@split_boundaries(curve.KEY_WINDOW)
 @pytest.mark.parametrize("keys", [
     KEYS[:2], KEYS[:3], KEYS,
     (KEY, curve.point_neg(KEY), KEY2),  # the fill's first pair cancels
 ], ids=["2-keys", "3-keys", "5-keys", "X,-X,Y"])
 def test_sum_table_matches_the_fold(keys, k):
-    # The boundary scalars hold digits above half (2^5 + 1, 2^6 - 1 and
-    # most digits of N - 1), which take negated slots.
+    # The boundary scalars' halves hold digits above half (2^6 + 1 and
+    # 2^7 - 1), which take negated slots, as does a negative half; the
+    # k2 half reads its slots through phi.
     total = fold([naive_mult(k, key) for key in keys])
     if keys[1] == curve.point_neg(keys[0]):
         assert total == naive_mult(k, keys[2])
@@ -275,6 +361,21 @@ def test_sum_table_matches_the_fold(keys, k):
         if total is not None:
             assert names(total, [(k, table)]) == (True, False)
         assert table.rows == rows
+
+
+def test_a_slot_both_halves_need_is_summed_once(monkeypatch):
+    # With k1 = k2 both halves read the same slots, the k2 half through phi.
+    table = sum_table(KEYS[:2])
+    k = from_halves(0xDEADBEEF, 0xDEADBEEF)
+    fills = []
+    affine_sums = curve.affine_sums
+    monkeypatch.setattr(
+        curve, "affine_sums",
+        lambda groups: affine_sums(fills.append(list(groups)) or fills[-1]),
+    )
+    assert curve.fixed_sum([(k, table)]) == fold(naive_mult(k, key) for key in KEYS[:2])
+    # 0xDEADBEEF has five nonzero signed 7-bit digits: ten entries, five slots.
+    assert [len(groups) for groups in fills] == [filled(table)] == [5]
 
 
 def test_sum_tables_of_two_sizes_fill_together():

@@ -638,25 +638,30 @@ def test_forged_flood_over_every_combo_costs_no_more_than_key_terms(monkeypatch)
 
 class TestFieldInversions:
     """The field inversions of one warm protocol step: tables built and
-    aggregate keys summed. Every inversion goes through curve._batch_invert,
-    and a call given values pays one. Unlike timings on a shared host, the
-    counts repeat exactly."""
+    aggregate keys summed. Every inversion goes through curve.batch_invert,
+    and a call given values pays one, in the field (modulo P) or in the
+    scalars (modulo N). Unlike timings on a shared host, the counts repeat
+    exactly."""
 
     @staticmethod
-    def _inversions(monkeypatch, step):
+    def _inversions(monkeypatch, step, modulus=curve.P):
         sizes = []
-        batch_invert = curve._batch_invert
-        monkeypatch.setattr(
-            curve, "_batch_invert",
-            lambda values: sizes.append(len(values)) or batch_invert(values),
-        )
+        batch_invert = curve.batch_invert
+
+        def counting(values, mod=curve.P):
+            if mod == modulus:
+                sizes.append(len(values))
+            return batch_invert(values, mod)
+
+        monkeypatch.setattr(curve, "batch_invert", counting)
         result = step()
         return result, sum(1 for size in sizes if size)
 
     def test_grant_sums_its_nonce_points_together(self, monkeypatch):
-        # C(3, 1) = 3 nonce points of 26 entries each: two levels of affine
-        # pairs and one inversion to make all three affine (one at a time,
-        # each point cost two).
+        # C(3, 1) = 3 nonce points, each summed from two groups of 13
+        # entries, one per digit of each half of the split nonce: three
+        # levels of affine pairs and one inversion to make all three
+        # affine (one at a time, each point cost two).
         keypairs, keyring = make_cluster(5, seed="inversions")
         payloads = proofs.make_vote_payloads(
             1, 1, NOW, keyring, wire.SCHEME_SCHNORR, random.Random(0)
@@ -666,11 +671,13 @@ class TestFieldInversions:
             monkeypatch, lambda: proofs.grant_vote(keypairs[0], payloads[0], keyring)
         )
         assert len(grant.partials) == 3
-        assert inversions == 3
+        assert inversions == 4
 
     def test_shamir_check_sums_its_share_checks_together(self, monkeypatch):
-        # q = 5 share checks of 26 + 43 entries: five levels of affine pairs
-        # and one inversion for the five parities (one at a time, 15).
+        # q = 5 share checks, each summed from two groups of 13 + 19
+        # entries, one per half of the split scalars: five levels of
+        # affine pairs and one inversion for the five parities (one at a
+        # time, 15).
         keypairs, keyring = make_cluster(9, seed="inversions")
         _, proof = build(keypairs, keyring, 0, [1, 2, 3, 4], wire.SCHEME_SSS)
         assert proofs.validate_proof(proof, keyring, POLICY, NOW) is ValidationResult.OK
@@ -680,9 +687,22 @@ class TestFieldInversions:
         assert verdict is ValidationResult.OK
         assert inversions == 6
 
+    def test_shamir_check_pays_two_scalar_inversions(self, monkeypatch):
+        # One for the q = 5 share signatures' s values and one for the
+        # Lagrange denominators of the restore (one per value, 10).
+        keypairs, keyring = make_cluster(9, seed="inversions")
+        _, proof = build(keypairs, keyring, 0, [1, 2, 3, 4], wire.SCHEME_SSS)
+        assert proofs.validate_proof(proof, keyring, POLICY, NOW) is ValidationResult.OK
+        verdict, inversions = self._inversions(
+            monkeypatch, lambda: proofs.validate_proof(proof, keyring, POLICY, NOW), curve.N
+        )
+        assert verdict is ValidationResult.OK
+        assert inversions == 2
+
     def test_failing_schnorr_check_pays_no_parity(self, monkeypatch):
-        # One sum of 26 + 43 entries: two levels of affine pairs, and no
-        # inversion for a parity, as the sum misses the nonce point's x.
+        # One sum from two groups of 13 + 19 entries: two levels of affine
+        # pairs, and no inversion for a parity, as the sum misses the nonce
+        # point's x.
         keypairs, keyring = make_cluster(5, seed="inversions")
         _, proof = build(keypairs, keyring, 1, [0, 3], wire.SCHEME_SCHNORR)
         assert proofs.validate_proof(proof, keyring, POLICY, NOW) is ValidationResult.OK
