@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
-from . import proofs, wire
+from . import crypto, proofs, wire
 from .crypto import ClusterKeyring, KeyPair, NodeId
 from .proofs import (
     ProofPolicy,
@@ -206,7 +206,8 @@ def step(state: NodeState, event: Event, now_ms: int) -> Tuple[NodeState, List[O
     """Advance the node; mutates and returns the state plus outputs.
 
     Total: every (state, event) pair yields a defined result, and bad
-    packets produce diagnostics rather than exceptions.
+    packets produce diagnostics rather than exceptions. A refusal leaves
+    the term, vote record, role and known leader as they were.
     """
     if isinstance(event, PacketArrived):
         body = event.packet.body
@@ -226,6 +227,13 @@ def step(state: NodeState, event: Event, now_ms: int) -> Tuple[NodeState, List[O
             return state, []  # stale timer from before stepping down
         return state, _on_heartbeat_tick(state, now_ms)
     return state, [Diagnostic("malformed", f"unknown event {event!r}")]
+
+
+# What signing or checking a vote raises on input no honest node sends:
+# besides ProofError, a field that does not fit the wire (MalformedError)
+# or a combo whose keys sum to infinity (CryptoError). Each is caught where
+# it is raised, before any state change, at no cost to the honest path.
+_UNSIGNABLE = (proofs.ProofError, crypto.CryptoError, wire.MalformedError)
 
 
 def _arm_election(
@@ -291,7 +299,7 @@ def _on_vote_request(
         return [Diagnostic("malformed", f"vote-request: candidate {payload.candidate}")]
     try:
         grant = proofs.grant_vote(state.keypair, payload, state.keyring)
-    except proofs.ProofError as exc:
+    except _UNSIGNABLE as exc:
         return [Diagnostic("malformed", f"vote-request: {exc}")]
     outputs: List[Output] = []
     if payload.term > state.current_term:
@@ -369,7 +377,7 @@ def _on_vote_response(state: NodeState, grant: VoteGrant, now_ms: int) -> List[O
             Diagnostic("bad-grant", f"term={state.current_term} voter={voter}")
             for voter in dropped
         ]
-    except proofs.ProofError as exc:
+    except _UNSIGNABLE as exc:
         role.build_failure = str(exc)
         return outputs + [Diagnostic("bad-grant", role.build_failure)]
     state.role = Leader(proof, _heartbeat_burst(state, proof))
@@ -397,7 +405,10 @@ def _on_heartbeat(state: NodeState, hb: Heartbeat, now_ms: int) -> List[Output]:
         # No node of this cluster signs a proof in another scheme.
         result = ValidationResult.BAD_SIGNATURE
         if proof.scheme == state.config.scheme:
-            result = state.validator.validate(proof, state.voted_for)
+            try:
+                result = state.validator.validate(proof, state.voted_for)
+            except _UNSIGNABLE as exc:
+                return [Diagnostic("malformed", f"heartbeat: {exc}")]
     if result is not ValidationResult.OK:
         return [Diagnostic(result.value, f"term={term} leader={leader}")]
     outputs: List[Output] = []

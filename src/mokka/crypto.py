@@ -179,8 +179,7 @@ class ClusterKeyring:
         derived = {
             "sorted_ids": sorted_ids,
             "_key_of": dict(self.node_keys),
-            # The first node holding a key names it, as a scan would.
-            "_id_of": {pub: node_id for node_id, pub in reversed(self.node_keys)},
+            "_id_of": {pub: node_id for node_id, pub in self.node_keys},
             "_ordinal_of": {node_id: i for i, node_id in enumerate(sorted_ids, 1)},
             "_tables": {},
         }
@@ -226,10 +225,18 @@ class ClusterKeyring:
         return (ComboId.of(want.union(rest)) for rest in rests)
 
 
+# Per domain tag, a sha256 object fed its prefix sha256(tag) || sha256(tag);
+# the tags are this package's few constants.
+_DOMAINS = {}
+
+
 def hash_to_scalar(domain_tag: str, parts: Sequence[bytes]) -> int:
     """Domain-separated hash of length-prefixed parts, reduced mod group order."""
-    tag = hashlib.sha256(domain_tag.encode()).digest()
-    h = hashlib.sha256(tag + tag)
+    prefix = _DOMAINS.get(domain_tag)
+    if prefix is None:
+        tag = hashlib.sha256(domain_tag.encode()).digest()
+        prefix = _DOMAINS[domain_tag] = hashlib.sha256(tag + tag)
+    h = prefix.copy()
     for part in parts:
         h.update(len(part).to_bytes(8, "big"))
         h.update(part)
@@ -257,13 +264,16 @@ def keygen(seed: bytes) -> KeyPair:
 
 
 def build_keyring(keys: Sequence[Tuple[NodeId, Point]]) -> ClusterKeyring:
-    """The keyring of these node keys, after checking the cluster's size and
-    ids; no curve work, as each combo's aggregate is summed on first use."""
+    """The keyring of these node keys, after checking the cluster's size,
+    ids and keys (one holder of a shared key could sign for both nodes); no
+    curve work, as each combo's aggregate is summed on first use."""
     n = len(keys)
     check_cluster_size(n)
     ids = [node_id for node_id, _ in keys]
     if len(set(ids)) != n:
         raise CryptoError("duplicate node")
+    if len({public for _, public in keys}) != n:
+        raise CryptoError("duplicate key")
     if any(not 0 <= i < MAX_NODES for i in ids):
         raise CryptoError(f"node ids must be in [0, {MAX_NODES})")
     return ClusterKeyring(tuple(keys), n // 2 + 1)

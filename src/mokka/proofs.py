@@ -371,13 +371,13 @@ class _Sss:
             return ()
 
     def encode_body(self, body):
-        out = body.salt + len(body.entries).to_bytes(2, "big")
+        out = body.salt + wire.encode_uint(len(body.entries), 2)
         for share, sig in body.entries:
             out += (
                 encode_share(share)
                 + wire.encode_scalar(sig.r)
                 + wire.encode_scalar(sig.s)
-                + bytes([sig.recovery_hint])
+                + wire.encode_uint(sig.recovery_hint, 1)
             )
         return out
 

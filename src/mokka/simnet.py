@@ -307,11 +307,10 @@ def _leader_intervals(
 
 def check_invariants(trace: List[TraceEvent], report: RunReport) -> List[str]:
     """The run's violations, from one pass over the trace's typed events
-    (``TraceEvent.about``; the text is never read): election safety,
-    vote uniqueness, term monotonicity, timer resets, fake leaders
-    acknowledged and minority leaders, each kind in trace order."""
+    (``TraceEvent.about``; no text, and no adversary by name): election
+    safety, vote uniqueness, term monotonicity, timer resets (proof
+    soundness, expired proofs) and minority leaders, each in trace order."""
     honest = set(report.honest_nodes)
-    fake_leaders = {n for n, b in report.adversaries.items() if b == "fake_leader"}
 
     # Election safety: at most one leader per term.
     violations = [
@@ -325,22 +324,31 @@ def check_invariants(trace: List[TraceEvent], report: RunReport) -> List[str]:
     role_changes: List[TraceEvent] = []
     seen_votes: Dict[Tuple[int, int], int] = {}
     last_term: Dict[int, int] = {}
+    # The proof each (term, node) was elected with, by any node: a
+    # Byzantine node that wins real votes issues a real proof.
+    issued: Dict[Tuple[int, int], Optional[proofs.VoteProof]] = {}
     for ev in trace:
         kind, node, about = ev.kind, ev.node, ev.about
         if kind == "role_change":
             role_changes.append(ev)
+            if about.role == "leader":
+                issued[about.term, node] = about.proof
         elif kind != "send" and kind != "timer":
             continue
         if node not in honest:
             continue
         if kind == "timer":
-            if about.proof is None:
+            proof = about.proof
+            if proof is None:
                 continue
-            leader, proof_ts = about.proof.candidate, about.proof.timestamp_ms
-            # A heartbeat without a valid proof never resets a timer.
-            if leader in fake_leaders:
+            leader, proof_ts = proof.candidate, proof.timestamp_ms
+            # Proof soundness: an honest node resets its timer only with a
+            # proof some node of this run was elected with.
+            elected = issued.get((proof.term, leader))
+            if elected is not proof and elected != proof:
                 resets.append(
-                    f"fake-leader-reset node={node} leader={leader} at={ev.time_ms}"
+                    f"proof-soundness node={node} leader={leader}"
+                    f" term={proof.term} at={ev.time_ms}"
                 )
             # An expired proof never resets a timer (covers post-ttl replay).
             if ev.time_ms > proof_ts + report.proof_ttl_ms:
@@ -365,13 +373,6 @@ def check_invariants(trace: List[TraceEvent], report: RunReport) -> List[str]:
         else:
             last_term[node] = term
     violations += double_votes + regressions + resets
-
-    for node in honest:
-        if report.final_known_leader.get(node) in fake_leaders:
-            violations.append(
-                f"fake-leader-acknowledged node={node}"
-                f" leader={report.final_known_leader[node]}"
-            )
 
     # During a partition, a sub-quorum side holds no leader once the old
     # proof has had time to expire (ttl plus one heartbeat of stepdown lag).

@@ -19,7 +19,16 @@ MAX_TERM = 2**64 - 1  # the largest term the vote message's 8 bytes hold
 
 
 class MalformedError(ValueError):
-    """Raised when bytes do not decode to a well-formed value."""
+    """Raised when bytes do not decode to a well-formed value, or a value
+    does not fit its encoding."""
+
+
+def encode_uint(value: int, length: int, byteorder: str = "big") -> bytes:
+    """value as length unsigned bytes; MalformedError when it does not fit."""
+    try:
+        return value.to_bytes(length, byteorder)
+    except OverflowError:
+        raise MalformedError(f"{value} does not fit in {length} bytes") from None
 
 
 def encode_point(point: Point) -> bytes:
@@ -27,7 +36,7 @@ def encode_point(point: Point) -> bytes:
     if point is None:
         raise MalformedError("cannot encode the point at infinity")
     x, y = point
-    return bytes([2 + (y & 1)]) + x.to_bytes(32, "big")
+    return bytes([2 + (y & 1)]) + encode_uint(x, 32)
 
 
 def decode_x_parity(data: bytes) -> Tuple[int, bool]:
@@ -50,9 +59,7 @@ def decode_point(data: bytes) -> Point:
 
 
 def encode_scalar(value: int) -> bytes:
-    if not 0 <= value < 1 << 256:
-        raise MalformedError("scalar out of range")
-    return value.to_bytes(32, "big")
+    return encode_uint(value, 32)
 
 
 def decode_scalar(data: bytes) -> int:
@@ -62,7 +69,7 @@ def decode_scalar(data: bytes) -> int:
 
 
 def encode_combo_mask(mask: int) -> bytes:
-    return mask.to_bytes(8, "little")
+    return encode_uint(mask, 8, "little")
 
 
 def decode_combo_mask(data: bytes) -> int:
@@ -72,10 +79,11 @@ def decode_combo_mask(data: bytes) -> int:
 
 
 def vote_message(scheme: int, term: int, timestamp_ms: int, candidate: int) -> bytes:
-    """The message every vote signature commits to."""
+    """The message every vote signature commits to; MalformedError when a
+    field does not fit."""
     return (
-        bytes([scheme])
-        + term.to_bytes(8, "big")
-        + timestamp_ms.to_bytes(8, "big")
-        + candidate.to_bytes(2, "big")
+        encode_uint(scheme, 1)
+        + encode_uint(term, 8)
+        + encode_uint(timestamp_ms, 8)
+        + encode_uint(candidate, 2)
     )

@@ -2,7 +2,7 @@ import pathlib
 
 import pytest
 
-from mokka import crypto
+from mokka import crypto, curve
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
@@ -10,6 +10,16 @@ GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
 def make_cluster(n, seed="test"):
     return crypto.cluster(seed, n)
+
+
+def cancelling_cluster():
+    """n = 3 with keys X, -X and Y: combo {0, 1} has no aggregate key."""
+    x, y = crypto.keygens([b"cancel-x", b"cancel-y"])
+    neg_x = crypto.KeyPair(curve.N - x.secret, curve.point_neg(x.public))
+    keypairs = (x, neg_x, y)
+    return keypairs, crypto.build_keyring(
+        [(i, kp.public) for i, kp in enumerate(keypairs)]
+    )
 
 
 @pytest.fixture(autouse=True)

@@ -230,7 +230,7 @@ def test_criterion_04_fake_leader_resistance(fake_leader_batch):
     fake = scenario.adversaries[0].node
     for k, (trace, report) in enumerate(runs):
         tag = f"seed+{k}"
-        if report.violations:  # includes fake-leader-reset / -acknowledged
+        if report.violations:  # includes proof-soundness
             failures.append(f"{tag}: violations {report.violations}")
         for ev in trace:
             if ev.kind == "timer" and ev.node != fake \

@@ -603,6 +603,28 @@ class TestVerify:
         assert stdout == ""
         assert "bad keyset" in stderr and "infinity" in stderr
 
+    def test_keyset_with_a_shared_key_is_usage_error(self, tmp_path, capsys):
+        # Keys X, X and Y: one key holder would count as two signers.
+        x = crypto.keygen(b"shared-x").public
+        y = crypto.keygen(b"shared-y").public
+        keys = tmp_path / "keys.yaml"
+        keys.write_text(yaml.safe_dump({"keys": [
+            {"node": i, "public": wire.encode_point(point).hex()}
+            for i, point in enumerate((x, x, y))
+        ]}))
+        proof = proofs.VoteProof(
+            wire.SCHEME_SCHNORR, 1, 0, 0,
+            proofs.SchnorrBody(crypto.ComboId(0b011), curve.G, 1),
+        )
+        code, stdout, stderr = run_cli(
+            capsys, "verify", "--proof", proofs.encode_proof(proof).hex(),
+            "--keys", str(keys), "--now", "0",
+        )
+        assert_usage_error(code, stdout, stderr)
+        assert code == 2
+        assert stdout == ""
+        assert "error: bad keyset: duplicate key" in stderr
+
     def test_proof_from_trace_verifies(self, tmp_path, capsys):
         """The proof hex a leader logs in its role_change line is checkable."""
         out = tmp_path / "keys.yaml"

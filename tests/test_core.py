@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from mokka import core, proofs, wire
+from mokka import core, crypto, curve, proofs, wire
 from mokka.core import (
     ArmElectionTimer,
     ArmHeartbeatTimer,
@@ -25,6 +25,8 @@ from mokka.core import (
     VoteResponse,
 )
 from mokka.proofs import ProofPolicy
+
+from conftest import cancelling_cluster
 
 
 def only(outputs, kind):
@@ -966,3 +968,60 @@ class TestSssScheme:
             candidate.role.proof, candidate.keyring,
             candidate.config.proof_policy, 1000,
         ) is proofs.ValidationResult.OK
+
+
+class TestTotality:
+    """Input no honest node sends, which signing or checking cannot encode
+    or sum, is refused: term, vote record, role and known leader stay."""
+
+    @staticmethod
+    def _unchanged(state, event, now_ms, code):
+        def vitals():
+            return state.current_term, state.voted_for, state.role.name, state.known_leader
+
+        before = vitals()
+        _, outs = core.step(state, event, now_ms)
+        assert [out.code for out in outs] == [code]
+        assert vitals() == before
+        return outs[0].detail
+
+    def test_request_whose_combo_keys_cancel(self):
+        # Node 1's key is minus node 0's: it cannot sign for combo {0, 1}.
+        state, _ = make_node(1, cancelling_cluster())
+        payload = proofs.VotePayload(wire.SCHEME_SCHNORR, 1, 100, 0)
+        event = PacketArrived(Packet(0, 1, VoteRequest(payload)))
+        detail = self._unchanged(state, event, 100, "malformed")
+        assert detail == "vote-request: keys of nodes [0, 1] sum to infinity"
+
+    def test_heartbeat_whose_combo_keys_cancel(self):
+        state, _ = make_node(2, cancelling_cluster())
+        body = proofs.SchnorrBody(crypto.ComboId.of((0, 1)), curve.G, 5)
+        proof = proofs.VoteProof(wire.SCHEME_SCHNORR, 1, 100, 0, body)
+        event = PacketArrived(Packet(0, 2, Heartbeat(proof)))
+        detail = self._unchanged(state, event, 100, "malformed")
+        assert detail == "heartbeat: keys of nodes [0, 1] sum to infinity"
+
+    def test_grant_whose_combo_keys_cancel(self):
+        # A grant claiming node 1 makes candidate 0 sign for combo {0, 1}.
+        cluster = cancelling_cluster()
+        state, _ = make_node(0, cluster)
+        core.step(state, ElectionTimeout(), 100)
+        psig = crypto.PartialSignature(1, crypto.ComboId.of((0, 1)), curve.G, 5)
+        grant = proofs.VoteGrant(1, 1, partials=(psig,))
+        event = PacketArrived(Packet(1, 0, VoteResponse(grant)))
+        detail = self._unchanged(state, event, 100, "bad-grant")
+        assert detail == "keys of nodes [0, 1] sum to infinity"
+
+    def test_heartbeat_naming_a_negative_candidate(self, cluster3):
+        states, _ = elect_leader(cluster3)
+        proof = replace(states[0].role.proof, candidate=-1)
+        event = PacketArrived(Packet(0, 1, Heartbeat(proof)))
+        detail = self._unchanged(states[1], event, 1000, "malformed")
+        assert detail == "heartbeat: -1 does not fit in 2 bytes"
+
+    def test_request_stamped_before_the_epoch(self, cluster3):
+        state, _ = make_node(1, cluster3)
+        payload = proofs.VotePayload(wire.SCHEME_SCHNORR, 1, -5, 0)
+        event = PacketArrived(Packet(0, 1, VoteRequest(payload)))
+        detail = self._unchanged(state, event, 100, "malformed")
+        assert detail == "vote-request: -5 does not fit in 8 bytes"

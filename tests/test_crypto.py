@@ -184,6 +184,14 @@ class TestBuildKeyring:
         with pytest.raises(crypto.CryptoError, match="duplicate node"):
             crypto.build_keyring([(0, kp.public), (0, kp.public), (1, kp.public)])
 
+    def test_duplicate_key_rejected(self):
+        # Keys X, X and Y: the holder of x alone could sign for combo {0, 1}.
+        x, y = crypto.keygen(b"x").public, crypto.keygen(b"y").public
+        with pytest.raises(crypto.CryptoError, match="duplicate key"):
+            crypto.build_keyring([(0, x), (1, x), (2, y)])
+        with pytest.raises(crypto.CryptoError, match="duplicate key"):
+            crypto.build_keyring([(5, y), (0, x), (9, y)])
+
     def test_too_small_cluster_rejected(self):
         kp = crypto.keygen(b"x")
         with pytest.raises(crypto.CryptoError, match="too small"):

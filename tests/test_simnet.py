@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from mokka import adversary, cli, crypto, curve, proofs, simnet, wire
+from mokka import adversary, cli, core, crypto, curve, proofs, simnet, wire
 from mokka.core import (
     ArmElectionTimer, Heartbeat, RoleChanged, VoteRequest, VoteResponse,
 )
@@ -117,7 +117,45 @@ class TestPartition:
         )
 
 
+class ForgingLeader(adversary.FakeLeader):
+    """FakeLeader with the algebraic forgery of ROADMAP item 1: the
+    challenge does not bind R, so R = s*G - e*A, A its combo's aggregate
+    key, completes a signature from public keys alone. Nodes outside the
+    combo accept it."""
+
+    def tick(self, now_ms):
+        keyring, combo = self.state.keyring, self.combo
+        message = wire.vote_message(wire.SCHEME_SCHNORR, self.term, now_ms, self.state.id)
+        s = 1 + self.rng.randrange(curve.N - 1)
+        e = crypto.schnorr_challenge(keyring, combo, message)
+        big_r = curve.fixed_sum(
+            [(s, curve.BASE), (curve.N - e, keyring.combos.table(combo))]
+        )
+        body = proofs.SchnorrBody(combo, big_r, s)
+        proof = proofs.VoteProof(
+            wire.SCHEME_SCHNORR, self.term, now_ms, self.state.id, body
+        )
+        return [core._heartbeat_burst(self.state, proof)]
+
+
 class TestAdversaries:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_followed_forgery_is_a_proof_soundness_violation(self, seed, monkeypatch):
+        monkeypatch.setitem(adversary.BEHAVIORS, "forging_leader", ForgingLeader)
+        sc = load_scenario(scenario_path("happy-path-n5"))
+        sc = replace(sc, adversaries=(AdversarySpec(4, "forging_leader", term=99),))
+        trace, report = simnet.run(sc.with_seed(seed))
+        forged = {
+            ev.about.proof.body.combo for ev in trace
+            if ev.kind == "send" and ev.node == 4 and isinstance(ev.about, Heartbeat)
+        }
+        assert forged == {crypto.ComboId.of((0, 1, 4))}
+        # Nodes 2 and 3, outside the forged combo, follow node 4.
+        assert [report.final_known_leader[n] for n in (2, 3)] == [4, 4]
+        unsound = [v for v in report.violations if v.startswith("proof-soundness")]
+        assert unsound and len(unsound) == len(report.violations)
+        assert {v.split()[1] for v in unsound} == {"node=2", "node=3"}
+
     def test_fake_leader_never_acknowledged(self):
         trace, report = simnet.run(load_scenario(scenario_path("fake-leader")))
         assert report.violations == []
@@ -312,8 +350,8 @@ def _timer(time_ms, seq, node, cause, proof=None):
     return TraceEvent(time_ms, seq, "timer", node, detail, timer)
 
 
-def _role(time_ms, seq, node, role, term):
-    change = RoleChanged(role, term)
+def _role(time_ms, seq, node, role, term, proof=None):
+    change = RoleChanged(role, term, proof)
     return TraceEvent(
         time_ms, seq, "role_change", node, f"{role} term={term}", change
     )
@@ -333,9 +371,11 @@ def _report(**kw):
 def _every_violation_kind():
     """A hand-made trace and report that break every invariant, and the
     violations check_invariants must list for them, in order."""
-    # Node 4 is a fake leader; nodes 3 and 4 form the minority side of
-    # a partition whose leaderless window is [1050, 5000).
+    # Node 4 is an adversary; nodes 3 and 4 form the minority side of a
+    # partition whose leaderless window is [1050, 5000).
     trace = [
+        # Node 0 is elected in term 1 with the proof node 3 accepts below.
+        _role(5, 21, 0, "leader", 1, _proof(0, 1, 100)),
         _send(10, 0, 1, _vote_response(1, 2), to=0),
         _send(11, 1, 1, _vote_response(1, 2), to=2),
         _send(12, 2, 4, _vote_response(4, 2), to=0),
@@ -349,11 +389,12 @@ def _every_violation_kind():
         _send(24, 8, 0, _vote_request(0, 1), to=1),
         # Adversaries are not held to monotonic terms.
         _send(25, 9, 4, _vote_request(4, 1), to=0),
-        # A fake leader's proof, expired too.
+        # A proof no node was elected with, expired too.
         _timer(3000, 10, 1, "heartbeat", _proof(4, 1, 5)),
         _timer(3001, 11, 2, "heartbeat", _proof(4, 1, 2900)),
         # No proof: not a heartbeat reset.
         _timer(3002, 12, 0, "init"),
+        # An issued proof, equal to node 0's though not the same object.
         _timer(3003, 13, 3, "heartbeat", _proof(0, 1, 100)),
         _timer(3004, 14, 4, "heartbeat", _proof(4, 1, 0)),
         # Leadership spans on the minority side: one before the window,
@@ -361,12 +402,14 @@ def _every_violation_kind():
         _role(100, 15, 3, "leader", 6),
         _role(200, 16, 3, "follower", 6),
         _role(2000, 17, 3, "leader", 7),
-        _role(2500, 18, 4, "leader", 8),
+        _role(2500, 18, 4, "leader", 8, _proof(4, 8, 2500)),
+        # An adversary elected with real votes issues a real proof.
+        _timer(2550, 22, 1, "heartbeat", _proof(4, 8, 2500)),
         _role(2600, 19, 4, "follower", 8),
         _role(2700, 20, 0, "leader", 7),
     ]
     report = _report(
-        leaders_per_term={7: [3, 0], 3: [1], 2: [2, 0, 1]},
+        leaders_per_term={7: [3, 0], 3: [1], 2: [2, 0, 1], 1: [0], 8: [4]},
         final_known_leader={0: 4, 1: 1, 2: None, 3: 4, 4: 4},
         honest_nodes=(3, 0, 1, 2), adversaries={4: "fake_leader"},
         quorum_size=3,
@@ -378,12 +421,10 @@ def _every_violation_kind():
         "vote-uniqueness node=1 term=2",
         "term-monotonicity node=2 term=4 after=5 at=21",
         "term-monotonicity node=0 term=1 after=3 at=24",
-        "fake-leader-reset node=1 leader=4 at=3000",
+        "proof-soundness node=1 leader=4 term=1 at=3000",
         "expired-proof-reset node=1 proof_ts=5 at=3000",
-        "fake-leader-reset node=2 leader=4 at=3001",
+        "proof-soundness node=2 leader=4 term=1 at=3001",
         "expired-proof-reset node=3 proof_ts=100 at=3003",
-        "fake-leader-acknowledged node=0 leader=4",
-        "fake-leader-acknowledged node=3 leader=4",
         "minority-leader node=3 term=7 window=[1050,5000)",
         "minority-leader node=4 term=8 window=[1050,5000)",
     ]
@@ -413,10 +454,31 @@ class TestInvariantChecker:
         assert any(v.startswith("term-monotonicity node=1") for v in violations)
 
     def test_detects_fake_leader_reset(self):
+        # A proof no node was elected with, whoever sent it.
         trace = [_timer(10, 0, 1, "heartbeat", _proof(2, 1, 5))]
-        report = _report(adversaries={2: "fake_leader"}, honest_nodes=(0, 1))
-        violations = check_invariants(trace, report)
-        assert any(v.startswith("fake-leader-reset node=1") for v in violations)
+        violations = check_invariants(trace, _report())
+        assert violations == ["proof-soundness node=1 leader=2 term=1 at=10"]
+
+    def test_issued_proof_reset_is_clean(self):
+        proof = _proof(2, 1, 5)
+        trace = [
+            _role(5, 0, 2, "leader", 1, proof),
+            _timer(10, 1, 1, "heartbeat", proof),
+        ]
+        assert check_invariants(trace, _report()) == []
+        # Elected in another term, another node elected, or the leader's
+        # term and name on another proof: not issued.
+        for elected in (_proof(2, 2, 5), _proof(0, 1, 5), _proof(2, 1, 6)):
+            trace[0] = _role(5, 0, elected.candidate, "leader", elected.term, elected)
+            assert check_invariants(trace, _report()) == [
+                "proof-soundness node=1 leader=2 term=1 at=10"
+            ]
+
+    def test_verdicts_do_not_read_adversary_names(self):
+        trace, report, expected = _every_violation_kind()
+        for adversaries in ({}, {4: "silent"}, {4: "anything"}):
+            renamed = replace(report, adversaries=adversaries)
+            assert check_invariants(trace, renamed) == expected
 
     def test_detects_expired_proof_reset(self):
         trace = [_timer(5000, 0, 1, "heartbeat", _proof(0, 1, 100))]
