@@ -60,7 +60,7 @@ class FakeLeader(Honest):
         proof = proofs.VoteProof(
             wire.SCHEME_SCHNORR, self.term, now_ms, self.state.id, body
         )
-        return [core._heartbeat_burst(self.state, proof)]
+        return [core._heartbeat_burst(self.state, proof, self.state.id)]
 
 
 class ProofReplay(Honest):
@@ -90,9 +90,8 @@ class ProofReplay(Honest):
     def tick(self, now_ms):
         if self.captured is None or now_ms < self.captured[1] + self.after_ms:
             return []
-        body, src = core.Heartbeat(self.captured[0]), self.captured[0].candidate
-        peers = core._peers(self.state)
-        return [core.Send(tuple(core.Packet(src, peer, body) for peer in peers))]
+        proof = self.captured[0]
+        return [core._heartbeat_burst(self.state, proof, proof.candidate)]
 
 
 BEHAVIORS = {

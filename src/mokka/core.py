@@ -212,7 +212,7 @@ def step(state: NodeState, event: Event, now_ms: int) -> Tuple[NodeState, List[O
     if isinstance(event, PacketArrived):
         body = event.packet.body
         if isinstance(body, VoteRequest):
-            return state, _on_vote_request(state, event.packet.src, body.payload, now_ms)
+            return state, _on_vote_request(state, body.payload, now_ms)
         if isinstance(body, VoteResponse):
             return state, _on_vote_response(state, body.grant, now_ms)
         if isinstance(body, Heartbeat):
@@ -253,9 +253,20 @@ def _is_peer(state: NodeState, node: NodeId) -> bool:
     return node != state.id and node in state.keyring.sorted_ids
 
 
-def _heartbeat_burst(state: NodeState, proof: VoteProof) -> Send:
+def _heartbeat_burst(state: NodeState, proof: VoteProof, src: NodeId) -> Send:
+    """A heartbeat of proof to every peer, each envelope naming src."""
     body = Heartbeat(proof)
-    return Send(tuple(Packet(state.id, peer, body) for peer in _peers(state)))
+    return Send(tuple(Packet(src, peer, body) for peer in _peers(state)))
+
+
+def _adopt(state: NodeState, term: int) -> List[Output]:
+    """Raft's term rule: take term if it is higher, and follow. Called only
+    once the event's checks have passed."""
+    state.current_term = max(state.current_term, term)
+    if isinstance(state.role, Follower):
+        return []
+    state.role = Follower()
+    return [RoleChanged("follower", state.current_term)]
 
 
 def _start_election(state: NodeState, now_ms: int) -> List[Output]:
@@ -279,9 +290,7 @@ def _start_election(state: NodeState, now_ms: int) -> List[Output]:
     ]
 
 
-def _on_vote_request(
-    state: NodeState, src: NodeId, payload: VotePayload, now_ms: int
-) -> List[Output]:
+def _on_vote_request(state: NodeState, payload: VotePayload, now_ms: int) -> List[Output]:
     # Every check that can refuse the request runs before the node adopts
     # its term, so a refused request changes nothing.
     if payload.term < state.current_term:
@@ -301,18 +310,12 @@ def _on_vote_request(
         grant = proofs.grant_vote(state.keypair, payload, state.keyring)
     except _UNSIGNABLE as exc:
         return [Diagnostic("malformed", f"vote-request: {exc}")]
-    outputs: List[Output] = []
-    if payload.term > state.current_term:
-        state.current_term = payload.term
-        if not isinstance(state.role, Follower):
-            state.role = Follower()
-            outputs.append(RoleChanged("follower", payload.term))
+    # A candidate or leader voted for itself in its current term, which
+    # already-voted refuses, so here it sees a higher term and steps down.
+    outputs = _adopt(state, payload.term)
     state.voted_for = (payload.term, payload.candidate)
-    outputs.append(
-        Send((Packet(state.id, payload.candidate, VoteResponse(grant)),))
-    )
-    outputs.append(_arm_election(state, "vote-granted"))
-    return outputs
+    reply = Packet(state.id, payload.candidate, VoteResponse(grant))
+    return outputs + [Send((reply,)), _arm_election(state, "vote-granted")]
 
 
 def _grant_is_well_formed(state: NodeState, role: Candidate, grant: VoteGrant) -> bool:
@@ -380,7 +383,7 @@ def _on_vote_response(state: NodeState, grant: VoteGrant, now_ms: int) -> List[O
     except _UNSIGNABLE as exc:
         role.build_failure = str(exc)
         return outputs + [Diagnostic("bad-grant", role.build_failure)]
-    state.role = Leader(proof, _heartbeat_burst(state, proof))
+    state.role = Leader(proof, _heartbeat_burst(state, proof, state.id))
     state.known_leader = state.id
     return outputs + [
         RoleChanged("leader", state.current_term, proof),
@@ -411,15 +414,9 @@ def _on_heartbeat(state: NodeState, hb: Heartbeat, now_ms: int) -> List[Output]:
                 return [Diagnostic("malformed", f"heartbeat: {exc}")]
     if result is not ValidationResult.OK:
         return [Diagnostic(result.value, f"term={term} leader={leader}")]
-    outputs: List[Output] = []
-    if term > state.current_term:
-        state.current_term = term
-    if not isinstance(state.role, Follower):
-        state.role = Follower()
-        outputs.append(RoleChanged("follower", state.current_term))
+    outputs = _adopt(state, term)
     state.known_leader = leader
-    outputs.append(_arm_election(state, "heartbeat", proof))
-    return outputs
+    return outputs + [_arm_election(state, "heartbeat", proof)]
 
 
 def _on_heartbeat_tick(state: NodeState, now_ms: int) -> List[Output]:

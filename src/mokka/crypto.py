@@ -16,10 +16,11 @@ Three families live here:
   stays as the reference it must agree with.
 
 Keys, partials and signature checks come in batches whose curve sums
-share their field inversions (``keygens``, ``schnorr_sign_partials``,
-``schnorr_verify_partials``, ``verify_recoverables``); the single forms are
-their one-item case. Everything is a pure function of its inputs; nonces
-are derived deterministically so two runs produce bit-identical signatures.
+share their field inversions. Three one-item forms stay:
+``schnorr_partial_sign``, for the one combo a candidate assembles, and
+``keygen`` and ``schnorr_partial_verify``, which perfbench traces by
+name. Everything is a pure function of its inputs; nonces are derived
+deterministically so two runs produce bit-identical signatures.
 """
 
 import hashlib
@@ -533,11 +534,3 @@ def verify_recoverables(
         for (x, table, message, sig), s_inv in zip(kept, s_invs)
     ))
     return [claim is not None and next(named) for claim in claims]
-
-
-def verify_recoverable(
-    keyring: ClusterKeyring, signer: NodeId, message: bytes, sig: RecoverableSignature
-) -> bool:
-    """Whether recover_pubkey(message, sig) is signer's key (see
-    ``verify_recoverables``)."""
-    return verify_recoverables(keyring, [(signer, message, sig)])[0]

@@ -3,34 +3,33 @@
 Affine points are (x, y) integer tuples; ``None`` is the point at infinity.
 A multiple of a point with a ``FixedBase`` table -- the generator, or a key
 whose holder built one -- and any sum of such multiples is a sum of table
-entries and needs no doublings. Each scalar k is first split as
-k1 + k2 * LAMBDA (mod N) with halves below 2^128 (``split_scalar``, the
-GLV endomorphism), so a table only covers 128-bit halves: one entry per
-signed window digit of each half. The k2 halves' entries are summed
-apart and mapped by phi(x, y) = (BETA * x, y) = LAMBDA * (x, y), one
-field multiplication per sum. ``sum_names`` checks such a sum against a point given as its x
-coordinate and y parity. A ``SumTable`` stands for a sum of keys that
-share one scalar: each of its entries is the sum of the keys' entries for
-the same digit, summed the first time a check needs it and kept, so that
+entries and needs no doublings. Each scalar k is first split as k1 + k2 *
+LAMBDA (mod N) with halves below 2^128 (``split_scalar``, the GLV
+endomorphism), so a table only covers 128-bit halves: one entry per signed
+window digit of each half. The k2 halves' entries are summed apart and
+mapped by phi(x, y) = (BETA * x, y) = LAMBDA * (x, y), one field
+multiplication per sum. ``sums_named`` checks such sums against points given
+as their x coordinate and y parity. A ``SumTable`` stands for a sum of keys
+that share one scalar: each of its entries is the sum of the keys' entries
+for the same digit, summed the first time a check needs it and kept, so that
 k * (X_1 + ... + X_q) costs one entry per digit instead of q. This module
-keeps no table but the generator's: whoever holds a key builds and keeps
-its tables. Any other point goes through ``scalar_mult``, which doubles and
-adds in 4-bit windows in Jacobian coordinates. Every inversion, in the
-field or modulo N, goes through ``batch_invert``, which shares one
-inversion among many values (Montgomery's trick), and apart from
-``point_add``, the simple reference, every affine addition goes through
-one batched kernel, ``_add_affine``. Every batched sum is made of levels
-of ``_halve``, which adds adjacent points in many groups at once:
-``affine_sums`` halves until each group holds one point, and ``_jac_sums``
-halves the table entries of many sums together before it finishes each in
-Jacobian coordinates. So the several sums of one protocol step -- a
-grant's nonce points, a proof's share checks -- share their inversions:
-``fixed_sums`` makes all its sums affine with one, and ``sums_named`` pays
-one for the parities of the sums whose x matches. ``fixed_sum`` and
-``sum_names`` are their one-sum case. A check fills the table slots it
-finds unsummed with one ``affine_sums`` call. None of this is
-constant-time: the library targets simulation and desk-scale testing, not
-hostile production deployments."""
+keeps no table but the generator's: whoever holds a key builds and keeps its
+tables. Any other point goes through ``scalar_mult``, which doubles and adds
+in 4-bit windows in Jacobian coordinates. Every inversion, in the field or
+modulo N, goes through ``batch_invert``, which shares one inversion among
+many values (Montgomery's trick), and apart from ``point_add``, the simple
+reference, every affine addition goes through one batched kernel,
+``_add_affine``. Every batched sum is made of levels of ``_halve``, which
+adds adjacent points in many groups at once: ``affine_sums`` halves until
+each group holds one point, and ``_jac_sums`` halves the table entries of
+many sums together before it finishes each in Jacobian coordinates. So the
+several sums of one protocol step -- a grant's nonce points, a proof's share
+checks -- share their inversions: ``fixed_sums`` makes all its sums affine
+with one, and ``sums_named`` pays one for the parities of the sums whose x
+matches; one sum is a list of one, as in ``scalar_mult_base``. A check fills
+the table slots it finds unsummed with one ``affine_sums`` call. None of
+this is constant-time: the library targets simulation and desk-scale
+testing, not hostile production deployments."""
 
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -284,10 +283,6 @@ class FixedBase:
         rows = _multiples(_jac_to_affine_all(bases), 1 << (window - 1))
         self.rows = [[None] + row for row in rows]
 
-    def mult(self, k: int) -> Optional[Point]:
-        """k * point."""
-        return fixed_sum(((k, self),))
-
 
 class SumTable:
     """The entries of a FixedBase-style table for X_1 + ... + X_q, summed
@@ -398,18 +393,13 @@ BASE = FixedBase(G, BASE_WINDOW)
 
 def scalar_mult_base(k: int) -> Optional[Point]:
     """k * G via the generator's fixed-base table."""
-    return BASE.mult(k)
+    return fixed_sums([[(k, BASE)]])[0]
 
 
 def fixed_sums(sums) -> List[Optional[Point]]:
     """For each list of (k, FixedBase or SumTable) terms, the affine sum of
     k * base over it; all the sums share their inversions."""
     return _jac_to_affine_all(_jac_sums(_entries(sums)))
-
-
-def fixed_sum(terms) -> Optional[Point]:
-    """The affine sum of k * base over (k, FixedBase or SumTable) terms."""
-    return fixed_sums([terms])[0]
 
 
 def sums_named(claims) -> List[bool]:
@@ -432,12 +422,6 @@ def sums_named(claims) -> List[bool]:
     for (i, Y, _), inv in zip(matches, batch_invert([z for _, _, z in matches])):
         named[i] = bool(Y * inv % P & 1) == claims[i][1]
     return named
-
-
-def sum_names(x: int, y_odd: bool, terms) -> bool:
-    """Whether the sum of k * base over (k, FixedBase or SumTable) terms is
-    the point with x coordinate x and y parity y_odd (see ``sums_named``)."""
-    return sums_named([(x, y_odd, terms)])[0]
 
 
 def lift_x(x: int, y_odd: bool) -> Point:

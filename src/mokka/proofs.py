@@ -225,6 +225,13 @@ class _Schnorr:
     def assemble(self, candidate_kp, own, members, by_voter, keyring):
         message = _message(own)
         combo = ComboId.of(members)
+        try:
+            keyring.combos.get(combo)  # None for a combo outside the keyring
+        except crypto.CryptoError:
+            # An honest voter signs every combo holding itself and the
+            # candidate, and grants nothing when one of them cancels, so
+            # every chosen voter's grant is forged.
+            raise BadGrants(members[1:]) from None
         own_partial = crypto.schnorr_partial_sign(candidate_kp, keyring, combo, message)
         chosen = {}
         for voter in members:
@@ -471,7 +478,8 @@ def build_proof(
     chosen combo with one ``schnorr_verify``; for Sss, each chosen share
     signature against its voter's key. When that fails, ``BadGrants`` names
     every chosen voter whose partial (checked one at a time, on this path
-    only) or share signature fails. Partials for other combos are never
+    only) or share signature fails, or, for a Schnorr combo whose keys
+    cancel, every chosen voter. Partials for other combos are never
     checked.
     """
     by_voter: Dict[NodeId, VoteGrant] = {}

@@ -105,8 +105,9 @@ class _Sim:
         for spec in scenario.adversaries:
             behavior = adversary.BEHAVIORS[spec.behavior]
             self.nodes[spec.node] = behavior(inits[spec.node][0], spec, adv_rng)
-        self.egen = [0] * scenario.n
-        self.hgen = [0] * scenario.n
+        # (node, timer event type) -> seq of the push that armed it last;
+        # a popped timer whose seq is not the one recorded here is stale.
+        self.armed: Dict[Tuple[int, type], int] = {}
         for i, (_, outputs) in enumerate(inits):
             if scenario.preferred_first_candidate is not None:
                 outputs = self._bias_first_timer(i, outputs)
@@ -123,6 +124,11 @@ class _Sim:
     def _push(self, time_ms: int, item: tuple) -> None:
         heapq.heappush(self.heap, (time_ms, self.seq, item))
         self.seq += 1
+
+    def _arm(self, node: int, event: type, time_ms: int) -> None:
+        """Arm node's timer for event at time_ms, replacing its last one."""
+        self.armed[node, event] = self.seq
+        self._push(time_ms, ("timer", node, event))
 
     def _record(
         self, time_ms: int, kind: str, node: int, detail: str, about: object = None
@@ -184,20 +190,14 @@ class _Sim:
             if isinstance(out, Send):
                 self._dispatch(out.packets, time_ms, node)
             elif isinstance(out, ArmElectionTimer):
-                self.egen[node] += 1
                 proof = out.proof
                 detail = f"arm-election dur={out.duration_ms} cause={out.cause}"
                 if proof is not None:
                     detail += f" leader={proof.candidate} proof_ts={proof.timestamp_ms}"
                 self._record(time_ms, "timer", node, detail, out)
-                self._push(
-                    time_ms + out.duration_ms, ("etimer", node, self.egen[node])
-                )
+                self._arm(node, ElectionTimeout, time_ms + out.duration_ms)
             elif isinstance(out, ArmHeartbeatTimer):
-                self.hgen[node] += 1
-                self._push(
-                    time_ms + out.duration_ms, ("htimer", node, self.hgen[node])
-                )
+                self._arm(node, HeartbeatTick, time_ms + out.duration_ms)
             elif isinstance(out, RoleChanged):
                 detail = f"{out.role} term={out.term}"
                 if out.role == "leader":
@@ -220,7 +220,7 @@ class _Sim:
 
     def run(self) -> Tuple[List[TraceEvent], RunReport]:
         while self.heap:
-            time_ms, _, item = heapq.heappop(self.heap)
+            time_ms, seq, item = heapq.heappop(self.heap)
             if time_ms > self.sc.duration_ms:
                 break
             kind, node = item[0], item[1]
@@ -234,14 +234,10 @@ class _Sim:
                 outputs = target.step(PacketArrived(packet), time_ms)
             elif kind == "tick":
                 outputs = target.tick(time_ms)
-            elif kind == "etimer":
-                if item[2] != self.egen[node]:
-                    continue
-                outputs = target.step(ElectionTimeout(), time_ms)
+            elif self.armed.get((node, item[2])) == seq:
+                outputs = target.step(item[2](), time_ms)
             else:
-                if item[2] != self.hgen[node]:
-                    continue
-                outputs = target.step(HeartbeatTick(), time_ms)
+                continue  # stale: the timer was armed again since
             self._apply_outputs(node, outputs, time_ms)
 
         states = [node.state for node in self.nodes]

@@ -70,13 +70,13 @@ def elect_leader(cluster, candidate=0, now_ms=1000, scheme=wire.SCHEME_SCHNORR):
     return states, final_outs
 
 
-# The crypto functions that sign or check in batches: each one's batched
-# form, which it calls, and the position of the batch's argument that lists
-# the items signed or checked.
+# The crypto functions that sign or check in batches, by their own name or
+# by that of the one-item form that calls them: the batched form, and the
+# position of its argument that lists the items signed or checked.
 _BATCHED = {
     "schnorr_partial_sign": ("schnorr_sign_partials", 2),
     "schnorr_partial_verify": ("schnorr_verify_partials", 1),
-    "verify_recoverable": ("verify_recoverables", 1),
+    "verify_recoverables": ("verify_recoverables", 1),
 }
 
 
@@ -481,7 +481,7 @@ class TestVoteResponse:
         # The held Schnorr grant's C(7, 3) partials, checked once, not
         # once per challenger.
         (wire.SCHEME_SCHNORR, "schnorr_partial_verify", 35),
-        (wire.SCHEME_SSS, "verify_recoverable", 1),
+        (wire.SCHEME_SSS, "verify_recoverables", 1),
     ])
     def test_held_grant_is_checked_once_per_voter(
         self, cluster9, monkeypatch, scheme, checker, checks
@@ -586,6 +586,27 @@ class TestVoteResponse:
         outs = self._respond(candidate, grants[0])
         assert outs == [Diagnostic("bad-grant", "term=1 voter=1"), failure]
         assert len(builds) == 2
+
+    def test_forged_grant_over_cancelling_keys_leaves_the_election_open(self):
+        # Node 1 grants nothing to candidate 0: their one combo, {0, 1},
+        # has no aggregate key. A grant forged in node 1's name is dropped,
+        # so node 2's real grant then elects the candidate.
+        cluster = cancelling_cluster()
+        states = [make_node(i, cluster)[0] for i in range(3)]
+        _, outs = core.step(states[0], ElectionTimeout(), 100)
+        requests = {packet.dst: packet for packet in only(outs, Send).packets}
+        _, outs = deliver(states[1], requests[1], 100)
+        assert only(outs, Diagnostic).code == "malformed"
+        psig = crypto.PartialSignature(1, crypto.ComboId.of((0, 1)), curve.G, 5)
+        forged = proofs.VoteGrant(1, 1, partials=(psig,))
+        _, outs = deliver(states[0], Packet(1, 0, VoteResponse(forged)), 100)
+        assert outs == [Diagnostic("bad-grant", "term=1 voter=1")]
+        _, outs = deliver(states[2], requests[2], 100)
+        _, outs = deliver(states[0], only(outs, Send).packets[0], 100)
+        assert only(outs, RoleChanged).role == "leader"
+        assert proofs.validate_proof(
+            states[0].role.proof, cluster[1], states[0].config.proof_policy, 100
+        ) is proofs.ValidationResult.OK
 
     @staticmethod
     def _count_schnorr_calls(monkeypatch, signer_key):
@@ -765,7 +786,7 @@ class TestHeartbeat:
         # forgery reaches a Shamir node outside its combo, which has no
         # vote record to refute it from.
         if scheme == wire.SCHEME_SCHNORR:
-            cluster, receiver, checker = cluster5, 4, "verify_recoverable"
+            cluster, receiver, checker = cluster5, 4, "verify_recoverables"
             _, outs = elect_leader(cluster5, scheme=wire.SCHEME_SSS)
             hb = only(outs, Send).packets[0].body
         else:
@@ -873,7 +894,7 @@ class TestOwnVoteRefutation:
     def test_sss_shares_naming_the_receiver(
         self, cluster3, monkeypatch, indices, code, checks
     ):
-        calls = _count_calls(monkeypatch, "verify_recoverable")
+        calls = _count_calls(monkeypatch, "verify_recoverables")
         hb = self._sss_heartbeat(indices, random.Random(4))
         node, _ = make_node(0, cluster3, scheme=wire.SCHEME_SSS)
         _, outs = core.step(node, PacketArrived(Packet(2, 0, hb)), 1000)
@@ -1010,7 +1031,7 @@ class TestTotality:
         grant = proofs.VoteGrant(1, 1, partials=(psig,))
         event = PacketArrived(Packet(1, 0, VoteResponse(grant)))
         detail = self._unchanged(state, event, 100, "bad-grant")
-        assert detail == "keys of nodes [0, 1] sum to infinity"
+        assert detail == "term=1 voter=1"
 
     def test_heartbeat_naming_a_negative_candidate(self, cluster3):
         states, _ = elect_leader(cluster3)

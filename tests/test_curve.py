@@ -126,10 +126,11 @@ def test_fast_paths_agree_with_each_other(k):
     expected = naive_mult(k, curve.G)
     assert curve.scalar_mult_base(k) == expected
     assert curve.scalar_mult(k, curve.G) == expected
-    assert KEY_TABLE.mult(k) == curve.scalar_mult(k, KEY)
+    [by_table] = curve.fixed_sums([[(k, KEY_TABLE)]])
+    assert by_table == curve.scalar_mult(k, KEY)
     # scalar_mult shares _multiples and _add_affine with the key table, so
     # also check the table against the independent point_add oracle.
-    assert KEY_TABLE.mult(k) == naive_mult(k, KEY)
+    assert by_table == naive_mult(k, KEY)
 
 
 def test_table_build_costs(monkeypatch):
@@ -163,12 +164,9 @@ def fold(points):
 
 
 def names(point, terms):
-    """sum_names for point's own (x, parity), and for the other parity."""
+    """sums_named for point's own (x, parity), and for the other parity."""
     x, y = point
-    return (
-        curve.sum_names(x, bool(y & 1), terms),
-        curve.sum_names(x, not y & 1, terms),
-    )
+    return tuple(curve.sums_named([(x, bool(y & 1), terms), (x, not y & 1, terms)]))
 
 
 def test_sum_equals_doubling_and_cancellation():
@@ -179,15 +177,15 @@ def test_sum_equals_doubling_and_cancellation():
     for copies in (1, 12):
         terms = [(1, curve.BASE), (1, g_table)] * copies
         total = curve.scalar_mult(2 * copies, curve.G)
-        assert curve.fixed_sum(terms) == total
+        assert curve.fixed_sums([terms])[0] == total
         assert names(total, terms) == (True, False)
     # Each entry next to its negation: the sum is infinity, which no
     # (x, parity) names.
     for copies in (1, 12):
         terms = [(1, curve.BASE), (1, neg_g_table)] * copies
-        assert curve.fixed_sum(terms) is None
+        assert curve.fixed_sums([terms])[0] is None
         assert names(curve.G, terms) == (False, False)
-    assert curve.fixed_sum([]) is None
+    assert curve.fixed_sums([[]])[0] is None
 
 
 def test_affine_sums_match_the_fold(monkeypatch):
@@ -229,7 +227,7 @@ KEY2_TABLE = key_table(KEY2)
 @settings(max_examples=10, deadline=None)
 @given(st.integers(min_value=1, max_value=curve.N - 1))
 @split_boundaries(curve.BASE_WINDOW, curve.KEY_WINDOW)
-def test_fixed_sum_and_sum_names_match_the_fold(k):
+def test_fixed_sums_and_sums_named_match_the_fold(k):
     # The shape of a Schnorr check over two signers, s*G - e*X_1 - e*X_2,
     # with the halves of each table's scalar at signed-digit carry boundaries.
     terms = [
@@ -242,12 +240,12 @@ def test_fixed_sum_and_sum_names_match_the_fold(k):
         curve.scalar_mult(k, KEY),
         curve.scalar_mult(curve.N - k, KEY2),
     ])
-    assert curve.fixed_sum(terms) == total
+    assert curve.fixed_sums([terms])[0] == total
     if total is not None:
         assert names(total, terms) == (True, False)
     # The same terms negated: the sum ends at infinity.
     cancelled = terms + [((curve.N - m) % curve.N, table) for m, table in terms]
-    assert curve.fixed_sum(cancelled) is None
+    assert curve.fixed_sums([cancelled])[0] is None
     assert names(curve.G, cancelled) == (False, False)
 
 
@@ -285,7 +283,7 @@ def test_batched_sums_match_the_sums_one_at_a_time(monkeypatch):
         curve, "_add_affine",
         lambda pairs: levels.append(len(pairs)) or add_affine(pairs),
     )
-    assert [curve.fixed_sum(terms) for terms in sums] == totals
+    assert [curve.fixed_sums([terms])[0] for terms in sums] == totals
     alone = len(inversions)
     inversions.clear(), levels.clear()
     assert curve.fixed_sums(sums) == totals
@@ -307,7 +305,7 @@ def test_batched_sums_match_the_sums_one_at_a_time(monkeypatch):
             claims.append((claim_x, y_odd, terms))
             named.append(total is not None and (claim_x, y_odd) == (x, bool(y & 1)))
         x_matches += 2 * (total is not None)
-    assert [curve.sum_names(*claim) for claim in claims] == named
+    assert [curve.sums_named([claim])[0] for claim in claims] == named
     inversions.clear()
     assert curve.sums_named(claims) == named
     # Only the sums whose x matches pay toward the parities' one inversion.
@@ -345,19 +343,19 @@ def test_sum_table_matches_the_fold(keys, k):
     total = fold([naive_mult(k, key) for key in keys])
     if keys[1] == curve.point_neg(keys[0]):
         assert total == naive_mult(k, keys[2])
-    # Each check runs first on empty slots: sum_names on one table,
-    # fixed_sum on another.
+    # Each check runs first on empty slots: sums_named on one table,
+    # fixed_sums on another.
     by_names, by_sum = sum_table(keys), sum_table(keys)
     if total is not None:
         assert names(total, [(k, by_names)]) == (True, False)
-    assert curve.fixed_sum([(k, by_sum)]) == total
+    assert curve.fixed_sums([[(k, by_sum)]])[0] == total
     # The slots the digits need are now filled, the same in both tables;
     # the checks again read them and fill none.
     assert by_names.rows == by_sum.rows
     rows = [list(row) for row in by_sum.rows]
     assert (filled(by_sum) > 0) == (k % curve.N > 0)
     for table in (by_names, by_sum):
-        assert curve.fixed_sum([(k, table)]) == total
+        assert curve.fixed_sums([[(k, table)]])[0] == total
         if total is not None:
             assert names(total, [(k, table)]) == (True, False)
         assert table.rows == rows
@@ -373,7 +371,8 @@ def test_a_slot_both_halves_need_is_summed_once(monkeypatch):
         curve, "affine_sums",
         lambda groups: affine_sums(fills.append(list(groups)) or fills[-1]),
     )
-    assert curve.fixed_sum([(k, table)]) == fold(naive_mult(k, key) for key in KEYS[:2])
+    [total] = curve.fixed_sums([[(k, table)]])
+    assert total == fold(naive_mult(k, key) for key in KEYS[:2])
     # 0xDEADBEEF has five nonzero signed 7-bit digits: ten entries, five slots.
     assert [len(groups) for groups in fills] == [filled(table)] == [5]
 
@@ -386,14 +385,15 @@ def test_sum_tables_of_two_sizes_fill_together():
         total = fold([naive_mult(k, key) for key in KEYS[:2]] + [
             naive_mult(curve.N - k, key) for key in KEYS[2:]
         ])
-        assert curve.fixed_sum([(k, small), (curve.N - k, large)]) == total
+        assert curve.fixed_sums([[(k, small), (curve.N - k, large)]])[0] == total
 
 
 def test_sum_table_of_keys_that_cancel_stays_unsummed():
     table = sum_table((KEY, curve.point_neg(KEY)))
     for k in (1, 2**5 + 1, curve.N - 1):
-        assert curve.fixed_sum([(k, table)]) is None
-        assert curve.fixed_sum([(k, curve.BASE), (k, table)]) == naive_mult(k, curve.G)
+        assert curve.fixed_sums([[(k, table)]]) == [None]
+        with_base = [(k, curve.BASE), (k, table)]
+        assert curve.fixed_sums([with_base]) == [naive_mult(k, curve.G)]
     assert filled(table) == 0
 
 

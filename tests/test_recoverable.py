@@ -107,18 +107,18 @@ def _recovers(public, message, sig):
 @example(b"m", 0, 1, "honest", 1)
 def test_verify_agrees_with_recovery(message, signer, offset, tamper, x):
     sig = TAMPER[tamper](crypto.sign_recoverable(KEYS[signer], message), x)
-    for node in (signer, (signer + offset) % len(KEYS)):
-        assert crypto.verify_recoverable(KEYRING, node, message, sig) == _recovers(
-            KEYS[node].public, message, sig
-        )
+    nodes = (signer, (signer + offset) % len(KEYS))
+    checks = [(node, message, sig) for node in nodes]
+    verified = crypto.verify_recoverables(KEYRING, checks)
+    assert verified == [_recovers(KEYS[node].public, message, sig) for node in nodes]
     if tamper == "honest":
-        assert crypto.verify_recoverable(KEYRING, signer, message, sig)
+        assert verified[0]
 
 
 def test_unknown_signer_is_refused():
     sig = crypto.sign_recoverable(KEYS[0], b"m")
-    assert crypto.verify_recoverable(KEYRING, 0, b"m", sig)
-    assert not crypto.verify_recoverable(KEYRING, len(KEYS), b"m", sig)
+    checks = [(0, b"m", sig), (len(KEYS), b"m", sig)]
+    assert crypto.verify_recoverables(KEYRING, checks) == [True, False]
 
 
 def test_nonce_x_past_the_field_rejected(kp, kp_keyring):
@@ -127,7 +127,7 @@ def test_nonce_x_past_the_field_rejected(kp, kp_keyring):
     for r in (curve.P - curve.N, curve.N - 1):
         for hint in (2, 3):
             past = replace(sig, r=r, recovery_hint=hint)
-            assert not crypto.verify_recoverable(kp_keyring, 0, b"m", past)
+            assert crypto.verify_recoverables(kp_keyring, [(0, b"m", past)]) == [False]
             with pytest.raises(crypto.CryptoError):
                 crypto.recover_pubkey(b"m", past)
 
@@ -143,7 +143,7 @@ def test_negated_nonce_point_rejected(kp, kp_keyring, tamper):
         curve.scalar_mult(sig.r * s_inv, kp.public),
     )
     assert q == curve.point_neg(crypto._nonce_point(sig))
-    assert not crypto.verify_recoverable(kp_keyring, 0, b"m", sig)
+    assert crypto.verify_recoverables(kp_keyring, [(0, b"m", sig)]) == [False]
     assert not _recovers(kp.public, b"m", sig)
 
 
@@ -160,8 +160,8 @@ def test_nonce_x_above_the_group_order():
     sig = crypto.RecoverableSignature(x - curve.N, 12345, 2)
     public = crypto.recover_pubkey(b"m", sig)
     keyring = keyring_of([public] + [key.public for key in KEYS[1:]])
-    assert crypto.verify_recoverable(keyring, 0, b"m", sig)
-    for hint in (0, 1, 3):
-        other = replace(sig, recovery_hint=hint)
-        assert not crypto.verify_recoverable(keyring, 0, b"m", other)
+    others = [replace(sig, recovery_hint=hint) for hint in (0, 1, 3)]
+    checks = [(0, b"m", each) for each in (sig, *others)]
+    assert crypto.verify_recoverables(keyring, checks) == [True, False, False, False]
+    for other in others:
         assert not _recovers(public, b"m", other)

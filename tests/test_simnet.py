@@ -128,14 +128,14 @@ class ForgingLeader(adversary.FakeLeader):
         message = wire.vote_message(wire.SCHEME_SCHNORR, self.term, now_ms, self.state.id)
         s = 1 + self.rng.randrange(curve.N - 1)
         e = crypto.schnorr_challenge(keyring, combo, message)
-        big_r = curve.fixed_sum(
-            [(s, curve.BASE), (curve.N - e, keyring.combos.table(combo))]
+        [big_r] = curve.fixed_sums(
+            [[(s, curve.BASE), (curve.N - e, keyring.combos.table(combo))]]
         )
         body = proofs.SchnorrBody(combo, big_r, s)
         proof = proofs.VoteProof(
             wire.SCHEME_SCHNORR, self.term, now_ms, self.state.id, body
         )
-        return [core._heartbeat_burst(self.state, proof)]
+        return [core._heartbeat_burst(self.state, proof, self.state.id)]
 
 
 class TestAdversaries:

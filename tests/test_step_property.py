@@ -1,6 +1,7 @@
 """``core.step`` over drawn events (ROADMAP item 17): it never raises, a
-refusal changes nothing, terms never fall, and a vote is recorded only
-with the vote it sends or the node's own election."""
+refusal changes nothing, terms never fall, a vote is recorded only with
+the vote it sends or the node's own election, and a node that is not a
+follower has voted for itself in its current term."""
 
 import functools
 import random
@@ -56,7 +57,8 @@ def _copy(state):
 def _election(cluster, scheme):
     """Node 0's election at NOW, run by hand. Returns the start states
     (a fresh follower, a candidate one grant short of a quorum, the
-    leader, a follower of the leader) and the messages of the election."""
+    leader, a follower of the leader), the messages of the election, and
+    a rival's messages at a higher term."""
     keypairs, keyring = cluster
     n = len(keyring.sorted_ids)
     config = NodeConfig(scheme=scheme)
@@ -84,13 +86,27 @@ def _election(cluster, scheme):
     core.step(follower, PacketArrived(Packet(0, n - 1, Heartbeat(proof))), NOW + 10)
     assert follower.known_leader == 0
     starts += [candidate, follower]
-    return starts, payloads, [p.body.grant for p in grants], proof
+    rival = _rival(cluster, scheme)
+    return starts, payloads, [p.body.grant for p in grants], proof, rival
+
+
+def _rival(cluster, scheme):
+    """Node 1's election at term 2, above every start state's term: its
+    payloads and its valid proof. Its voters are the nodes above 1, so
+    that leader 0 checks the proof instead of refuting it from its own
+    vote record."""
+    keypairs, keyring = cluster
+    rng = random.Random("prop:rival")
+    payloads = proofs.make_vote_payloads(1, 2, NOW, keyring, scheme, rng)
+    voters = [v for v in keyring.sorted_ids if v > 1][:keyring.quorum_size - 1]
+    grants = [proofs.grant_vote(keypairs[v], payloads[v], keyring) for v in voters]
+    return payloads, proofs.build_proof(keypairs[1], payloads[1], grants, keyring)
 
 
 @functools.lru_cache(maxsize=None)
 def _starts():
-    """(start state, n, payloads, grants, proof) for both schemes at n = 3
-    and 5, and for the Schnorr cluster whose keys cancel."""
+    """(start state, n, payloads, grants, proof, rival) for both schemes
+    at n = 3 and 5, and for the Schnorr cluster whose keys cancel."""
     clusters = [
         (make_cluster(n, seed="property"), scheme)
         for n in (3, 5) for scheme in proofs.SCHEMES
@@ -98,9 +114,9 @@ def _starts():
     clusters.append((cancelling_cluster(), wire.SCHEME_SCHNORR))
     starts = []
     for cluster, scheme in clusters:
-        states, payloads, grants, proof = _election(cluster, scheme)
+        states, *messages = _election(cluster, scheme)
         n = len(cluster[1].sorted_ids)
-        starts += [(state, n, payloads, grants, proof) for state in states]
+        starts += [(state, n, *messages) for state in states]
     return starts
 
 
@@ -195,9 +211,10 @@ def _mutated_proof(draw, proof, n, ids, terms, stamps):
 
 
 @st.composite
-def _events(draw, n, payloads, grants, proof, dst):
-    """(event, now_ms): a timer, or a packet to dst drawn over the wire's
-    ranges from the election's own messages."""
+def _events(draw, n, payloads, grants, proof, rival, dst):
+    """(event, now_ms): a timer, a packet to dst drawn over the wire's
+    ranges from the election's own messages, or the rival's request or
+    heartbeat to dst as sent."""
     now = draw(st.one_of(
         st.sampled_from([NOW + 10, NOW, NOW + TTL + 1, 100]),
         st.integers(0, 2 * NOW + TTL),
@@ -212,7 +229,17 @@ def _events(draw, n, payloads, grants, proof, dst):
         st.integers(now - 2 * TTL, now + 2 * TTL),
         st.integers(-5, 5),
     )
-    kind = draw(st.sampled_from(["heartbeat", "request", "response"] * 2 + ["tick", "timeout"]))
+    kind = draw(st.sampled_from(
+        ["heartbeat", "request", "response"] * 2
+        + ["tick", "timeout", "rival-heartbeat", "rival-request"]
+    ))
+    if kind.startswith("rival"):
+        rival_payloads, rival_proof = rival
+        if kind == "rival-heartbeat":
+            body = Heartbeat(rival_proof)
+        else:
+            body = VoteRequest(rival_payloads[dst])
+        return PacketArrived(Packet(1, dst, body)), NOW + 10
     if kind == "timeout":
         return ElectionTimeout(), now
     if kind == "tick":
@@ -234,9 +261,9 @@ def _vitals(state):
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(st.data())
 def test_refusals_change_nothing_and_step_is_total(data):
-    start, n, payloads, grants, proof = data.draw(st.sampled_from(_starts()))
+    start, n, payloads, grants, proof, rival = data.draw(st.sampled_from(_starts()))
     state = _copy(start)
-    events = _events(n, payloads, grants, proof, state.id)
+    events = _events(n, payloads, grants, proof, rival, state.id)
     for event, now in data.draw(st.lists(events, min_size=1, max_size=3)):
         before = _vitals(state)
         _, outputs = core.step(state, event, now)
@@ -252,3 +279,6 @@ def test_refusals_change_nothing_and_step_is_total(data):
             )
             campaigned = RoleChanged("candidate", state.current_term) in outputs
             assert voted or (campaigned and after[1] == (after[0], state.id))
+        # A higher term makes a candidate or leader follow (core._adopt).
+        if after[2] != "follower":
+            assert after[1] == (after[0], state.id), (event, outputs)
