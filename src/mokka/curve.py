@@ -83,20 +83,6 @@ def split_scalar(k: int) -> Tuple[int, int]:
     return k - c1 * _A1 - c2 * _A2, c1 * _B1 - c2 * _B2
 
 
-def is_on_curve(point: Optional[Point]) -> bool:
-    if point is None:
-        return True
-    x, y = point
-    return (y * y - x * x * x - 7) % P == 0
-
-
-def point_neg(point: Optional[Point]) -> Optional[Point]:
-    if point is None:
-        return None
-    x, y = point
-    return (x, (-y) % P)
-
-
 def point_add(p1: Optional[Point], p2: Optional[Point]) -> Optional[Point]:
     """Affine addition; slow but simple, used for aggregation and setup."""
     if p1 is None:

@@ -182,6 +182,10 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioError(
                     f"{where}: groups must be disjoint and cover all nodes"
                 )
+            # simnet enforces one window at a time; windows may only touch.
+            for j, other in enumerate(partitions):
+                if part.start_ms < other.end_ms and other.start_ms < part.end_ms:
+                    raise ScenarioError(f"{where}: overlaps partitions[{j}]")
             partitions.append(part)
 
         adversaries = []

@@ -35,11 +35,47 @@ class TraceEvent(NamedTuple):
     seq: int
     kind: str  # send | deliver | drop | timer | role_change | diagnostic | violation
     node: int
-    detail: str
-    # The object the line renders, for readers that need its fields: the
-    # packet body (send, deliver, drop), the ArmElectionTimer (timer) or
-    # the RoleChanged (role_change); None for the other kinds.
-    about: object = None
+    # What happened: the Packet (send, deliver, drop), the ArmElectionTimer
+    # (timer), the RoleChanged (role_change), the Diagnostic (diagnostic)
+    # or the violation text (violation).
+    about: object
+    cause: str = ""  # a drop's reason: silent | partition | loss
+
+    @property
+    def detail(self) -> str:
+        """The line's text, rendered from ``about``: the trace format's one home."""
+        kind, about = self.kind, self.about
+        if kind == "violation":
+            return about
+        if kind == "diagnostic":
+            return f"{about.code} {about.detail}"
+        if kind == "role_change":
+            text = f"{about.role} term={about.term}"
+            if about.role == "leader":
+                text += f" proof_ts={about.proof.timestamp_ms}"
+                text += f" proof={proofs.encode_proof(about.proof).hex()}"
+            return text
+        if kind == "timer":
+            text = f"arm-election dur={about.duration_ms} cause={about.cause}"
+            proof = about.proof
+            if proof is not None:
+                text += f" leader={proof.candidate} proof_ts={proof.timestamp_ms}"
+            return text
+        body = about.body
+        if isinstance(body, VoteRequest):
+            p = body.payload
+            text = f"vote-request term={p.term} candidate={p.candidate}"
+        elif isinstance(body, VoteResponse):
+            text = f"vote-response term={body.grant.term} voter={body.grant.voter}"
+        else:
+            proof = body.proof
+            text = f"heartbeat term={proof.term} leader={proof.candidate}"
+            text += f" proof_ts={proof.timestamp_ms}"
+        if kind == "deliver":
+            return f"{text} from={about.src}"
+        if self.cause != "silent":
+            text += f" to={about.dst}"
+        return f"{self.cause} {text}" if self.cause else text
 
     def line(self) -> str:
         return f"{self.time_ms}\t{self.seq}\t{self.kind}\t{self.node}\t{self.detail}"
@@ -63,22 +99,6 @@ class RunReport:
 
 def trace_lines(trace: List[TraceEvent]) -> str:
     return "".join(ev.line() + "\n" for ev in trace)
-
-
-def _body_detail(body: core.Body) -> str:
-    """A packet body's trace text, shared by its send, drop and deliver lines."""
-    if isinstance(body, VoteRequest):
-        p = body.payload
-        return f"vote-request term={p.term} candidate={p.candidate}"
-    if isinstance(body, VoteResponse):
-        g = body.grant
-        return f"vote-response term={g.term} voter={g.voter}"
-    assert isinstance(body, Heartbeat)
-    proof = body.proof
-    return (
-        f"heartbeat term={proof.term} leader={proof.candidate}"
-        f" proof_ts={proof.timestamp_ms}"
-    )
 
 
 class _Sim:
@@ -131,9 +151,9 @@ class _Sim:
         self._push(time_ms, ("timer", node, event))
 
     def _record(
-        self, time_ms: int, kind: str, node: int, detail: str, about: object = None
+        self, time_ms: int, kind: str, node: int, about: object, cause: str = ""
     ) -> None:
-        self.trace.append(TraceEvent(time_ms, self.seq, kind, node, detail, about))
+        self.trace.append(TraceEvent(time_ms, self.seq, kind, node, about, cause))
         self.seq += 1
 
     def _bias_first_timer(self, node: int, outputs: list) -> list:
@@ -158,63 +178,43 @@ class _Sim:
 
     def _dispatch(self, packets: Sequence[Packet], time_ms: int, sender: int) -> None:
         # sender is who physically sends; it differs from packet.src only
-        # when an adversary forges the envelope. The packets of a burst
-        # share one body, whose trace text is rendered once.
-        copies_of = self.nodes[sender].copies
-        body = None
+        # when an adversary forges the envelope.
+        copies_of, loss = self.nodes[sender].copies, self.sc.drop_probability
         for packet in packets:
-            if packet.body is not body:
-                body = packet.body
-                detail = _body_detail(body)
-                copies = copies_of(body)
+            copies = copies_of(packet.body)
             if not copies:
-                self._record(time_ms, "drop", sender, "silent " + detail, body)
+                self._record(time_ms, "drop", sender, packet, "silent")
                 continue
-            sent = f"{detail} to={packet.dst}"
             for _ in range(copies):
-                self._record(time_ms, "send", sender, sent, body)
+                self._record(time_ms, "send", sender, packet)
                 if self._partition_blocks(sender, packet.dst, time_ms):
-                    self._record(time_ms, "drop", sender, "partition " + sent, body)
+                    self._record(time_ms, "drop", sender, packet, "partition")
                     continue
-                if (
-                    self.sc.drop_probability > 0
-                    and self.net_rng.random() < self.sc.drop_probability
-                ):
-                    self._record(time_ms, "drop", sender, "loss " + sent, body)
+                if loss > 0 and self.net_rng.random() < loss:
+                    self._record(time_ms, "drop", sender, packet, "loss")
                     continue
                 delay = self.net_rng.randint(*self.sc.latency_ms)
-                self._push(time_ms + delay, ("deliver", packet.dst, packet, detail))
+                self._push(time_ms + delay, ("deliver", packet.dst, packet))
 
     def _apply_outputs(self, node: int, outputs: list, time_ms: int) -> None:
         for out in outputs:
             if isinstance(out, Send):
                 self._dispatch(out.packets, time_ms, node)
             elif isinstance(out, ArmElectionTimer):
-                proof = out.proof
-                detail = f"arm-election dur={out.duration_ms} cause={out.cause}"
-                if proof is not None:
-                    detail += f" leader={proof.candidate} proof_ts={proof.timestamp_ms}"
-                self._record(time_ms, "timer", node, detail, out)
+                self._record(time_ms, "timer", node, out)
                 self._arm(node, ElectionTimeout, time_ms + out.duration_ms)
             elif isinstance(out, ArmHeartbeatTimer):
                 self._arm(node, HeartbeatTick, time_ms + out.duration_ms)
             elif isinstance(out, RoleChanged):
-                detail = f"{out.role} term={out.term}"
                 if out.role == "leader":
-                    self.leaders_per_term.setdefault(out.term, [])
-                    if node not in self.leaders_per_term[out.term]:
-                        self.leaders_per_term[out.term].append(node)
-                    detail += (
-                        f" proof_ts={out.proof.timestamp_ms}"
-                        f" proof={proofs.encode_proof(out.proof).hex()}"
-                    )
+                    leaders = self.leaders_per_term.setdefault(out.term, [])
+                    if node not in leaders:
+                        leaders.append(node)
                 elif out.role == "candidate":
                     self.elections_started += 1
-                self._record(time_ms, "role_change", node, detail, out)
+                self._record(time_ms, "role_change", node, out)
             elif isinstance(out, Diagnostic):
-                self._record(
-                    time_ms, "diagnostic", node, f"{out.code} {out.detail}"
-                )
+                self._record(time_ms, "diagnostic", node, out)
 
     # -- main loop ------------------------------------------------------------
 
@@ -226,12 +226,8 @@ class _Sim:
             kind, node = item[0], item[1]
             target = self.nodes[node]
             if kind == "deliver":
-                packet = item[2]
-                self._record(
-                    time_ms, "deliver", node, f"{item[3]} from={packet.src}",
-                    packet.body,
-                )
-                outputs = target.step(PacketArrived(packet), time_ms)
+                self._record(time_ms, "deliver", node, item[2])
+                outputs = target.step(PacketArrived(item[2]), time_ms)
             elif kind == "tick":
                 outputs = target.tick(time_ms)
             elif self.armed.get((node, item[2])) == seq:
@@ -329,7 +325,9 @@ def check_invariants(trace: List[TraceEvent], report: RunReport) -> List[str]:
             role_changes.append(ev)
             if about.role == "leader":
                 issued[about.term, node] = about.proof
-        elif kind != "send" and kind != "timer":
+        elif kind == "send":
+            about = about.body
+        elif kind != "timer":
             continue
         if node not in honest:
             continue

@@ -4,6 +4,8 @@ import pytest
 
 from mokka import crypto, curve
 
+from oracle import point_neg
+
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -15,7 +17,7 @@ def make_cluster(n, seed="test"):
 def cancelling_cluster():
     """n = 3 with keys X, -X and Y: combo {0, 1} has no aggregate key."""
     x, y = crypto.keygens([b"cancel-x", b"cancel-y"])
-    neg_x = crypto.KeyPair(curve.N - x.secret, curve.point_neg(x.public))
+    neg_x = crypto.KeyPair(curve.N - x.secret, point_neg(x.public))
     keypairs = (x, neg_x, y)
     return keypairs, crypto.build_keyring(
         [(i, kp.public) for i, kp in enumerate(keypairs)]

@@ -12,6 +12,7 @@ from mokka import cli, crypto, curve, proofs, scenario, wire
 from mokka.cli import load_keyset, main
 
 from conftest import GOLDEN_DIR, scenario_path
+from oracle import point_neg
 
 
 def run_cli(capsys, *argv):
@@ -588,7 +589,7 @@ class TestVerify:
         keys = tmp_path / "keys.yaml"
         keys.write_text(yaml.safe_dump({"keys": [
             {"node": i, "public": wire.encode_point(point).hex()}
-            for i, point in enumerate((x, curve.point_neg(x), y))
+            for i, point in enumerate((x, point_neg(x), y))
         ]}))
         proof = proofs.VoteProof(
             wire.SCHEME_SCHNORR, 1, 0, 0,

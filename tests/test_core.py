@@ -27,6 +27,7 @@ from mokka.core import (
 from mokka.proofs import ProofPolicy
 
 from conftest import cancelling_cluster
+from oracle import point_neg
 
 
 def only(outputs, kind):
@@ -112,7 +113,7 @@ def _forged_schnorr_heartbeat(keyring, rng, now, algebraic=False):
         e = proofs.crypto.schnorr_challenge(keyring, FORGED_COMBO, message)
         big_r = curve.point_add(
             curve.scalar_mult_base(s),
-            curve.point_neg(curve.scalar_mult(e, keyring.combos[FORGED_COMBO])),
+            point_neg(curve.scalar_mult(e, keyring.combos[FORGED_COMBO])),
         )
     else:
         big_r = curve.scalar_mult_base(rng.randrange(1, curve.N))
@@ -547,7 +548,7 @@ class TestVoteResponse:
             2, combo,
             curve.point_add(
                 curve.scalar_mult_base(s),
-                curve.point_neg(curve.scalar_mult(e, keypairs[2].public)),
+                point_neg(curve.scalar_mult(e, keypairs[2].public)),
             ),
             s,
         )

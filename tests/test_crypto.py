@@ -11,6 +11,7 @@ from mokka import crypto, curve, proofs, wire
 
 from conftest import make_cluster
 from test_curve import naive_mult
+from oracle import point_neg
 
 MSG = b"keyring test message"
 POLICY = proofs.ProofPolicy()
@@ -80,7 +81,7 @@ class TestBuildKeyring:
         for combo, aggregate in keyring.combos.items():
             members = combo.members()
             rest = curve.point_add(
-                aggregate, curve.point_neg(keyring.public_key(members[0]))
+                aggregate, point_neg(keyring.public_key(members[0]))
             )
             expected = None
             for member in members[1:]:

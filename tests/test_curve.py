@@ -8,6 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from mokka import curve, wire
 
+from oracle import is_on_curve, point_neg
+
 
 def naive_mult(k, point):
     """Independent double-and-add in plain affine coordinates."""
@@ -36,7 +38,7 @@ def test_zero_and_order_multiples_are_infinity():
 
 
 def test_add_inverse_is_infinity():
-    assert curve.point_add(curve.G, curve.point_neg(curve.G)) is None
+    assert curve.point_add(curve.G, point_neg(curve.G)) is None
 
 
 KEY = curve.scalar_mult_base(0xC0FFEE)  # a keyring-style point other than G
@@ -171,7 +173,7 @@ def names(point, terms):
 
 def test_sum_equals_doubling_and_cancellation():
     g_table = key_table(curve.G)
-    neg_g_table = key_table(curve.point_neg(curve.G))
+    neg_g_table = key_table(point_neg(curve.G))
     # Second entry equals the running sum: the doubling case, in the
     # Jacobian finish (2 entries) and in the affine levels (24 entries).
     for copies in (1, 12):
@@ -190,7 +192,7 @@ def test_sum_equals_doubling_and_cancellation():
 
 def test_affine_sums_match_the_fold(monkeypatch):
     pts = [curve.scalar_mult_base(k) for k in range(1, 41)]
-    neg = curve.point_neg
+    neg = point_neg
     groups = [
         pts[:32],
         pts[:25],  # odd: the last point carries over each level
@@ -250,7 +252,7 @@ def test_fixed_sums_and_sums_named_match_the_fold(k):
 
 
 def test_batched_sums_match_the_sums_one_at_a_time(monkeypatch):
-    G, NEG_G = curve.G, curve.point_neg(curve.G)
+    G, NEG_G = curve.G, point_neg(curve.G)
     g, neg_g, base = (G, key_table(G)), (NEG_G, key_table(NEG_G)), (G, curve.BASE)
     key, key2 = (KEY, KEY_TABLE), (KEY2, KEY2_TABLE)
     # Each sum as (k, (point, its table)) terms.
@@ -316,7 +318,7 @@ KEYS = (KEY, KEY2) + tuple(
     curve.scalar_mult_base(k) for k in (0xFACE, 0xF00D, 0xD00D)
 )
 KEY_TABLES = {KEY: KEY_TABLE, KEY2: KEY2_TABLE} | {
-    point: key_table(point) for point in KEYS[2:] + (curve.point_neg(KEY),)
+    point: key_table(point) for point in KEYS[2:] + (point_neg(KEY),)
 }
 
 
@@ -334,14 +336,14 @@ def filled(table):
 @split_boundaries(curve.KEY_WINDOW)
 @pytest.mark.parametrize("keys", [
     KEYS[:2], KEYS[:3], KEYS,
-    (KEY, curve.point_neg(KEY), KEY2),  # the fill's first pair cancels
+    (KEY, point_neg(KEY), KEY2),  # the fill's first pair cancels
 ], ids=["2-keys", "3-keys", "5-keys", "X,-X,Y"])
 def test_sum_table_matches_the_fold(keys, k):
     # The boundary scalars' halves hold digits above half (2^6 + 1 and
     # 2^7 - 1), which take negated slots, as does a negative half; the
     # k2 half reads its slots through phi.
     total = fold([naive_mult(k, key) for key in keys])
-    if keys[1] == curve.point_neg(keys[0]):
+    if keys[1] == point_neg(keys[0]):
         assert total == naive_mult(k, keys[2])
     # Each check runs first on empty slots: sums_named on one table,
     # fixed_sums on another.
@@ -389,7 +391,7 @@ def test_sum_tables_of_two_sizes_fill_together():
 
 
 def test_sum_table_of_keys_that_cancel_stays_unsummed():
-    table = sum_table((KEY, curve.point_neg(KEY)))
+    table = sum_table((KEY, point_neg(KEY)))
     for k in (1, 2**5 + 1, curve.N - 1):
         assert curve.fixed_sums([[(k, table)]]) == [None]
         with_base = [(k, curve.BASE), (k, table)]
@@ -418,7 +420,7 @@ def test_results_are_on_curve():
     rng = random.Random(7)
     for _ in range(20):
         point = curve.scalar_mult_base(rng.randrange(1, curve.N))
-        assert curve.is_on_curve(point)
+        assert is_on_curve(point)
 
 
 def test_point_codec_round_trip():

@@ -4,7 +4,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from mokka import scenario, wire
+from mokka import cli, scenario, wire
 from mokka.adversary import BEHAVIORS
 from mokka.scenario import Scenario, ScenarioError, load_scenario, parse_scenario
 
@@ -261,6 +261,39 @@ partitions:
     def test_window_must_be_ordered(self):
         with pytest.raises(ScenarioError, match="precede"):
             parse_scenario(self.GOOD.replace("end_ms: 500", "end_ms: 100"))
+
+    @staticmethod
+    def _two_windows(first, second):
+        return MINIMAL + f"""
+partitions:
+  - start_ms: {first[0]}
+    end_ms: {first[1]}
+    groups: [[0, 1, 2]]
+  - start_ms: {second[0]}
+    end_ms: {second[1]}
+    groups: [[0, 1], [2]]
+"""
+
+    @pytest.mark.parametrize(
+        "second", [(100, 200), (0, 1000), (499, 600), (50, 101)],
+        ids=["inside", "around", "tail", "head"],
+    )
+    def test_overlapping_windows_rejected(self, second, tmp_path, capsys):
+        # Only one window is enforced at a time, so the checker would judge
+        # a split that was never made.
+        text = self._two_windows((100, 500), second)
+        message = r"^partitions\[1\]: overlaps partitions\[0\]$"
+        with pytest.raises(ScenarioError, match=message):
+            parse_scenario(text)
+        path = tmp_path / "overlap.yaml"
+        path.write_text(text)
+        assert cli.main(["run", str(path)]) == 2
+        assert "partitions[1]: overlaps partitions[0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("second", [(500, 900), (0, 100)], ids=["after", "before"])
+    def test_touching_windows_allowed(self, second):
+        sc = parse_scenario(self._two_windows((100, 500), second))
+        assert [(p.start_ms, p.end_ms) for p in sc.partitions] == [(100, 500), second]
 
 
 class TestAdversaries:
