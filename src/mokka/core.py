@@ -323,7 +323,7 @@ def _grant_is_well_formed(state: NodeState, role: Candidate, grant: VoteGrant) -
     ``proofs.build_proof`` for the grants that enter the proof, and by
     ``_held_grant_is_forged`` when a voter's grant arrives twice."""
     return _is_peer(state, grant.voter) and proofs.grant_is_well_formed(
-        grant, role.payloads[grant.voter]
+        grant, role.payloads[grant.voter], state.keyring
     )
 
 

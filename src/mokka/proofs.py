@@ -14,6 +14,7 @@ import functools
 import random
 from collections import OrderedDict
 from dataclasses import dataclass
+from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import hashlib
@@ -180,17 +181,17 @@ def _shares_signed(
 # Each scheme object answers:
 #   payloads(candidate, term, now_ms, keyring, rng)  one VotePayload per node
 #   grant(voter_kp, voter, payload, keyring)          the voter's VoteGrant
-#   well_formed(grant, payload)                       the checks without crypto
+#   well_formed(grant, payload, keyring)              the checks without crypto
 #   verifies(grant, payload, keyring)                 every signature in grant
 #   assemble(candidate_kp, own, members, by_voter, keyring)
 #                                                     the proof body, or raise
-#   check(proof, keyring)                             the crypto verdict
-#   signers(proof, keyring)                           the nodes whose signatures
-#                                                     the body claims, without
-#                                                     crypto; none when check
-#                                                     answers other than
-#                                                     BAD_SIGNATURE from the
-#                                                     body's shape alone
+#   claim(proof, keyring)                             the nodes whose signatures
+#                                                     the body claims, or the
+#                                                     verdict its shape decides
+#                                                     (a ValidationResult);
+#                                                     no crypto
+#   check(proof, keyring, signers)                    the crypto verdict on a
+#                                                     body that claims signers
 #   encode_body(body), decode_body(data)              the body's wire codec
 #
 # crypto is called through the module, so tools that wrap or patch its
@@ -212,13 +213,20 @@ class _Schnorr:
         partials = crypto.schnorr_sign_partials(voter_kp, keyring, combos, message)
         return VoteGrant(voter, payload.term, partials=tuple(partials))
 
-    def well_formed(self, grant, payload):
-        return bool(grant.partials) and all(
-            psig.signer == grant.voter for psig in grant.partials
+    def well_formed(self, grant, payload, keyring):
+        # An honest grant holds one partial per combo holding its voter and
+        # the candidate, so a longer one is refused before it is read.
+        partials = grant.partials
+        if not 0 < len(partials) <= comb(len(keyring.sorted_ids) - 2, keyring.quorum_size - 2):
+            return False
+        pair = ComboId.of({grant.voter, payload.candidate}).mask
+        return len({p.combo for p in partials}) == len(partials) and all(
+            p.signer == grant.voter and p.combo in keyring.combos and p.combo.mask & pair == pair
+            for p in partials
         )
 
     def verifies(self, grant, payload, keyring):
-        return self.well_formed(grant, payload) and all(
+        return self.well_formed(grant, payload, keyring) and all(
             crypto.schnorr_verify_partials(keyring, grant.partials, _message(payload))
         )
 
@@ -254,20 +262,18 @@ class _Schnorr:
             raise BadGrants(bad)
         raise ProofError("aggregate signature does not verify")
 
-    def check(self, proof, keyring):
-        body = proof.body
-        if body.combo not in keyring.combos:
-            return ValidationResult.UNKNOWN_VOTER
-        if proof.candidate not in body.combo:
-            return ValidationResult.BAD_SIGNATURE
-        ok = crypto.schnorr_verify(
-            keyring, body.combo, _message(proof), body.nonce, body.s_value
-        )
-        return ValidationResult.OK if ok else ValidationResult.BAD_SIGNATURE
-
-    def signers(self, proof, keyring):
+    def claim(self, proof, keyring):
         combo = proof.body.combo
-        return combo if combo in keyring.combos else ()
+        if combo not in keyring.combos:
+            return ValidationResult.UNKNOWN_VOTER
+        if proof.candidate not in combo:
+            return ValidationResult.BAD_SIGNATURE
+        return combo
+
+    def check(self, proof, keyring, combo):
+        body = proof.body
+        ok = crypto.schnorr_verify(keyring, combo, _message(proof), body.nonce, body.s_value)
+        return ValidationResult.OK if ok else ValidationResult.BAD_SIGNATURE
 
     def encode_body(self, body):
         return (
@@ -316,7 +322,7 @@ class _Sss:
     def grant(self, voter_kp, voter, payload, keyring):
         return VoteGrant(voter, payload.term, share_sig=self._sign(voter_kp, payload))
 
-    def well_formed(self, grant, payload):
+    def well_formed(self, grant, payload, keyring):
         return grant.share_sig is not None and grant.share_sig[0] == payload.share
 
     def verifies(self, grant, payload, keyring):
@@ -332,50 +338,36 @@ class _Sss:
             raise BadGrants(bad)
         return SssBody(own.salt, (own_sig, *(share_sig for _, share_sig in voters)))
 
-    def check(self, proof, keyring):
-        body = proof.body
-        q = keyring.quorum_size
-        if len(body.entries) < q:
+    def claim(self, proof, keyring):
+        entries = proof.body.entries
+        if len(entries) < keyring.quorum_size:
             return ValidationResult.BAD_SECRET
-        # The first entry that fails decides. A share's index names its
-        # voter, who alone may vouch for it: the first entry whose index
-        # names no node or a voter named before is found without crypto,
-        # and the signatures before it are checked in one batch.
+        # A share's index names its voter, who alone may vouch for it. The
+        # first entry whose index names no node, or a voter named before,
+        # decides.
         voters = []
-        verdict = None
-        for share, _ in body.entries:
+        for share, _ in entries:
             try:
                 voter = keyring.node_for_ordinal(share.index)
             except crypto.CryptoError:
-                verdict = ValidationResult.UNKNOWN_VOTER
-                break
+                return ValidationResult.UNKNOWN_VOTER
             if voter in voters:
-                verdict = ValidationResult.BAD_SIGNATURE
-                break
+                return ValidationResult.BAD_SIGNATURE
             voters.append(voter)
-        if not all(_shares_signed(keyring, list(zip(voters, body.entries)), proof)):
-            return ValidationResult.BAD_SIGNATURE
-        if verdict is not None:
-            return verdict
         if proof.candidate not in voters:
+            return ValidationResult.BAD_SIGNATURE
+        return voters
+
+    def check(self, proof, keyring, signers):
+        body = proof.body
+        if not all(_shares_signed(keyring, list(zip(signers, body.entries)), proof)):
             return ValidationResult.BAD_SIGNATURE
         expected = sss_secret(proof.timestamp_ms, body.salt, proof.term)
         try:
-            restored = crypto.sss_restore([s for s, _ in body.entries], q)
+            restored = crypto.sss_restore([s for s, _ in body.entries], keyring.quorum_size)
         except crypto.CryptoError:
             return ValidationResult.BAD_SECRET
-        if restored != expected:
-            return ValidationResult.BAD_SECRET
-        return ValidationResult.OK
-
-    def signers(self, proof, keyring):
-        entries = proof.body.entries
-        if len(entries) < keyring.quorum_size:
-            return ()
-        try:
-            return {keyring.node_for_ordinal(share.index) for share, _ in entries}
-        except crypto.CryptoError:
-            return ()
+        return ValidationResult.OK if restored == expected else ValidationResult.BAD_SECRET
 
     def encode_body(self, body):
         out = body.salt + wire.encode_uint(len(body.entries), 2)
@@ -389,16 +381,13 @@ class _Sss:
         return out
 
     def decode_body(self, data):
-        if len(data) < 34:
-            raise wire.MalformedError("malformed proof")
-        salt = data[:32]
+        # salt(32) || count(2 BE) || count entries; shorter data fails too.
         count = int.from_bytes(data[32:34], "big")
-        rest = data[34:]
-        if len(rest) != count * _SSS_ENTRY_LEN:
+        if len(data) != 34 + count * _SSS_ENTRY_LEN:
             raise wire.MalformedError("malformed proof")
         entries = []
-        for i in range(count):
-            chunk = rest[i * _SSS_ENTRY_LEN:(i + 1) * _SSS_ENTRY_LEN]
+        for at in range(34, len(data), _SSS_ENTRY_LEN):
+            chunk = data[at:at + _SSS_ENTRY_LEN]
             share = SssShare(
                 wire.decode_scalar(chunk[:32]), wire.decode_scalar(chunk[32:64])
             )
@@ -408,7 +397,7 @@ class _Sss:
                 chunk[128],
             )
             entries.append((share, sig))
-        return SssBody(salt, tuple(entries))
+        return SssBody(data[:32], tuple(entries))
 
 
 SCHEMES = {wire.SCHEME_SCHNORR: _Schnorr(), wire.SCHEME_SSS: _Sss()}
@@ -447,10 +436,13 @@ def grant_vote(voter_kp: KeyPair, payload: VotePayload, keyring: ClusterKeyring)
     return _scheme_of(payload.scheme).grant(voter_kp, voter, payload, keyring)
 
 
-def grant_is_well_formed(grant: VoteGrant, payload: VotePayload) -> bool:
-    """The checks on grant that cost no signature work: its partials are
-    all its voter's (Schnorr), or it signs the share payload carried (Sss)."""
-    return _scheme_of(payload.scheme).well_formed(grant, payload)
+def grant_is_well_formed(
+    grant: VoteGrant, payload: VotePayload, keyring: ClusterKeyring
+) -> bool:
+    """The checks on grant that cost no signature work: its partials are its
+    voter's, one per keyring combo holding voter and candidate at most, as
+    in an honest grant (Schnorr); or it signs the share payload carried (Sss)."""
+    return _scheme_of(payload.scheme).well_formed(grant, payload, keyring)
 
 
 def grant_verifies(
@@ -493,9 +485,11 @@ def build_proof(
     return VoteProof(own.scheme, own.term, own.timestamp_ms, own.candidate, body)
 
 
-def _validate_crypto(proof: VoteProof, keyring: ClusterKeyring) -> ValidationResult:
-    """Time-independent part of validation; cacheable per proof bytes."""
-    return _scheme_of(proof.scheme).check(proof, keyring)
+def _verdict(proof: VoteProof, keyring: ClusterKeyring, claim) -> ValidationResult:
+    """The shape verdict claim holds, else the crypto's; cacheable per proof bytes."""
+    if isinstance(claim, ValidationResult):
+        return claim
+    return _scheme_of(proof.scheme).check(proof, keyring, claim)
 
 
 def time_verdict(
@@ -516,14 +510,17 @@ def validate_proof(
     policy: ProofPolicy,
     now_ms: int,
 ) -> ValidationResult:
-    """The verdict on proof at now_ms; CryptoError if its combo's keys cancel."""
-    return time_verdict(proof, policy, now_ms) or _validate_crypto(proof, keyring)
+    """The verdict on proof at now_ms: the time window, then the body's
+    shape, then the signatures; CryptoError if its combo's keys cancel."""
+    return time_verdict(proof, policy, now_ms) or _verdict(
+        proof, keyring, _scheme_of(proof.scheme).claim(proof, keyring)
+    )
 
 
 class ProofValidator:
     """A node's signature verdicts on the proofs it receives, cheapest
-    first: a cache of crypto verdicts per proof bytes, then the node's own
-    vote record, then the crypto.
+    first: a cache of verdicts per proof bytes, then the body's shape,
+    then the node's own vote record, then the crypto.
 
     The caller answers the time checks (``time_verdict``) beforehand.
     owner is the node whose vote record ``validate`` consults.
@@ -543,13 +540,14 @@ class ProofValidator:
     ) -> ValidationResult:
         """The signature verdict on proof inside its time window.
 
-        voted_for is the owner's vote record, and proof.term must not lie
-        below the owner's current term. The owner signs for (term,
+        A cache miss reads the scheme's claim once: a shape verdict, or the
+        signers. voted_for is the owner's vote record, and proof.term must
+        not lie below the owner's current term. The owner signs for (term,
         candidate) only when it votes so, and its record changes only when
-        its term rises. So when the proof claims the owner's signature and
-        voted_for is not (proof.term, proof.candidate), that signature
-        cannot be real: the answer is BAD_SIGNATURE without any curve work,
-        and it is not cached. Otherwise the verdict is ``validate_proof``'s.
+        its term rises. So when the signers include the owner and voted_for
+        is not (proof.term, proof.candidate), that signature cannot be
+        real: the answer is BAD_SIGNATURE without any curve work, and it is
+        not cached. Otherwise the verdict is ``validate_proof``'s.
 
         This holds only while voted_for outlives the process: an owner that
         restarts with no vote record refutes the genuine proof of the
@@ -560,12 +558,11 @@ class ProofValidator:
         if result is not None:
             self._cache.move_to_end(key)
             return result
-        if (
-            voted_for != (proof.term, proof.candidate)
-            and self.owner in _scheme_of(proof.scheme).signers(proof, self.keyring)
-        ):
+        claim = _scheme_of(proof.scheme).claim(proof, self.keyring)
+        signers = () if isinstance(claim, ValidationResult) else claim
+        if voted_for != (proof.term, proof.candidate) and self.owner in signers:
             return ValidationResult.BAD_SIGNATURE
-        result = _validate_crypto(proof, self.keyring)
+        result = _verdict(proof, self.keyring, claim)
         self._cache[key] = result
         if len(self._cache) > VALIDATOR_CACHE_SIZE:
             self._cache.popitem(last=False)
@@ -582,12 +579,7 @@ def encode_proof(proof: VoteProof) -> bytes:
 
 
 def decode_proof(data: bytes) -> VoteProof:
-    if len(data) < wire.VOTE_MESSAGE_LEN or data[0] not in SCHEMES:
+    header, body = data[:wire.VOTE_MESSAGE_LEN], data[wire.VOTE_MESSAGE_LEN:]
+    if len(header) < wire.VOTE_MESSAGE_LEN or header[0] not in SCHEMES:
         raise wire.MalformedError("malformed proof")
-    return VoteProof(
-        data[0],
-        int.from_bytes(data[1:9], "big"),
-        int.from_bytes(data[9:17], "big"),
-        int.from_bytes(data[17:19], "big"),
-        SCHEMES[data[0]].decode_body(data[wire.VOTE_MESSAGE_LEN:]),
-    )
+    return VoteProof(*wire.decode_vote_message(header), SCHEMES[header[0]].decode_body(body))

@@ -6,6 +6,7 @@ scalars and field elements 32-byte big-endian, combination bitmasks
 ``tag(1) || term(8 BE) || timestamp_ms(8 BE) || candidate(2 BE)``.
 """
 
+import struct
 from typing import Tuple
 
 from . import curve
@@ -14,7 +15,8 @@ from .curve import Point
 SCHEME_SCHNORR = 1
 SCHEME_SSS = 2
 
-VOTE_MESSAGE_LEN = 1 + 8 + 8 + 2
+_VOTE_MESSAGE = struct.Struct(">BQQH")  # the layout above
+VOTE_MESSAGE_LEN = _VOTE_MESSAGE.size  # 1 + 8 + 8 + 2
 MAX_TERM = 2**64 - 1  # the largest term the vote message's 8 bytes hold
 
 
@@ -87,3 +89,10 @@ def vote_message(scheme: int, term: int, timestamp_ms: int, candidate: int) -> b
         + encode_uint(timestamp_ms, 8)
         + encode_uint(candidate, 2)
     )
+
+
+def decode_vote_message(data: bytes) -> Tuple[int, int, int, int]:
+    """(scheme, term, timestamp_ms, candidate) from a vote message."""
+    if len(data) != VOTE_MESSAGE_LEN:
+        raise MalformedError("bad vote message encoding")
+    return _VOTE_MESSAGE.unpack(data)

@@ -508,6 +508,43 @@ class TestVoteResponse:
         outs = self._respond(candidate, replace(grants[0]))
         assert outs == [Diagnostic("duplicate-grant", "term=1 voter=1")]
 
+    @pytest.mark.parametrize("fault", [
+        "repeated combo", "combo without the candidate", "combo outside the keyring",
+        "3,000 partials",
+    ])
+    def test_grant_beyond_an_honest_ones_combos_refused_on_arrival(
+        self, cluster5, monkeypatch, fault
+    ):
+        # At n = 5 an honest grant holds one partial for each of the C(3, 1)
+        # combos holding its voter and the candidate. A grant that names a
+        # combo twice, or one that is not such a combo, or that holds more
+        # partials than there are, is refused with no signature work, so it
+        # is never held, and the real grant then takes the voter's slot.
+        states, grants = self._campaign(cluster5)
+        candidate = states[0]
+        real = grants[0]
+        first, second, _ = real.partials
+        partials = {
+            "repeated combo": (first, second, first),
+            "combo without the candidate": (
+                replace(first, combo=crypto.ComboId.of({1, 2, 3})), second
+            ),
+            "combo outside the keyring": (
+                replace(first, combo=crypto.ComboId.of({0, 1, 2, 3})), second
+            ),
+            "3,000 partials": real.partials * 1000,
+        }[fault]
+
+        def refuse(*args):
+            raise AssertionError("signature work on a grant's arrival")
+
+        monkeypatch.setattr(crypto, "schnorr_verify_partials", refuse)
+        outs = self._respond(candidate, replace(real, partials=partials))
+        assert outs == [Diagnostic("bad-grant", "term=1 voter=1")]
+        assert list(candidate.role.pending_grants) == [0]
+        assert self._respond(candidate, real) == []
+        assert candidate.role.pending_grants[1] is real
+
     def test_two_bad_grants_in_one_quorum_both_dropped(self, cluster5):
         states, grants = self._campaign(cluster5)
         candidate = states[0]

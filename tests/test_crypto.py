@@ -236,7 +236,7 @@ class TestBuildKeyring:
                 wire.SCHEME_SCHNORR, 1, 0, min(ids),
                 proofs.SchnorrBody(combo, curve.G, 1),
             )
-            assert proofs.SCHEMES[wire.SCHEME_SCHNORR].check(proof, keyring) is \
+            assert proofs.SCHEMES[wire.SCHEME_SCHNORR].claim(proof, keyring) is \
                 proofs.ValidationResult.UNKNOWN_VOTER
 
     @pytest.mark.parametrize(

@@ -432,6 +432,19 @@ def test_point_codec_round_trip():
         assert wire.decode_point(data) == point
 
 
+@pytest.mark.parametrize("fields", [
+    (wire.SCHEME_SCHNORR, 1, 0, 0),
+    (wire.SCHEME_SSS, wire.MAX_TERM, 2**64 - 1, 2**16 - 1),
+])
+def test_vote_message_round_trip(fields):
+    data = wire.vote_message(*fields)
+    assert len(data) == wire.VOTE_MESSAGE_LEN
+    assert wire.decode_vote_message(data) == fields
+    for wrong in (data[:-1], data + b"\x00"):
+        with pytest.raises(wire.MalformedError):
+            wire.decode_vote_message(wrong)
+
+
 def test_decode_point_rejects_garbage():
     with pytest.raises(wire.MalformedError):
         wire.decode_point(b"\x04" + b"\x00" * 32)

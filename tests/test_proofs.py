@@ -413,12 +413,14 @@ class TestValidateProof:
         ) is ValidationResult.BAD_SIGNATURE
 
     @pytest.mark.parametrize("layout, verdict", [
-        ("B U 2", ValidationResult.BAD_SIGNATURE),    # bad signature, then unknown index
+        ("B U 2", ValidationResult.UNKNOWN_VOTER),    # bad signature, then unknown index
         ("U B 2", ValidationResult.UNKNOWN_VOTER),    # unknown index first
         ("0 1 1 U", ValidationResult.BAD_SIGNATURE),  # duplicate index, then unknown
         ("0 U 1 1", ValidationResult.UNKNOWN_VOTER),  # unknown index, then duplicate
     ])
     def test_sss_first_failing_entry_decides(self, cluster5, layout, verdict):
+        # The shape decides first: the first entry whose index names no node
+        # or a voter named before decides, whatever the signatures before it.
         # B is entry 0 with a broken signature, U is entry 1 with an index no
         # node holds, and a digit is that entry of the built proof.
         keypairs, keyring = cluster5
@@ -470,7 +472,7 @@ class TestValidatorCache:
         assert validator.validate(proof, VOTED) is ValidationResult.OK
         calls = []
         monkeypatch.setattr(
-            proofs, "_validate_crypto",
+            proofs.SCHEMES[wire.SCHEME_SCHNORR], "check",
             lambda *a: calls.append(1) or ValidationResult.OK,
         )
         assert validator.validate(proof, VOTED) is ValidationResult.OK
@@ -497,6 +499,83 @@ class TestValidatorCache:
         assert proofs.time_verdict(
             proof, POLICY, NOW + POLICY.ttl_ms + 1
         ) is ValidationResult.EXPIRED
+
+
+def shape_faults(keypairs, keyring):
+    """For each verdict a proof body's shape decides, a proof that reads it:
+    honest proofs for candidate 1 with the one fault named."""
+    _, schnorr = build(keypairs, keyring, 1, [0, 3], wire.SCHEME_SCHNORR)
+    _, sss = build(keypairs, keyring, 1, [0, 3, 4], wire.SCHEME_SSS)
+    entry0, entry1, entry2 = sss.body.entries
+    share, sig = entry1
+
+    def schnorr_over(*members):
+        return replace(schnorr, body=replace(schnorr.body, combo=crypto.ComboId.of(members)))
+
+    def sss_of(*entries):
+        return replace(sss, body=replace(sss.body, entries=entries))
+
+    return {
+        "combo outside the keyring": (schnorr_over(0, 1), ValidationResult.UNKNOWN_VOTER),
+        "candidate outside the combo": (
+            schnorr_over(0, 2, 3), ValidationResult.BAD_SIGNATURE
+        ),
+        "fewer than q entries": (sss_of(entry0, entry1), ValidationResult.BAD_SECRET),
+        "index naming no node": (
+            sss_of(entry0, (replace(share, index=6), sig), entry2),
+            ValidationResult.UNKNOWN_VOTER,
+        ),
+        "voter named twice": (sss_of(entry0, entry1, entry1), ValidationResult.BAD_SIGNATURE),
+        "candidate absent from the voters": (
+            replace(sss, candidate=2), ValidationResult.BAD_SIGNATURE
+        ),
+    }
+
+
+@pytest.mark.parametrize("fault", [
+    "combo outside the keyring",
+    "candidate outside the combo",
+    "fewer than q entries",
+    "index naming no node",
+    "voter named twice",
+    "candidate absent from the voters",
+])
+def test_shape_verdicts_need_no_signature_work(cluster5, monkeypatch, fault):
+    # Both entry points reach each shape verdict with every signature check
+    # of both schemes made to raise, whatever the owner's vote record.
+    keypairs, keyring = cluster5
+    proof, verdict = shape_faults(keypairs, keyring)[fault]
+
+    def no_crypto(*args):
+        raise AssertionError("signature work for a shape verdict")
+
+    monkeypatch.setattr(crypto, "schnorr_verify", no_crypto)
+    monkeypatch.setattr(crypto, "verify_recoverables", no_crypto)
+    assert proofs.validate_proof(proof, keyring, POLICY, NOW) is verdict
+    for voted_for in (VOTED, (1, 2), None):
+        assert proofs.ProofValidator(keyring, 0).validate(proof, voted_for) is verdict
+
+
+def test_validator_claims_once_per_cache_miss(cluster5, monkeypatch):
+    # The refutation and the verdict read one claim; a cache hit reads none.
+    keypairs, keyring = cluster5
+    _, proof = build(keypairs, keyring, 1, [0, 3], wire.SCHEME_SCHNORR)
+    scheme = proofs.SCHEMES[wire.SCHEME_SCHNORR]
+    calls = []
+    for name in ("claim", "check"):
+        def counting(*args, name=name, method=getattr(scheme, name)):
+            calls.append(name)
+            return method(*args)
+
+        monkeypatch.setattr(scheme, name, counting)
+    validator = proofs.ProofValidator(keyring, 0)
+    # Node 0 voted for candidate 2, so the signature the proof claims from
+    # it cannot be real; that verdict is not cached.
+    assert validator.validate(proof, (1, 2)) is ValidationResult.BAD_SIGNATURE
+    assert calls == ["claim"]
+    assert validator.validate(proof, VOTED) is ValidationResult.OK
+    assert validator.validate(proof, VOTED) is ValidationResult.OK
+    assert calls == ["claim", "claim", "check"]
 
 
 def forged_proof(combo, rng):
@@ -722,14 +801,15 @@ def test_forged_flood_keeps_validator_cache_bounded(cluster5, monkeypatch):
     _, honest = build(keypairs, keyring, 1, [0, 3], wire.SCHEME_SCHNORR)
     validator = proofs.ProofValidator(keyring, 0)
     honest_checks = []
-    check = proofs._validate_crypto
+    scheme = proofs.SCHEMES[wire.SCHEME_SCHNORR]
+    check = scheme.check
 
-    def counting_check(proof, kr):
+    def counting_check(proof, kr, combo):
         if proof == honest:
             honest_checks.append(1)
-        return check(proof, kr)
+        return check(proof, kr, combo)
 
-    monkeypatch.setattr(proofs, "_validate_crypto", counting_check)
+    monkeypatch.setattr(scheme, "check", counting_check)
     for i, forged in enumerate(forged_proofs(keyring, 1000, seed=29)):
         if i % 100 == 0:
             assert validator.validate(honest, VOTED) is ValidationResult.OK
@@ -784,6 +864,13 @@ class TestCodec:
             proofs.decode_proof(blob + b"\x00")
         with pytest.raises(wire.MalformedError, match="malformed proof"):
             proofs.decode_proof(b"\x03" + blob[1:])
+
+    @pytest.mark.parametrize("length", [0, 1, 18, 19])
+    def test_vote_message_or_shorter_rejected(self, cluster3, length):
+        keypairs, keyring = cluster3
+        _, proof = build(keypairs, keyring, 1, [0], wire.SCHEME_SCHNORR)
+        with pytest.raises(wire.MalformedError, match="malformed proof"):
+            proofs.decode_proof(proofs.encode_proof(proof)[:length])
 
     def test_schnorr_nonce_is_x_and_parity(self, cluster3):
         # Decoding reads R's x and y parity and checks only x < P; an x off
