@@ -9,7 +9,7 @@ every simulator trace replayable bit for bit.
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from . import crypto, proofs, wire
 from .crypto import ClusterKeyring, KeyPair, NodeId
@@ -34,16 +34,16 @@ class Follower:
 @dataclass
 class Candidate:
     payloads: Dict[NodeId, VotePayload]
-    # Grants in arrival order. The candidate's own slot comes first and
-    # stays None: it signs for the combo it assembles when the quorum forms.
-    pending_grants: Dict[NodeId, Optional[VoteGrant]]
+    # Follower grants in arrival order. The candidate counts itself
+    # towards the quorum and signs for the combo it assembles then.
+    pending_grants: Dict[NodeId, VoteGrant]
     # Why building the proof failed with no voter to blame. The same
     # grants lead the queue until one is replaced, so the build is not
     # retried before then.
     build_failure: Optional[str] = None
-    # Each voter's pending grant once it has passed grant_verifies, so that
-    # a challenger to that grant costs no further signature check.
-    verified: Dict[NodeId, VoteGrant] = field(default_factory=dict)
+    # The voters whose pending grant has passed its signature check, so
+    # that a challenger to that grant costs no further check.
+    checked: Set[NodeId] = field(default_factory=set)
     name = "candidate"
 
 
@@ -279,7 +279,7 @@ def _start_election(state: NodeState, now_ms: int) -> List[Output]:
         state.id, term, now_ms, state.keyring, state.config.scheme, state.rng
     )
     state.voted_for = (term, state.id)
-    state.role = Candidate(payloads=payloads, pending_grants={state.id: None})
+    state.role = Candidate(payloads=payloads, pending_grants={})
     requests = tuple(
         Packet(state.id, peer, VoteRequest(payloads[peer])) for peer in _peers(state)
     )
@@ -318,67 +318,49 @@ def _on_vote_request(state: NodeState, payload: VotePayload, now_ms: int) -> Lis
     return outputs + [Send((reply,)), _arm_election(state, "vote-granted")]
 
 
-def _grant_is_well_formed(state: NodeState, role: Candidate, grant: VoteGrant) -> bool:
-    """The checks that cost no signature work. Signatures are checked by
-    ``proofs.build_proof`` for the grants that enter the proof, and by
-    ``_held_grant_is_forged`` when a voter's grant arrives twice."""
-    return _is_peer(state, grant.voter) and proofs.grant_is_well_formed(
-        grant, role.payloads[grant.voter], state.keyring
-    )
-
-
-def _held_grant_is_forged(state: NodeState, role: Candidate, grant: VoteGrant) -> bool:
-    """Whether grant should take the slot of its voter's pending grant.
-
-    Pending grants are unchecked, so a forgery that arrives first would
-    otherwise shut out the voter's real grant. The held grant is checked
-    once, when a different, well-formed grant from the same voter arrives.
-    """
-    held = role.pending_grants[grant.voter]
-    if held is None or held == grant or role.verified.get(grant.voter) is held:
-        return False
-    if not _grant_is_well_formed(state, role, grant):
-        return False
-    if proofs.grant_verifies(held, role.payloads[grant.voter], state.keyring):
-        role.verified[grant.voter] = held
-        return False
-    return True
-
-
 def _on_vote_response(state: NodeState, grant: VoteGrant, now_ms: int) -> List[Output]:
-    role = state.role
+    """The one place a grant's fate is decided. Signatures are checked by
+    ``proofs.build_proof`` for the grants that enter the proof, and here
+    for a held grant, once, when a different grant from its voter arrives."""
+    role, voter = state.role, grant.voter
+    detail = f"term={grant.term} voter={voter}"
     if not isinstance(role, Candidate) or grant.term != state.current_term:
-        return [Diagnostic("late-response", f"term={grant.term} voter={grant.voter}")]
-    detail = f"term={grant.term} voter={grant.voter}"
+        return [Diagnostic("late-response", detail)]
+    scheme, payload = proofs.SCHEMES[state.config.scheme], role.payloads.get(voter)
+    if not _is_peer(state, voter) or not scheme.well_formed(grant, payload, state.keyring):
+        return [Diagnostic("bad-grant", detail)]
     outputs: List[Output] = []
-    if grant.voter in role.pending_grants:
-        if not _held_grant_is_forged(state, role, grant):
+    held = role.pending_grants.get(voter)
+    if held is not None:
+        # Pending grants are unchecked, so a forgery that arrives first
+        # would otherwise shut out the voter's real grant.
+        if held == grant or voter in role.checked:
             return [Diagnostic("duplicate-grant", detail)]
-        del role.pending_grants[grant.voter]
+        if scheme.verifies(held, payload, state.keyring):
+            role.checked.add(voter)
+            return [Diagnostic("duplicate-grant", detail)]
+        del role.pending_grants[voter]
         role.build_failure = None
         outputs.append(Diagnostic("bad-grant", detail))
-    elif not _grant_is_well_formed(state, role, grant):
-        return [Diagnostic("bad-grant", detail)]
-    role.pending_grants[grant.voter] = grant
-    if len(role.pending_grants) < state.keyring.quorum_size:
+    role.pending_grants[voter] = grant
+    if len(role.pending_grants) + 1 < state.keyring.quorum_size:
         return outputs
     if role.build_failure is not None:
         return outputs + [Diagnostic("bad-grant", role.build_failure)]
-    follower_grants = [
-        g for voter, g in role.pending_grants.items() if voter != state.id
-    ]
     try:
         proof = proofs.build_proof(
-            state.keypair, role.payloads[state.id], follower_grants, state.keyring
+            state.keypair, role.payloads[state.id],
+            list(role.pending_grants.values()), state.keyring,
         )
     except proofs.BadGrants as exc:
         # Drop the voters at fault and wait for further grants.
-        dropped = [v for v in exc.voters if v != state.id]
-        for voter in dropped:
-            del role.pending_grants[voter]
+        dropped = [v for v in exc.voters if v in role.pending_grants]
+        for bad in dropped:
+            del role.pending_grants[bad]
+            role.checked.discard(bad)
         return outputs + [
-            Diagnostic("bad-grant", f"term={state.current_term} voter={voter}")
-            for voter in dropped
+            Diagnostic("bad-grant", f"term={state.current_term} voter={bad}")
+            for bad in dropped
         ]
     except _UNSIGNABLE as exc:
         role.build_failure = str(exc)

@@ -226,8 +226,12 @@ class _Schnorr:
         )
 
     def verifies(self, grant, payload, keyring):
+        # The first partial alone, then the rest in one batch: a forgery
+        # whose first partial fails costs one check, not C(n - 2, q - 2).
+        partials, message = grant.partials, _message(payload)
         return self.well_formed(grant, payload, keyring) and all(
-            crypto.schnorr_verify_partials(keyring, grant.partials, _message(payload))
+            all(crypto.schnorr_verify_partials(keyring, batch, message))
+            for batch in (partials[:1], partials[1:])
         )
 
     def assemble(self, candidate_kp, own, members, by_voter, keyring):
@@ -434,23 +438,6 @@ def grant_vote(voter_kp: KeyPair, payload: VotePayload, keyring: ClusterKeyring)
     if voter is None:
         raise ProofError("voter not in keyring")
     return _scheme_of(payload.scheme).grant(voter_kp, voter, payload, keyring)
-
-
-def grant_is_well_formed(
-    grant: VoteGrant, payload: VotePayload, keyring: ClusterKeyring
-) -> bool:
-    """The checks on grant that cost no signature work: its partials are its
-    voter's, one per keyring combo holding voter and candidate at most, as
-    in an honest grant (Schnorr); or it signs the share payload carried (Sss)."""
-    return _scheme_of(payload.scheme).well_formed(grant, payload, keyring)
-
-
-def grant_verifies(
-    grant: VoteGrant, payload: VotePayload, keyring: ClusterKeyring
-) -> bool:
-    """Whether every signature in grant is its voter's, over the vote that
-    payload asked for: each partial (Schnorr), or the share signature (Sss)."""
-    return _scheme_of(payload.scheme).verifies(grant, payload, keyring)
 
 
 def build_proof(

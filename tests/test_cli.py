@@ -8,11 +8,12 @@ import time
 import pytest
 import yaml
 
-from mokka import cli, crypto, curve, proofs, scenario, wire
+from mokka import adversary, cli, crypto, curve, proofs, scenario, wire
 from mokka.cli import load_keyset, main
 
 from conftest import GOLDEN_DIR, scenario_path
 from oracle import point_neg
+from test_simnet import ForgingLeader
 
 
 def run_cli(capsys, *argv):
@@ -369,6 +370,24 @@ class TestCheck:
         assert fields["seeds"] == "3"
         assert fields["violations"] == "0"
         assert fields["failed_seeds"] == ""
+
+    def test_failed_seeds_name_the_runs_with_violations(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Node 4 forges a proof that nodes outside its combo follow: each
+        # run breaks proof soundness, and check exits 1.
+        monkeypatch.setitem(adversary.BEHAVIORS, "forging_leader", ForgingLeader)
+        doc = yaml.safe_load(pathlib.Path(scenario_path("happy-path-n5")).read_text())
+        doc["adversaries"] = [{"node": 4, "behavior": "forging_leader", "term": 99}]
+        forging = tmp_path / "forging.yaml"
+        forging.write_text(yaml.safe_dump(doc))
+        code, stdout, _ = run_cli(
+            capsys, "check", scenario_path("happy-path-n3"), str(forging),
+            "--seeds", "2", "--machine",
+        )
+        assert code == 1
+        rows = [line.split("\t") for line in stdout.splitlines()]
+        assert [value for key, value in rows if key == "failed_seeds"] == ["", "43,44"]
 
     def test_zero_seeds_is_usage_error(self, capsys):
         code, stdout, stderr = run_cli(

@@ -433,7 +433,7 @@ class TestVoteResponse:
         diag = only(outs, Diagnostic)
         assert (diag.code, diag.detail) == ("bad-grant", "term=1 voter=1")
         assert isinstance(candidate.role, Candidate)
-        assert list(candidate.role.pending_grants) == [0, 2]
+        assert list(candidate.role.pending_grants) == [2]
         outs = self._respond(candidate, grants[2])
         assert only(outs, RoleChanged).role == "leader"
         proof = candidate.role.proof
@@ -499,12 +499,46 @@ class TestVoteResponse:
         assert len(calls) == checks
         assert candidate.role.pending_grants[1] is grants[0]
 
+    def test_forged_challenger_to_a_forgery_costs_one_partial_check(
+        self, cluster9, monkeypatch
+    ):
+        # The held forgery's first partial fails, so each challenger costs
+        # one partial check, not all C(7, 3) of the held grant's.
+        states, grants = self._campaign(cluster9)
+        candidate = states[0]
+        forged = self._forge(grants[0])
+        assert self._respond(candidate, forged) == []
+        calls = _count_calls(monkeypatch, "schnorr_partial_verify")
+        for _ in range(3):
+            forged = self._forge(forged)
+            outs = self._respond(candidate, forged)
+            assert outs == [Diagnostic("bad-grant", "term=1 voter=1")]
+            assert candidate.role.pending_grants[1] is forged
+        assert len(calls) == 3
+
+    def test_grant_naming_the_candidate_is_bad(self, cluster5):
+        states, grants = self._campaign(cluster5)
+        candidate = states[0]
+        outs = self._respond(candidate, replace(grants[0], voter=0))
+        assert outs == [Diagnostic("bad-grant", "term=1 voter=0")]
+        assert candidate.role.pending_grants == {}
+
+    def test_malformed_challenger_to_a_held_grant_is_bad(self, cluster5):
+        states, grants = self._campaign(cluster5)
+        candidate = states[0]
+        real = grants[0]
+        assert self._respond(candidate, real) == []
+        oversized = replace(real, partials=real.partials * 1000)
+        outs = self._respond(candidate, oversized)
+        assert outs == [Diagnostic("bad-grant", "term=1 voter=1")]
+        assert candidate.role.pending_grants[1] is real
+
     def test_repeated_real_grant_is_a_duplicate(self, cluster5, monkeypatch):
         # A resent copy of the pending grant costs no signature check.
         states, grants = self._campaign(cluster5)
         candidate = states[0]
         assert self._respond(candidate, grants[0]) == []
-        monkeypatch.setattr(proofs, "grant_verifies", None)
+        monkeypatch.setattr(proofs.SCHEMES[wire.SCHEME_SCHNORR], "verifies", None)
         outs = self._respond(candidate, replace(grants[0]))
         assert outs == [Diagnostic("duplicate-grant", "term=1 voter=1")]
 
@@ -541,7 +575,7 @@ class TestVoteResponse:
         monkeypatch.setattr(crypto, "schnorr_verify_partials", refuse)
         outs = self._respond(candidate, replace(real, partials=partials))
         assert outs == [Diagnostic("bad-grant", "term=1 voter=1")]
-        assert list(candidate.role.pending_grants) == [0]
+        assert list(candidate.role.pending_grants) == []
         assert self._respond(candidate, real) == []
         assert candidate.role.pending_grants[1] is real
 
@@ -561,7 +595,7 @@ class TestVoteResponse:
             ("bad-grant", "term=1 voter=1"),
             ("bad-grant", "term=1 voter=2"),
         ]
-        assert list(candidate.role.pending_grants) == [0]
+        assert list(candidate.role.pending_grants) == []
         assert self._respond(candidate, grants[2]) == []
         outs = self._respond(candidate, grants[3])
         assert only(outs, RoleChanged).role == "leader"
@@ -620,7 +654,7 @@ class TestVoteResponse:
         for grant in grants[1:]:
             assert self._respond(candidate, grant) == [failure]
         assert len(builds) == 1
-        assert list(candidate.role.pending_grants) == [0, 1, 2, 3, 4]
+        assert list(candidate.role.pending_grants) == [1, 2, 3, 4]
         outs = self._respond(candidate, grants[0])
         assert outs == [Diagnostic("bad-grant", "term=1 voter=1"), failure]
         assert len(builds) == 2
@@ -1020,7 +1054,7 @@ class TestSssScheme:
         outs = respond(candidate, grants[1])
         diag = only(outs, Diagnostic)
         assert (diag.code, diag.detail) == ("bad-grant", "term=1 voter=1")
-        assert list(candidate.role.pending_grants) == [0, 2]
+        assert list(candidate.role.pending_grants) == [2]
         outs = respond(candidate, grants[2])
         assert only(outs, RoleChanged).role == "leader"
         assert proofs.validate_proof(

@@ -102,7 +102,8 @@ class TestGrants:
                 1, 1, NOW, keyring, scheme, random.Random(0)
             )
             grant = proofs.grant_vote(keypairs[0], payloads[0], keyring)
-            assert proofs.grant_verifies(grant, payloads[0], keyring)
+            verifies = proofs.SCHEMES[scheme].verifies
+            assert verifies(grant, payloads[0], keyring)
             if scheme == wire.SCHEME_SCHNORR:
                 # One bad partial of three, for a combo the proof may not use.
                 last = grant.partials[-1]
@@ -112,14 +113,14 @@ class TestGrants:
                     + (replace(last, s_value=(last.s_value + 1) % curve.N),),
                 )
                 empty = replace(grant, partials=())
-                assert not proofs.grant_verifies(empty, payloads[0], keyring)
+                assert not verifies(empty, payloads[0], keyring)
             else:
                 share, sig = grant.share_sig
                 forged = replace(grant, share_sig=(share, replace(sig, s=sig.s + 1)))
-            assert not proofs.grant_verifies(forged, payloads[0], keyring)
+            assert not verifies(forged, payloads[0], keyring)
             # Voter 2's genuine grant does not pass as voter 0's.
             other = proofs.grant_vote(keypairs[2], payloads[2], keyring)
-            assert not proofs.grant_verifies(
+            assert not verifies(
                 replace(other, voter=0), payloads[0], keyring
             )
 

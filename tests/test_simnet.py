@@ -157,6 +157,20 @@ class TestAdversaries:
         assert unsound and len(unsound) == len(report.violations)
         assert {v.split()[1] for v in unsound} == {"node=2", "node=3"}
 
+    def test_violations_close_the_rendered_trace(self, monkeypatch):
+        monkeypatch.setitem(adversary.BEHAVIORS, "forging_leader", ForgingLeader)
+        sc = load_scenario(scenario_path("happy-path-n5"))
+        sc = replace(sc, adversaries=(AdversarySpec(4, "forging_leader", term=99),))
+        trace, report = simnet.run(sc)
+        assert report.violations
+        lines = [line.split("\t") for line in trace_lines(trace).splitlines()]
+        tail = lines[-len(report.violations):]
+        assert [fields[2:] for fields in tail] == [
+            ["violation", "-1", violation] for violation in report.violations
+        ]
+        assert {fields[0] for fields in tail} == {str(sc.duration_ms)}
+        assert sum(fields[2] == "violation" for fields in lines) == len(tail)
+
     def test_fake_leader_never_acknowledged(self):
         trace, report = simnet.run(load_scenario(scenario_path("fake-leader")))
         assert report.violations == []
@@ -488,6 +502,24 @@ class TestInvariantChecker:
         )
         violations = check_invariants(trace, report)
         assert any(v.startswith("minority-leader node=4") for v in violations)
+
+    def test_minority_side_of_a_short_partition_may_lead(self):
+        # A sub-quorum side's old leader may keep its proof for the ttl
+        # plus one heartbeat; a partition no longer than that has no
+        # window in which a leader there is a violation.
+        trace = [_role(0, 0, 4, "leader", 1)]
+        grace = 1000 + 50
+
+        def violations(end_ms):
+            return check_invariants(trace, _report(
+                honest_nodes=(0, 1, 2, 3, 4), quorum_size=3,
+                partitions=(Partition(0, end_ms, ((0, 1, 2), (3, 4))),),
+            ))
+
+        assert violations(grace) == []
+        assert violations(grace + 1) == [
+            f"minority-leader node=4 term=1 window=[{grace},{grace + 1})"
+        ]
 
     def test_every_violation_kind_in_order(self):
         trace, report, expected = _every_violation_kind()

@@ -47,7 +47,7 @@ def _copy(state):
     role = state.role
     if isinstance(role, Candidate):
         role = replace(
-            role, pending_grants=dict(role.pending_grants), verified=dict(role.verified)
+            role, pending_grants=dict(role.pending_grants), checked=set(role.checked)
         )
     rng = random.Random()
     rng.setstate(state.rng.getstate())
@@ -76,11 +76,12 @@ def _election(cluster, scheme):
     candidate = nodes[0]
     payloads = candidate.role.payloads
     for packet in grants:
-        if len(candidate.role.pending_grants) == keyring.quorum_size - 1:
+        if len(candidate.role.pending_grants) == keyring.quorum_size - 2:
             starts.append(_copy(candidate))
         core.step(candidate, PacketArrived(packet), NOW)
         if isinstance(candidate.role, Leader):
             break
+    assert len(starts) == 2, "no start state one grant short of a quorum"
     proof = candidate.role.proof
     follower = nodes[n - 1]
     core.step(follower, PacketArrived(Packet(0, n - 1, Heartbeat(proof))), NOW + 10)
